@@ -8,6 +8,7 @@
 // the cluster from the first 15 actions gives a more stable curve without
 // the early drop of the per-step argmax strategy.
 #include <iostream>
+#include <vector>
 
 #include "core/evaluation.hpp"
 #include "core/experiment.hpp"
@@ -26,15 +27,32 @@ int main(int argc, char** argv) {
   core::PositionCurve argmax_curve(max_positions);
   core::PositionCurve voted_curve(max_positions);
 
-  core::OnlineMonitor monitor(experiment.detector, core::MonitorConfig{});
+  // The monitor scores only the voted cluster, so the per-step argmax
+  // baseline advances every cluster's model itself and reads the
+  // prediction of whichever cluster the argmax names at each step.
+  const core::MisuseDetector& detector = experiment.detector;
+  std::vector<core::MisuseDetector::ClusterState> states;
+  std::vector<std::vector<float>> predicted(detector.cluster_count());
+  for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
+    states.push_back(detector.make_cluster_state(c));
+  }
+  core::OnlineMonitor monitor(detector, core::MonitorConfig{});
   for (const auto& [session_index, true_cluster] : united) {
     (void)true_cluster;
     const Session& session = experiment.store.at(session_index);
     monitor.reset();
+    for (auto& state : states) state.reset();
     for (std::size_t i = 0; i < session.actions.size() && i < max_positions; ++i) {
-      const auto result = monitor.observe(session.actions[i]);
-      if (result.likelihood_argmax) argmax_curve.add(i, *result.likelihood_argmax);
+      const int action = session.actions[i];
+      const auto result = monitor.observe(action);
+      if (i > 0) {
+        const std::vector<float>& argmax_dist = predicted[result.cluster_argmax];
+        argmax_curve.add(i, static_cast<double>(argmax_dist[static_cast<std::size_t>(action)]));
+      }
       if (result.likelihood_voted) voted_curve.add(i, *result.likelihood_voted);
+      for (std::size_t c = 0; c < states.size(); ++c) {
+        detector.step_cluster_into(c, states[c], action, predicted[c]);
+      }
     }
   }
 
@@ -54,7 +72,7 @@ int main(int argc, char** argv) {
   // Shape check: the voted strategy must not start lower than the
   // per-step argmax strategy (the paper's "without significant drop in
   // the beginning").
-  const std::size_t vote = experiment.detector.assigner().config().vote_actions;
+  const std::size_t vote = detector.assigner().config().vote_actions;
   double argmax_early = 0.0, voted_early = 0.0;
   std::size_t n = 0;
   for (std::size_t p = 1; p < std::min(usable, vote); ++p) {

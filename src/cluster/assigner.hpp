@@ -63,6 +63,12 @@ class ClusterAssigner {
     /// Cluster by majority vote over the first `vote_actions` steps
     /// (falls back to current argmax before any step).
     std::size_t voted_cluster() const;
+    /// True once voted_cluster() can no longer change: the first
+    /// `vote_actions` steps have been observed. Never true when
+    /// vote_actions is 0 (the vote then follows the argmax forever).
+    bool vote_sealed() const {
+      return parent_.config_.vote_actions > 0 && steps() >= parent_.config_.vote_actions;
+    }
     std::size_t steps() const { return featurizer_state_.length(); }
     /// Clears all state for a new session.
     void reset();

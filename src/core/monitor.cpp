@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 
 #include "core/observability.hpp"
@@ -12,6 +13,9 @@
 namespace misuse::core {
 
 bool TrendDetector::push(double value) {
+  // Only the last two windows are ever read; drop the value that falls
+  // out of them so a long session keeps 2 * window values, not all.
+  if (!history_.empty() && history_.size() >= 2 * window_) history_.erase(history_.begin());
   history_.push_back(value);
   if (history_.size() < 2 * window_) return false;
   const auto end = history_.end();
@@ -28,24 +32,17 @@ OnlineMonitor::OnlineMonitor(const MisuseDetector& detector, const MonitorConfig
                              MisuseDetector::ScoringPrecision precision)
     : detector_(detector),
       config_(config),
+      precision_(precision),
       assignment_(detector.assigner().start_online()),
       trend_(config.trend_window, config.trend_drop) {
-  states_.reserve(detector.cluster_count());
-  next_distributions_.resize(detector.cluster_count());
-  dist_ready_.assign(detector.cluster_count(), 1);
-  for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
-    states_.push_back(detector.make_cluster_state(c, precision));
-  }
   monitor_metrics().sessions.inc();
 }
 
 void OnlineMonitor::reset() {
   assignment_.reset();
-  for (std::size_t c = 0; c < states_.size(); ++c) {
-    states_[c].reset();
-    next_distributions_[c].clear();
-    dist_ready_[c] = 1;
-  }
+  lanes_.clear();
+  history_.clear();
+  previous_action_ = -1;
   trend_.reset();
   step_ = 0;
   monitor_metrics().sessions.inc();
@@ -57,15 +54,27 @@ OnlineMonitor::StepResult OnlineMonitor::observe(int action) {
   // Timer only runs when recording is on.
   const bool record = metrics_enabled();
   Timer step_timer;
-  StepResult result = begin_step(action);
-  advance(action);
+  StepResult result;
+  if (Lane* voted = begin_step(action, result)) {
+    detector_.step_cluster_into(voted->cluster, voted->state, previous_action_, dist_);
+    ++voted->consumed;
+  }
+  finish_step(action, result);
   if (record) record_step(result, step_timer.seconds());
   return result;
 }
 
-OnlineMonitor::StepResult OnlineMonitor::begin_step(int action) {
+OnlineMonitor::Lane& OnlineMonitor::lane(std::size_t c) {
+  for (Lane& l : lanes_) {
+    if (l.cluster == c) return l;
+  }
+  lanes_.push_back({c, detector_.make_cluster_state(c, precision_), 0});
+  return lanes_.back();
+}
+
+OnlineMonitor::Lane* OnlineMonitor::begin_step(int action, StepResult& result) {
   assert(action >= 0 && static_cast<std::size_t>(action) < detector_.vocab().size());
-  StepResult result;
+  result = StepResult{};
   result.step = ++step_;
 
   // Cluster routing on the prefix including this action.
@@ -73,20 +82,26 @@ OnlineMonitor::StepResult OnlineMonitor::begin_step(int action) {
   result.cluster_argmax = assignment_.current_argmax();
   result.cluster_voted = assignment_.voted_cluster();
   result.degraded = detector_.cluster_degraded(result.cluster_voted);
+  if (step_ == 1) return nullptr;
 
-  // Likelihood of this action under each strategy's model, using the
-  // distributions predicted at the previous step.
-  if (step_ > 1) {
-    const auto likelihood_of = [&](std::size_t c) {
-      const auto& dist = current_dist(c);
-      assert(!dist.empty());
-      return static_cast<double>(dist[static_cast<std::size_t>(action)]);
-    };
-    result.likelihood_argmax = likelihood_of(result.cluster_argmax);
-    result.likelihood_voted = likelihood_of(result.cluster_voted);
+  // This action is scored by the voted model's prediction after the
+  // previous step_ - 1 actions. A lane the vote just switched to first
+  // replays the history it missed: at most vote_actions - 2 steps, as the
+  // vote only switches before it seals (unbounded when vote_actions is
+  // 0). Its final advance, on the previous action, is the caller's. The
+  // replayed distributions are discarded.
+  Lane& voted = lane(result.cluster_voted);
+  for (; voted.consumed + 2 < step_; ++voted.consumed) {
+    detector_.step_cluster_into(voted.cluster, voted.state, history_[voted.consumed], dist_);
+  }
+  return &voted;
+}
 
+void OnlineMonitor::finish_step(int action, StepResult& result) {
+  if (result.step > 1) {
     // Alarm policy on the voted strategy (the deployable one).
-    const double voted = *result.likelihood_voted;
+    const double voted = static_cast<double>(dist_[static_cast<std::size_t>(action)]);
+    result.likelihood_voted = voted;
     if (voted < config_.alarm_likelihood) result.alarm = true;
     if (trend_.push(voted)) {
       result.trend_alarm = true;
@@ -95,39 +110,30 @@ OnlineMonitor::StepResult OnlineMonitor::begin_step(int action) {
 
     // Explain alarms: what the voted model expected instead.
     if (result.alarm && config_.explain_top_k > 0) {
-      const auto& dist = current_dist(result.cluster_voted);
-      std::vector<std::size_t> order(dist.size());
+      std::vector<std::size_t> order(dist_.size());
       std::iota(order.begin(), order.end(), std::size_t{0});
       const std::size_t k = std::min(config_.explain_top_k, order.size());
       std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
                         order.end(),
-                        [&dist](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
+                        [this](std::size_t a, std::size_t b) { return dist_[a] > dist_[b]; });
       for (std::size_t i = 0; i < k; ++i) {
         result.expected.push_back(
-            {static_cast<int>(order[i]), static_cast<double>(dist[order[i]])});
+            {static_cast<int>(order[i]), static_cast<double>(dist_[order[i]])});
       }
     }
   }
 
-  return result;
-}
-
-void OnlineMonitor::advance(int action) {
-  // Advance every cluster model with the observed action so next step's
-  // predictions are available under either strategy. step_cluster_into
-  // reuses each distribution's buffer — no per-step allocation.
-  for (std::size_t c = 0; c < states_.size(); ++c) {
-    detector_.step_cluster_into(c, states_[c], action, next_distributions_[c]);
-    dist_ready_[c] = 1;
+  previous_action_ = action;
+  if (!assignment_.vote_sealed()) {
+    history_.push_back(action);
+  } else if (!history_.empty()) {
+    // The vote sealed on this step: every later verdict reads the voted
+    // lane, which only ever needs the previous action.
+    std::erase_if(lanes_, [&](const Lane& l) { return l.cluster != result.cluster_voted; });
+    lanes_.shrink_to_fit();
+    history_.clear();
+    history_.shrink_to_fit();
   }
-}
-
-const std::vector<float>& OnlineMonitor::current_dist(std::size_t c) {
-  if (dist_ready_[c] == 0) {
-    detector_.materialize_cluster_dist(c, states_[c], next_distributions_[c]);
-    dist_ready_[c] = 1;
-  }
-  return next_distributions_[c];
 }
 
 void OnlineMonitor::record_step(const StepResult& result, double seconds) {
@@ -147,27 +153,39 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
   if (monitors.empty()) return;
   const bool record = metrics_enabled();
   Timer batch_timer;
-  // Routing/alarm halves first (independent per monitor), then one fused
-  // model advance per cluster across the whole batch.
+  // Routing halves (and any lane catch-up) first, independent per monitor.
+  std::vector<Lane*> voted(monitors.size());
   for (std::size_t i = 0; i < monitors.size(); ++i) {
     assert(&monitors[i]->detector_ == &detector);
-    results[i] = monitors[i]->begin_step(actions[i]);
+    voted[i] = monitors[i]->begin_step(actions[i], results[i]);
   }
-  std::vector<MisuseDetector::ClusterState*> states(monitors.size());
-  std::vector<std::vector<float>*> outs(monitors.size());
-  // Let the engine defer head + softmax per row: next step's begin_step
-  // only reads the argmax and voted clusters' distributions (usually one
-  // cluster), and current_dist materializes those on demand.
-  std::vector<std::uint8_t> ready(monitors.size());
+  // Then each row's final lane advance, as one fused step per cluster.
+  // Heads are deferred so the engine's fused path skips its batched head;
+  // each row's distribution is then finished alone, as observe() does.
+  std::vector<MisuseDetector::ClusterState*> states;
+  std::vector<int> previous;
+  std::vector<std::vector<float>*> outs;
+  std::vector<std::uint8_t> ready;
   for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
+    states.clear();
+    previous.clear();
+    outs.clear();
     for (std::size_t i = 0; i < monitors.size(); ++i) {
-      states[i] = &monitors[i]->states_[c];
-      outs[i] = &monitors[i]->next_distributions_[c];
+      if (voted[i] == nullptr || voted[i]->cluster != c) continue;
+      states.push_back(&voted[i]->state);
+      previous.push_back(monitors[i]->previous_action_);
+      outs.push_back(&monitors[i]->dist_);
+      ++voted[i]->consumed;
     }
-    detector.step_cluster_batch(c, states, actions, outs, ready);
-    for (std::size_t i = 0; i < monitors.size(); ++i) {
-      monitors[i]->dist_ready_[c] = ready[i];
+    if (states.empty()) continue;
+    ready.resize(states.size());
+    detector.step_cluster_batch(c, states, previous, outs, ready);
+    for (std::size_t j = 0; j < states.size(); ++j) {
+      if (ready[j] == 0) detector.materialize_cluster_dist(c, *states[j], *outs[j]);
     }
+  }
+  for (std::size_t i = 0; i < monitors.size(); ++i) {
+    monitors[i]->finish_step(actions[i], results[i]);
   }
   if (record) {
     const double per_step = batch_timer.seconds() / static_cast<double>(monitors.size());

@@ -2,13 +2,20 @@
 // analyzed action by action "in order to give an alarm for security
 // operators as soon as some suspicious behavior is observed".
 //
-// Two cluster-selection strategies are tracked simultaneously, matching
-// the two baselines of Fig. 7:
-//   * argmax: the model of the cluster with the maximal OC-SVM score at
-//     the current step, re-predicted every step;
+// Both cluster-selection strategies of Fig. 7 are routed every step:
+//   * argmax: the cluster with the maximal OC-SVM score at the current
+//     step (reported, not scored);
 //   * voted: the cluster frozen after a majority vote over the first 15
 //     actions (the dataset's average session length), the paper's fix for
-//     OC-SVM scores collapsing on long sessions (Fig. 6).
+//     OC-SVM scores collapsing on long sessions (Fig. 6). Each action is
+//     scored under this cluster's model.
+//
+// Only the voted cluster's model is advanced, and only when a verdict
+// reads it: each session keeps one lane (a streaming model state) per
+// cluster its vote has named, and a lane replays the session's history
+// when the vote first switches to it. When the vote seals the other lanes
+// and the history are freed, so past the vote window a session costs one
+// model step per action and constant memory.
 //
 // Alarm policy: a step alarms when the voted-model likelihood of the
 // observed action falls below `alarm_likelihood`, or when the moving
@@ -17,7 +24,6 @@
 // in §V as an improvement over reacting to every low score).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -49,6 +55,7 @@ class TrendDetector {
  private:
   std::size_t window_;
   double drop_;
+  /// The last 2 * window values, oldest first (all push ever reads).
   std::vector<double> history_;
 };
 
@@ -77,9 +84,8 @@ class OnlineMonitor {
     std::vector<double> ocsvm_scores;
     std::size_t cluster_argmax = 0;
     std::size_t cluster_voted = 0;
-    /// Likelihood the respective strategy's model assigned to this action
+    /// Likelihood the voted cluster's model assigned to this action
     /// *before* observing it; absent for the first action.
-    std::optional<double> likelihood_argmax;
     std::optional<double> likelihood_voted;
     bool alarm = false;
     bool trend_alarm = false;
@@ -98,13 +104,14 @@ class OnlineMonitor {
 
   /// Feeds one action into each of `monitors` (all built over `detector`),
   /// writing monitors[i]'s step result for actions[i] into results[i].
-  /// The cluster-model advance runs as one batched forward per cluster
-  /// across all monitors (the inference engine's step_batch). With the
-  /// scalar kernels this is bit-identical to calling
-  /// monitors[i]->observe(actions[i]) in order — sessions only share
-  /// read-only weights. Under the opt-in AVX2 mode results stay
-  /// ULP-close but can depend on batch composition (the tile and
-  /// single-row kernels reduce in different orders).
+  /// A monitor may appear at most once. Lanes catching up after a vote
+  /// switch replay per row; each row's final advance, on its previous
+  /// action, runs as one batched forward per cluster across all monitors
+  /// (the inference engine's step_batch). With the scalar kernels this is
+  /// bit-identical to calling monitors[i]->observe(actions[i]) in order —
+  /// sessions only share read-only weights. Under the opt-in AVX2 mode
+  /// results stay ULP-close but can depend on batch composition (the tile
+  /// and single-row kernels reduce in different orders).
   static void observe_batch(const MisuseDetector& detector,
                             std::span<OnlineMonitor* const> monitors,
                             std::span<const int> actions, std::span<StepResult> results);
@@ -115,32 +122,40 @@ class OnlineMonitor {
   std::size_t steps() const { return step_; }
 
  private:
-  /// The routing/alarm half of observe(): consumes the *previous* step's
-  /// distributions, bumps step_. Must be followed by advance(action).
-  StepResult begin_step(int action);
-  /// The model half: advances every cluster state on the action and
-  /// refreshes next_distributions_.
-  void advance(int action);
-  /// next_distributions_[c], materializing it first if the last batched
-  /// advance deferred this cluster's head + softmax (dist_ready_[c] == 0).
-  const std::vector<float>& current_dist(std::size_t c);
+  /// One cluster's model, advanced only as far as verdicts have needed
+  /// it. ClusterState routes degraded clusters to their Markov fallback
+  /// transparently.
+  struct Lane {
+    std::size_t cluster = 0;
+    MisuseDetector::ClusterState state;
+    std::size_t consumed = 0;  // session actions the state has seen
+  };
+
+  /// The routing half of a step: bumps step_, routes the action, and
+  /// replays the voted cluster's lane up to all but the previous action.
+  /// Returns that lane, or null on the first action (nothing to score).
+  /// The caller then advances the lane on previous_action_ into dist_.
+  Lane* begin_step(int action, StepResult& result);
+  /// The verdict half: scores the action against dist_, then records it
+  /// and, once the vote seals, frees every lane but the voted one.
+  void finish_step(int action, StepResult& result);
+  /// The lane of cluster `c`, created fresh if no verdict has read it.
+  Lane& lane(std::size_t c);
   void record_step(const StepResult& result, double seconds);
 
   const MisuseDetector& detector_;
   MonitorConfig config_;
+  MisuseDetector::ScoringPrecision precision_;
   cluster::ClusterAssigner::OnlineAssignment assignment_;
-  /// One streaming state and one next-action distribution per cluster
-  /// model, advanced in lockstep so either strategy can read its
-  /// prediction at any step. ClusterState routes degraded clusters to
-  /// their Markov fallback transparently.
-  std::vector<MisuseDetector::ClusterState> states_;
-  std::vector<std::vector<float>> next_distributions_;
-  /// Per cluster: whether next_distributions_[c] reflects the state's
-  /// last advance. observe() computes eagerly (always 1); observe_batch
-  /// defers heads the routing half never reads — begin_step only ever
-  /// consumes the argmax and voted clusters' distributions, so the other
-  /// clusters' head + softmax work is skipped entirely.
-  std::vector<std::uint8_t> dist_ready_;
+  /// Lanes of the clusters the vote has named this session (one after
+  /// the vote seals).
+  std::vector<Lane> lanes_;
+  /// The session's actions until the vote seals, so a lane created late
+  /// can catch up; freed at the seal.
+  std::vector<int> history_;
+  int previous_action_ = -1;
+  /// The voted lane's next-action distribution after its last advance.
+  std::vector<float> dist_;
   TrendDetector trend_;
   std::size_t step_ = 0;
 };

@@ -7,6 +7,7 @@
 #include "learn/loop.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -50,7 +51,8 @@ class LearnFixture : public ::testing::Test {
     dc.lm.epochs = 1;
     dc.lm.patience = 0;
     detector_ = new core::MisuseDetector(core::MisuseDetector::train(*store_, dc));
-    archive_path_ = new std::string(::testing::TempDir() + "misusedet_learn_seed.bin");
+    fs::create_directories(scratch());
+    archive_path_ = new std::string(scratch() + "seed.bin");
     std::ofstream out(*archive_path_, std::ios::binary | std::ios::trunc);
     BinaryWriter writer(out);
     detector_->save(writer);
@@ -62,6 +64,15 @@ class LearnFixture : public ::testing::Test {
     store_ = nullptr;
     detector_ = nullptr;
     archive_path_ = nullptr;
+    fs::remove_all(scratch());
+  }
+
+  /// This process's own directory for every file the suite writes:
+  /// gtest_discover_tests runs each TEST in a separate process, and under
+  /// `ctest -j` those run at once, so a fixed path would let one process
+  /// truncate or delete an archive another is loading.
+  static std::string scratch() {
+    return ::testing::TempDir() + "misusedet_learn_" + std::to_string(::getpid()) + "/";
   }
 
   static const SessionStore& store() { return *store_; }
@@ -69,7 +80,7 @@ class LearnFixture : public ::testing::Test {
   static const std::string& archive() { return *archive_path_; }
 
   static std::string fresh_root(const std::string& name) {
-    const std::string root = ::testing::TempDir() + "misusedet_learn_" + name;
+    const std::string root = scratch() + name;
     fs::remove_all(root);
     return root;
   }

@@ -2,7 +2,11 @@
 // behaviour is covered against a trained pipeline in test_detector.cpp).
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "core/monitor.hpp"
+#include "util/rng.hpp"
 
 namespace misuse::core {
 namespace {
@@ -75,6 +79,34 @@ TEST(TrendDetector, ResetClearsHistory) {
 TEST(TrendDetector, ZeroBaselineNeverFires) {
   TrendDetector trend(3, 0.5);
   for (int i = 0; i < 20; ++i) EXPECT_FALSE(trend.push(0.0));
+}
+
+TEST(TrendDetector, BoundedHistoryMatchesFullHistoryOnLongStream) {
+  // The detector keeps only the last two windows; over a long stream it
+  // must fire exactly where a detector summing the same windows out of
+  // the full history fires.
+  for (const std::size_t window : {1u, 3u, 8u}) {
+    TrendDetector trend(window, 0.3);
+    std::vector<double> all;
+    Rng rng(window);
+    std::size_t fired = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const double value = (i / 40) % 2 == 0 ? rng.uniform(0.5, 1.0) : rng.uniform(0.0, 0.4);
+      all.push_back(value);
+      bool want = false;
+      if (all.size() >= 2 * window) {
+        const auto end = all.end();
+        const auto w = static_cast<std::ptrdiff_t>(window);
+        const double recent = std::accumulate(end - w, end, 0.0) / static_cast<double>(window);
+        const double previous =
+            std::accumulate(end - 2 * w, end - w, 0.0) / static_cast<double>(window);
+        want = previous > 0.0 && recent < previous * (1.0 - 0.3);
+      }
+      ASSERT_EQ(trend.push(value), want) << "window " << window << ", value " << i;
+      fired += want ? 1 : 0;
+    }
+    EXPECT_GT(fired, 0u);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "registry/registry.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -79,6 +80,7 @@ TEST(RegistryMetadata, ParseRejectsGarbage) {
 class RegistryFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    fs::create_directories(scratch());
     archive_ = new std::string(save_archive(train(60, 42), "registry_a.bin"));
     // A second detector with a different action vocabulary: its archive
     // is valid but fingerprint-incompatible with the first.
@@ -89,6 +91,15 @@ class RegistryFixture : public ::testing::Test {
     delete other_archive_;
     archive_ = nullptr;
     other_archive_ = nullptr;
+    fs::remove_all(scratch());
+  }
+
+  /// This process's own directory for every file the suite writes:
+  /// gtest_discover_tests runs each TEST in a separate process, and under
+  /// `ctest -j` those run at once, so a fixed path would let one process
+  /// truncate or delete an archive another is loading.
+  static std::string scratch() {
+    return ::testing::TempDir() + "misusedet_registry_" + std::to_string(::getpid()) + "/";
   }
 
   static core::MisuseDetector train(int actions, std::uint64_t seed) {
@@ -110,7 +121,7 @@ class RegistryFixture : public ::testing::Test {
   }
 
   static std::string save_archive(const core::MisuseDetector& detector, const std::string& name) {
-    const std::string path = ::testing::TempDir() + "misusedet_" + name;
+    const std::string path = scratch() + name;
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     BinaryWriter writer(out);
     detector.save(writer);
@@ -119,7 +130,7 @@ class RegistryFixture : public ::testing::Test {
 
   /// A fresh, empty registry root per test.
   static std::string fresh_root(const std::string& name) {
-    const std::string root = ::testing::TempDir() + "misusedet_registry_" + name;
+    const std::string root = scratch() + "root_" + name;
     fs::remove_all(root);
     return root;
   }

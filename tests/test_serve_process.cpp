@@ -28,8 +28,16 @@
 namespace misuse::serve {
 namespace {
 
+/// This process's own directory for every file the suite writes:
+/// gtest_discover_tests runs each TEST in a separate process, and under
+/// `ctest -j` those run at once, so a fixed path would let one process
+/// truncate or delete a model another is loading.
+std::string process_dir() {
+  return ::testing::TempDir() + "misusedet_proc_" + std::to_string(::getpid()) + "/";
+}
+
 std::string scratch_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "misusedet_proc_" + name;
+  const std::string dir = process_dir() + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
@@ -211,6 +219,7 @@ class ServeProcessFixture : public ::testing::Test {
     model_path_ = nullptr;
     trace_ = nullptr;
     actions_ = nullptr;
+    std::filesystem::remove_all(process_dir());
   }
 
   static std::string event_line(const std::string& user, const std::string& session,
