@@ -1,16 +1,18 @@
 // Microbenchmarks (google-benchmark) of the hot kernels under every
 // experiment: GEMM, LSTM training/inference, LDA Gibbs sweeps, OC-SVM
-// scoring, featurization, t-SNE iterations, and corpus generation. Not a
+// routing, featurization, t-SNE iterations, and corpus generation. Not a
 // paper figure — this is the performance baseline for regressions.
 #include <benchmark/benchmark.h>
 
+#include <tuple>
+
+#include "cluster/assigner.hpp"
 #include "core/drift.hpp"
 #include "lm/batching.hpp"
 #include "lm/language_model.hpp"
 #include "lm/markov.hpp"
 #include "nn/next_action_model.hpp"
 #include "ocsvm/features.hpp"
-#include "ocsvm/ocsvm.hpp"
 #include "synth/portal.hpp"
 #include "tensor/ops.hpp"
 #include "topics/ensemble.hpp"
@@ -155,23 +157,57 @@ void BM_LdaGibbsSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_LdaGibbsSweep)->Arg(13)->Arg(20);
 
-void BM_OcSvmScore(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<std::vector<float>> train(200, std::vector<float>(101));
-  for (auto& x : train) {
-    for (auto& v : x) v = static_cast<float>(rng.normal(0.0, 0.3));
-  }
-  ocsvm::OcSvmConfig config;
-  config.nu = 0.1;
-  const auto svm = ocsvm::OneClassSvm::train(train, config);
-  std::vector<float> probe(101);
-  for (auto& v : probe) v = static_cast<float>(rng.normal(0.0, 0.3));
+// OC-SVM routing as the online monitor runs it: OnlineAssignment::push
+// over an assigner trained on portal sessions (vocab 300, one OC-SVM per
+// ground-truth archetype). Arg 0 replays held-out portal sessions, whose
+// prefixes touch a handful of actions; Arg 1 replays 800-action uniform
+// random sessions, which touch most of the vocabulary — the worst case
+// for a kernel whose cost grows with the actions a prefix touched.
+void BM_OnlineAssignmentPush(benchmark::State& state) {
+  static const auto fixture = [] {
+    synth::PortalConfig config;
+    config.sessions = 3000;
+    config.seed = 11;
+    const SessionStore store = synth::Portal(config).generate();
+    std::vector<std::vector<std::span<const int>>> clusters;
+    std::vector<std::vector<int>> held_out;
+    for (std::size_t i = 0; i < store.size(); ++i) {
+      const Session& s = store.at(i);
+      if (i % 4 == 3) {
+        held_out.push_back(s.actions);
+        continue;
+      }
+      const auto c = static_cast<std::size_t>(s.archetype);
+      if (clusters.size() <= c) clusters.resize(c + 1);
+      clusters[c].push_back(s.view());
+    }
+    std::erase_if(clusters, [](const auto& sessions) { return sessions.empty(); });
+    cluster::AssignerConfig assigner_config;
+    assigner_config.features.vocab = store.vocab().size();
+    Rng rng(12);
+    std::vector<std::vector<int>> random(20, std::vector<int>(800));
+    for (auto& s : random) {
+      for (auto& a : s) a = static_cast<int>(rng.uniform_index(store.vocab().size()));
+    }
+    return std::make_tuple(cluster::ClusterAssigner::train(clusters, assigner_config),
+                           std::move(held_out), std::move(random));
+  }();
+  const auto& [assigner, portal, random] = fixture;
+  const auto& sessions = state.range(0) == 0 ? portal : random;
+  auto online = assigner.start_online();
+  std::size_t session = 0, position = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(svm.score(probe));
+    if (position == sessions[session].size()) {
+      online.reset();
+      session = (session + 1) % sessions.size();
+      position = 0;
+    }
+    const auto scores = online.push(sessions[session][position++]);
+    benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_OcSvmScore);
+BENCHMARK(BM_OnlineAssignmentPush)->Arg(0)->Arg(1);
 
 void BM_SessionFeaturize(benchmark::State& state) {
   Rng rng(6);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <string>
 
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -63,7 +64,7 @@ ClusterAssigner ClusterAssigner::refit(
 }
 
 std::vector<double> ClusterAssigner::scores(std::span<const int> actions) const {
-  const std::vector<float> f = featurizer_.featurize(actions);
+  const ocsvm::SparseFeatures f = featurizer_.featurize_sparse(actions);
   std::vector<double> out(svms_.size());
   for (std::size_t c = 0; c < svms_.size(); ++c) out[c] = svms_[c].score(f);
   return out;
@@ -80,7 +81,7 @@ ClusterAssigner::OnlineAssignment::OnlineAssignment(const ClusterAssigner& paren
       votes_(parent.cluster_count(), 0) {}
 
 std::vector<double> ClusterAssigner::OnlineAssignment::push(int action) {
-  const std::vector<float> f = featurizer_state_.push(action);
+  const ocsvm::SparseFeatures& f = featurizer_state_.push(action);
   std::vector<double> scores(parent_.svms_.size());
   for (std::size_t c = 0; c < scores.size(); ++c) scores[c] = parent_.svms_[c].score(f);
   current_argmax_ =
@@ -127,12 +128,23 @@ ClusterAssigner ClusterAssigner::load(BinaryReader& r) {
   AssignerConfig config;
   config.vote_actions = static_cast<std::size_t>(r.read<std::uint64_t>());
   config.features.vocab = static_cast<std::size_t>(r.read<std::uint64_t>());
+  if (config.features.vocab == 0) throw SerializeError("assigner feature vocab is 0");
   config.features.normalize = r.read<std::uint8_t>() != 0;
   config.features.length_feature_weight = r.read<double>();
   ClusterAssigner assigner(config);
-  const auto n = static_cast<std::size_t>(r.read<std::uint64_t>());
-  assigner.svms_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) assigner.svms_.push_back(ocsvm::OneClassSvm::load(r));
+  const auto n = r.read<std::uint64_t>();
+  if (n == 0) throw SerializeError("assigner has no OC-SVMs");
+  // Scoring indexes every OC-SVM with featurizer indices, so a dim that
+  // disagrees would read out of bounds.
+  const std::size_t dim = assigner.featurizer_.dim();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    assigner.svms_.push_back(ocsvm::OneClassSvm::load(r));
+    if (assigner.svms_.back().dim() != dim) {
+      throw SerializeError("OC-SVM " + std::to_string(i) + " dim " +
+                           std::to_string(assigner.svms_.back().dim()) +
+                           " differs from the featurizer dim " + std::to_string(dim));
+    }
+  }
   return assigner;
 }
 

@@ -397,7 +397,20 @@ MisuseDetector MisuseDetector::load(BinaryReader& r) {
     return count;
   });
   detector.assigner_ = load_phase("assigner", [&] {
-    return std::make_unique<cluster::ClusterAssigner>(cluster::ClusterAssigner::load(r));
+    auto assigner = std::make_unique<cluster::ClusterAssigner>(cluster::ClusterAssigner::load(r));
+    // Routing indexes the cluster table with OC-SVM argmaxes and the
+    // featurizer with action ids, so both sizes must agree.
+    if (assigner->cluster_count() != n) {
+      throw SerializeError("OC-SVM count " + std::to_string(assigner->cluster_count()) +
+                           " differs from the cluster table's " + std::to_string(n));
+    }
+    if (assigner->config().features.vocab != detector.vocab_.size()) {
+      throw SerializeError("feature vocab " +
+                           std::to_string(assigner->config().features.vocab) +
+                           " differs from the action vocabulary's " +
+                           std::to_string(detector.vocab_.size()));
+    }
+    return assigner;
   });
   detector.degraded_.assign(n, false);
 

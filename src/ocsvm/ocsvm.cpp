@@ -4,8 +4,23 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
 
 namespace misuse::ocsvm {
+namespace {
+
+/// acc + a * b, rounded once where the target has FMA: what the compiler
+/// makes of the scalar expression, pinned so that a vectorized reduction
+/// cannot round the product on its own and change the sum.
+double multiply_add(double a, double b, double acc) {
+#ifdef __FMA__
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+}  // namespace
 
 double kernel_value(KernelKind kind, double gamma, std::span<const float> a,
                     std::span<const float> b) {
@@ -147,12 +162,14 @@ OneClassSvm OneClassSvm::train(const std::vector<std::vector<float>>& points,
   svm.rho_ = rho_count > 0 ? rho_sum / static_cast<double>(rho_count) : 0.0;
 
   // Keep only support vectors.
+  std::vector<std::span<const float>> support;
   for (std::size_t i = 0; i < m; ++i) {
     if (alpha[i] > eps_box) {
-      svm.support_vectors_.emplace_back(x[i].begin(), x[i].end());
+      support.push_back(x[i]);
       svm.alphas_.push_back(alpha[i]);
     }
   }
+  svm.set_support_vectors(support);
 
   // Count decision values below zero by more than the solver tolerance;
   // points within tolerance of the boundary are margin noise, not
@@ -165,49 +182,75 @@ OneClassSvm OneClassSvm::train(const std::vector<std::vector<float>>& points,
   return svm;
 }
 
-double OneClassSvm::score(std::span<const float> x) const {
-  assert(x.size() == dim_);
+void OneClassSvm::set_support_vectors(const std::vector<std::span<const float>>& support) {
+  const std::size_t n_sv = support.size();
+  sv_by_feature_.assign(dim_ * n_sv, 0.0f);
+  sv_norm_sq_.assign(n_sv, 0.0);
+  for (std::size_t i = 0; i < n_sv; ++i) {
+    assert(support[i].size() == dim_);
+    for (std::size_t j = 0; j < dim_; ++j) {
+      const float v = support[i][j];
+      sv_by_feature_[j * n_sv + i] = v;
+      sv_norm_sq_[i] += static_cast<double>(v) * v;
+    }
+  }
+}
+
+std::vector<float> OneClassSvm::support_vector(std::size_t i) const {
+  const std::size_t n_sv = alphas_.size();
+  assert(i < n_sv);
+  std::vector<float> out(dim_);
+  for (std::size_t j = 0; j < dim_; ++j) out[j] = sv_by_feature_[j * n_sv + i];
+  return out;
+}
+
+double OneClassSvm::score(const SparseFeatures& x) const {
+  assert(x.index.size() == x.value.size());
   // Hot path of online routing: every monitor step scores every cluster's
-  // OC-SVM on the prefix. Four-lane unrolled reductions break the serial
-  // double-add dependency chain of the naive kernel loop (~3x on typical
-  // dims). Both the offline and the online assigner route through here,
-  // so their scores stay mutually bit-identical — the only summation
-  // order the pipeline's determinism contracts depend on.
-  const std::size_t dim = dim_;
+  // OC-SVM on the prefix, which has touched a handful of actions. s.x is
+  // one contiguous axpy per nonzero feature over the feature-major store;
+  // ||s - x||^2 = ||s||^2 - 2 s.x + ||x||^2 then needs no pass over the
+  // other dimensions. With raw counts every term is an integer below
+  // 2^53, so the distance is exact and equals the dense sum of squared
+  // differences bit for bit. Support vectors go in blocks so the dot
+  // products stay on the stack; the exp terms are summed in support-vector
+  // order, which the offline and online assigners share.
+  constexpr std::size_t kBlock = 256;
+  const std::size_t n_sv = alphas_.size();
+  double dot[kBlock];
   double acc = 0.0;
-  for (std::size_t i = 0; i < support_vectors_.size(); ++i) {
-    const float* s = support_vectors_[i].data();
-    const float* p = x.data();
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-    std::size_t j = 0;
+  for (std::size_t base = 0; base < n_sv; base += kBlock) {
+    const std::size_t n = std::min(kBlock, n_sv - base);
+    std::fill_n(dot, n, 0.0);
+    for (std::size_t k = 0; k < x.index.size(); ++k) {
+      assert(x.index[k] < dim_);
+      const double v = x.value[k];
+      const float* row = sv_by_feature_.data() + x.index[k] * n_sv + base;
+      for (std::size_t i = 0; i < n; ++i) dot[i] += v * static_cast<double>(row[i]);
+    }
     if (config_.kernel == KernelKind::kRbf) {
-      for (; j + 4 <= dim; j += 4) {
-        const double d0 = static_cast<double>(s[j]) - p[j];
-        const double d1 = static_cast<double>(s[j + 1]) - p[j + 1];
-        const double d2 = static_cast<double>(s[j + 2]) - p[j + 2];
-        const double d3 = static_cast<double>(s[j + 3]) - p[j + 3];
-        l0 += d0 * d0;
-        l1 += d1 * d1;
-        l2 += d2 * d2;
-        l3 += d3 * d3;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Rounding can take a non-integer distance a hair below zero.
+        const double sq = std::max(0.0, sv_norm_sq_[base + i] - 2.0 * dot[i] + x.norm_sq);
+        acc = multiply_add(alphas_[base + i], std::exp(-gamma_ * sq), acc);
       }
-      for (; j < dim; ++j) {
-        const double d = static_cast<double>(s[j]) - p[j];
-        l0 += d * d;
-      }
-      acc += alphas_[i] * std::exp(-gamma_ * ((l0 + l1) + (l2 + l3)));
     } else {
-      for (; j + 4 <= dim; j += 4) {
-        l0 += static_cast<double>(s[j]) * p[j];
-        l1 += static_cast<double>(s[j + 1]) * p[j + 1];
-        l2 += static_cast<double>(s[j + 2]) * p[j + 2];
-        l3 += static_cast<double>(s[j + 3]) * p[j + 3];
-      }
-      for (; j < dim; ++j) l0 += static_cast<double>(s[j]) * p[j];
-      acc += alphas_[i] * ((l0 + l1) + (l2 + l3));
+      for (std::size_t i = 0; i < n; ++i) acc = multiply_add(alphas_[base + i], dot[i], acc);
     }
   }
   return acc - rho_;
+}
+
+double OneClassSvm::score(std::span<const float> x) const {
+  assert(x.size() == dim_);
+  SparseFeatures sparse;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    if (x[j] == 0.0f) continue;
+    sparse.index.push_back(static_cast<std::uint32_t>(j));
+    sparse.value.push_back(x[j]);
+    sparse.norm_sq += static_cast<double>(x[j]) * x[j];
+  }
+  return score(sparse);
 }
 
 namespace {
@@ -223,31 +266,45 @@ void OneClassSvm::save(BinaryWriter& w) const {
   w.write<double>(rho_);
   w.write<double>(training_outlier_fraction_);
   w.write<std::uint64_t>(dim_);
-  w.write<std::uint64_t>(support_vectors_.size());
-  for (const auto& sv : support_vectors_) w.write_vector(std::span<const float>(sv));
+  w.write<std::uint64_t>(alphas_.size());
+  for (std::size_t i = 0; i < alphas_.size(); ++i) w.write_vector(support_vector(i));
   w.write_vector(std::span<const double>(alphas_));
 }
 
 OneClassSvm OneClassSvm::load(BinaryReader& r) {
   r.read_magic(kSvmMagic);
   OneClassSvm svm;
-  svm.config_.kernel = static_cast<KernelKind>(r.read<std::int32_t>());
+  const auto kernel = r.read<std::int32_t>();
+  if (kernel != static_cast<std::int32_t>(KernelKind::kRbf) &&
+      kernel != static_cast<std::int32_t>(KernelKind::kLinear)) {
+    throw SerializeError("unknown OC-SVM kernel kind " + std::to_string(kernel));
+  }
+  svm.config_.kernel = static_cast<KernelKind>(kernel);
   svm.config_.nu = r.read<double>();
   svm.gamma_ = r.read<double>();
+  if (svm.config_.kernel == KernelKind::kRbf && !(std::isfinite(svm.gamma_) && svm.gamma_ > 0.0)) {
+    throw SerializeError("OC-SVM RBF gamma " + std::to_string(svm.gamma_) +
+                         " is not finite and positive");
+  }
   svm.rho_ = r.read<double>();
+  if (!std::isfinite(svm.rho_)) throw SerializeError("OC-SVM rho is not finite");
   svm.training_outlier_fraction_ = r.read<double>();
   svm.dim_ = static_cast<std::size_t>(r.read<std::uint64_t>());
-  const auto n_sv = static_cast<std::size_t>(r.read<std::uint64_t>());
-  svm.support_vectors_.reserve(n_sv);
-  for (std::size_t i = 0; i < n_sv; ++i) {
-    auto sv = r.read_vector<float>();
-    if (sv.size() != svm.dim_) throw SerializeError("support vector dim mismatch");
-    svm.support_vectors_.push_back(std::move(sv));
+  const auto n_sv = r.read<std::uint64_t>();
+  // The count is untrusted: no reserve; a short stream throws on the read.
+  std::vector<std::vector<float>> support;
+  for (std::uint64_t i = 0; i < n_sv; ++i) {
+    support.push_back(r.read_vector<float>());
+    if (support.back().size() != svm.dim_) throw SerializeError("support vector dim mismatch");
   }
   svm.alphas_ = r.read_vector<double>();
-  if (svm.alphas_.size() != svm.support_vectors_.size()) {
+  if (svm.alphas_.size() != support.size()) {
     throw SerializeError("alpha/support-vector count mismatch");
   }
+  for (const double a : svm.alphas_) {
+    if (!std::isfinite(a)) throw SerializeError("OC-SVM alpha is not finite");
+  }
+  svm.set_support_vectors(std::vector<std::span<const float>>(support.begin(), support.end()));
   return svm;
 }
 

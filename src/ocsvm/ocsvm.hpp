@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "ocsvm/features.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -43,10 +44,20 @@ class OneClassSvm {
                            const OcSvmConfig& config);
 
   /// Decision value f(x); >= 0 means the point conforms to the cluster.
+  /// Costs O(nnz(x) * support_vector_count()) multiply-adds plus one exp
+  /// per support vector (RBF). Every index of `x` must be below dim().
+  double score(const SparseFeatures& x) const;
+  /// Dense adapter: scores the nonzero entries of `x` (size dim()) through
+  /// the sparse kernel above.
   double score(std::span<const float> x) const;
 
   double rho() const { return rho_; }
-  std::size_t support_vector_count() const { return support_vectors_.size(); }
+  /// RBF bandwidth in use (the configured one, or 1/dim when automatic).
+  double gamma() const { return gamma_; }
+  std::size_t support_vector_count() const { return alphas_.size(); }
+  /// Support vector i, gathered from the feature-major store.
+  std::vector<float> support_vector(std::size_t i) const;
+  std::span<const double> alphas() const { return alphas_; }
   std::size_t dim() const { return dim_; }
   const OcSvmConfig& config() const { return config_; }
 
@@ -55,17 +66,27 @@ class OneClassSvm {
   double training_outlier_fraction() const { return training_outlier_fraction_; }
 
   void save(BinaryWriter& w) const;
+  /// Throws SerializeError on a malformed or inconsistent section: unknown
+  /// kernel, non-finite or non-positive RBF gamma, non-finite rho or
+  /// alpha, or a support vector whose size is not dim.
   static OneClassSvm load(BinaryReader& r);
 
  private:
   OneClassSvm() = default;
+
+  /// Stores `support` feature-major and computes each vector's squared
+  /// norm; the one path train() and load() share.
+  void set_support_vectors(const std::vector<std::span<const float>>& support);
 
   OcSvmConfig config_;
   std::size_t dim_ = 0;
   double gamma_ = 0.0;
   double rho_ = 0.0;
   double training_outlier_fraction_ = 0.0;
-  std::vector<std::vector<float>> support_vectors_;
+  /// sv_by_feature_[j * support_vector_count() + i] is feature j of
+  /// support vector i: each nonzero input feature reads one contiguous row.
+  std::vector<float> sv_by_feature_;
+  std::vector<double> sv_norm_sq_;  // ||s_i||^2, summed in double in feature order
   std::vector<double> alphas_;
 };
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "cluster/assigner.hpp"
 #include "cluster/expert_policy.hpp"
@@ -222,6 +223,106 @@ TEST(Assigner, SaveLoadRoundTripsScores) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
   EXPECT_EQ(loaded.config().vote_actions, fixture.assigner.config().vote_actions);
+}
+
+TEST(Assigner, OnlinePushMatchesOfflineScoresUnderEveryFeaturizerConfig) {
+  // The online prefix and the offline session are featurized by the same
+  // code and scored by the same kernel, so they agree bit for bit in
+  // every setting, not only on the exact raw-count default.
+  Rng rng(17);
+  std::vector<std::vector<int>> sessions;
+  std::vector<std::vector<std::span<const int>>> clusters(3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (int i = 0; i < 40; ++i) {
+      std::vector<int> s(1 + rng.uniform_index(30));
+      for (auto& a : s) a = static_cast<int>(c * 6 + rng.uniform_index(8));
+      sessions.push_back(std::move(s));
+    }
+  }
+  for (std::size_t i = 0; i < sessions.size(); ++i) clusters[i / 40].push_back(sessions[i]);
+  std::vector<std::vector<int>> probes;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<int> s(1 + rng.uniform_index(120));
+    for (auto& a : s) a = static_cast<int>(rng.uniform_index(20));
+    probes.push_back(std::move(s));
+  }
+  for (const bool normalize : {false, true}) {
+    for (const double length_weight : {0.0, 0.1}) {
+      for (const auto kernel : {ocsvm::KernelKind::kRbf, ocsvm::KernelKind::kLinear}) {
+        AssignerConfig config;
+        config.features = {
+            .vocab = 20, .normalize = normalize, .length_feature_weight = length_weight};
+        config.svm.kernel = kernel;
+        const auto assigner = ClusterAssigner::train(clusters, config);
+        for (const auto& probe : probes) {
+          auto online = assigner.start_online();
+          for (std::size_t i = 0; i < probe.size(); ++i) {
+            ASSERT_EQ(online.push(probe[i]),
+                      assigner.scores(std::span<const int>(probe.data(), i + 1)))
+                << "normalize=" << normalize << " length_weight=" << length_weight
+                << " kernel=" << static_cast<int>(kernel) << " prefix " << i + 1;
+          }
+        }
+      }
+    }
+  }
+}
+
+// --- Hand-written assigner sections -----------------------------------------
+
+/// A trained OC-SVM of the given dim, as saved bytes.
+std::string svm_bytes(std::size_t dim) {
+  Rng rng(dim);
+  std::vector<std::vector<float>> points(20, std::vector<float>(dim));
+  for (auto& p : points) {
+    for (auto& v : p) v = static_cast<float>(rng.uniform_index(3));
+  }
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out);
+  ocsvm::OneClassSvm::train(points, {}).save(w);
+  return out.str();
+}
+
+std::string assigner_bytes(std::uint64_t vocab, double length_weight,
+                           const std::vector<std::size_t>& svm_dims) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out);
+  w.write_magic(0x4e475341u, 1);  // "ASGN"
+  w.write<std::uint64_t>(15);     // vote_actions
+  w.write<std::uint64_t>(vocab);
+  w.write<std::uint8_t>(0);  // normalize
+  w.write<double>(length_weight);
+  w.write<std::uint64_t>(svm_dims.size());
+  for (const std::size_t dim : svm_dims) w.write_raw(svm_bytes(dim));
+  return out.str();
+}
+
+ClusterAssigner load_assigner(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  BinaryReader r(in);
+  return ClusterAssigner::load(r);
+}
+
+TEST(AssignerLoad, AcceptsConsistentSection) {
+  EXPECT_EQ(load_assigner(assigner_bytes(4, 0.0, {4, 4})).cluster_count(), 2u);
+  // The length feature adds one dimension.
+  const auto with_length = load_assigner(assigner_bytes(4, 0.1, {5}));
+  EXPECT_EQ(with_length.cluster_count(), 1u);
+  EXPECT_EQ(with_length.scores(std::vector<int>{0, 3}).size(), 1u);
+}
+
+TEST(AssignerLoad, RejectsZeroVocab) {
+  EXPECT_THROW((void)load_assigner(assigner_bytes(0, 0.0, {4})), SerializeError);
+}
+
+TEST(AssignerLoad, RejectsNoSvms) {
+  EXPECT_THROW((void)load_assigner(assigner_bytes(4, 0.0, {})), SerializeError);
+}
+
+TEST(AssignerLoad, RejectsSvmDimOtherThanFeaturizerDim) {
+  EXPECT_THROW((void)load_assigner(assigner_bytes(4, 0.0, {5})), SerializeError);
+  EXPECT_THROW((void)load_assigner(assigner_bytes(4, 0.0, {4, 3})), SerializeError);
+  EXPECT_THROW((void)load_assigner(assigner_bytes(4, 0.1, {4})), SerializeError);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <span>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -15,6 +17,7 @@
 #include "nn/infer/dispatch.hpp"
 #include "nn/infer/quant.hpp"
 #include "synth/portal.hpp"
+#include "util/crc32.hpp"
 #include "util/failpoint.hpp"
 #include "util/serialize.hpp"
 
@@ -174,6 +177,77 @@ TEST_F(PersistenceFixture, LoadFileErrorsCarryThePath) {
     EXPECT_NE(what.find(missing), std::string::npos) << what;
     EXPECT_NE(what.find("cannot open file"), std::string::npos) << what;
   }
+}
+
+/// Saved bytes of one serializable object.
+template <typename T>
+std::string saved(const T& object) {
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out);
+  object.save(w);
+  return out.str();
+}
+
+/// The fixture archive with its assigner section replaced by `assigner`
+/// and the whole-file CRC footer recomputed, so the footer cannot be what
+/// rejects it.
+std::string with_assigner(const std::string& archive, const std::string& original,
+                          const std::string& assigner) {
+  const auto at = archive.find(original);
+  EXPECT_NE(at, std::string::npos);
+  std::string out = archive.substr(0, at) + assigner + archive.substr(at + original.size());
+  const std::uint32_t crc = crc32(std::string_view(out).substr(0, out.size() - 4));
+  std::memcpy(out.data() + out.size() - 4, &crc, sizeof(crc));
+  return out;
+}
+
+void expect_assigner_rejected(const std::string& archive, const std::string& what) {
+  std::istringstream in(archive, std::ios::binary);
+  BinaryReader reader(in);
+  try {
+    (void)MisuseDetector::load(reader);
+    ADD_FAILURE() << "inconsistent assigner section loaded";
+  } catch (const SerializeError& e) {
+    EXPECT_NE(std::string(e.what()).find("section assigner"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(PersistenceFixture, AssignerSvmCountMustMatchTheClusterTable) {
+  const auto& assigner = detector_->assigner();
+  const std::string original = saved(assigner);
+  // Control: the section spliced back unchanged loads.
+  EXPECT_NO_THROW((void)load_from(with_assigner(*archive_, original, original)));
+
+  // Drop the last OC-SVM and decrement the section's count (after magic,
+  // version, vote_actions, vocab, normalize and length weight).
+  const std::size_t k = assigner.cluster_count();
+  ASSERT_GE(k, 2u);
+  std::string fewer =
+      original.substr(0, original.size() - saved(assigner.svm(k - 1)).size());
+  const std::uint64_t count = k - 1;
+  std::memcpy(fewer.data() + 33, &count, sizeof(count));
+  expect_assigner_rejected(with_assigner(*archive_, original, fewer), "OC-SVM count");
+}
+
+TEST_F(PersistenceFixture, AssignerVocabMustMatchTheActionVocabulary) {
+  // A self-consistent section (every OC-SVM has the featurizer's dim)
+  // built for one action more than the archive's vocabulary holds.
+  const auto& assigner = detector_->assigner();
+  const std::uint64_t vocab = detector_->vocab().size() + 1;
+  std::ostringstream out(std::ios::binary);
+  BinaryWriter w(out);
+  w.write_magic(0x4e475341u, 1);  // "ASGN"
+  w.write<std::uint64_t>(assigner.config().vote_actions);
+  w.write<std::uint64_t>(vocab);
+  w.write<std::uint8_t>(0);
+  w.write<double>(0.0);
+  w.write<std::uint64_t>(assigner.cluster_count());
+  const std::vector<std::vector<float>> points(4, std::vector<float>(vocab, 1.0f));
+  for (std::size_t c = 0; c < assigner.cluster_count(); ++c) {
+    w.write_raw(saved(ocsvm::OneClassSvm::train(points, {})));
+  }
+  expect_assigner_rejected(with_assigner(*archive_, saved(assigner), out.str()), "feature vocab");
 }
 
 TEST_F(PersistenceFixture, HeaderCorruptionFailsTheFileCrc) {
