@@ -23,6 +23,9 @@ constexpr std::uint32_t kDetectorVersionV2 = 2;  // sections + CRC footer, no qu
 constexpr std::uint32_t kDetectorVersionV1 = 1;  // pre-CRC, no fallbacks
 constexpr std::uint32_t kFooterMagic = 0x46435243u;  // "CRCF"
 constexpr std::uint64_t kMaxSectionBytes = 1ULL << 32;
+/// Highest v3 quant marker ever written (2 = fp16); load skips the
+/// section a non-zero marker announces.
+constexpr std::uint8_t kMaxQuantMarker = 2;
 
 std::vector<std::span<const int>> gather_sessions(const SessionStore& store,
                                                   const std::vector<std::size_t>& indices) {
@@ -203,7 +206,6 @@ MisuseDetector MisuseDetector::train(const SessionStore& store, const DetectorCo
     detector.fallbacks_[c] = std::move(fallback);
   }
   detector.degraded_.assign(detector.clusters_.size(), false);
-  detector.quant_degraded_.assign(detector.clusters_.size(), false);
   detector.build_engines();
   return detector;
 }
@@ -214,7 +216,6 @@ void MisuseDetector::build_engines() {
     engines_[c] = models_[c] != nullptr ? nn::infer::LstmInferEngine::build(models_[c]->network())
                                         : nullptr;
   }
-  if (quant_degraded_.size() != models_.size()) quant_degraded_.assign(models_.size(), false);
 }
 
 std::size_t MisuseDetector::route(std::span<const int> actions) const {
@@ -238,24 +239,12 @@ std::size_t MisuseDetector::degraded_cluster_count() const {
   return static_cast<std::size_t>(std::count(degraded_.begin(), degraded_.end(), true));
 }
 
-bool MisuseDetector::cluster_quantized(std::size_t c) const {
-  const auto* engine = engines_.at(c).get();
-  return engine != nullptr && engine->has_quantized() && !cluster_degraded(c);
-}
-
-std::size_t MisuseDetector::quant_degraded_count() const {
-  return static_cast<std::size_t>(std::count(quant_degraded_.begin(), quant_degraded_.end(), true));
-}
-
-MisuseDetector::ClusterState MisuseDetector::make_cluster_state(std::size_t c,
-                                                                ScoringPrecision precision) const {
+MisuseDetector::ClusterState MisuseDetector::make_cluster_state(std::size_t c) const {
   ClusterState state;
   if (cluster_degraded(c)) return state;
-  const auto* engine = engines_.at(c).get();
-  if (engine != nullptr && nn::infer::effective_infer_mode() != nn::infer::InferMode::kReference) {
+  if (const auto* engine = engines_.at(c).get(); engine != nullptr) {
     state.use_engine = true;
     state.eng = engine->make_state();
-    state.use_quant = precision == ScoringPrecision::kDefault && engine->has_quantized();
   } else {
     state.nn = models_.at(c)->make_state();
   }
@@ -278,7 +267,7 @@ void MisuseDetector::step_cluster_into(std::size_t c, ClusterState& state, int a
   }
   if (state.use_engine) {
     thread_local nn::infer::EngineScratch scratch;
-    engines_.at(c)->step(state.eng, action, out, scratch, state.use_quant);
+    engines_.at(c)->step(state.eng, action, out, scratch);
     return;
   }
   models_.at(c)->step_into(state.nn, action, out);
@@ -292,37 +281,27 @@ void MisuseDetector::step_cluster_batch(std::size_t c, std::span<ClusterState* c
   assert(dist_ready.empty() || dist_ready.size() == states.size());
   const bool may_defer = !dist_ready.empty();
   if (may_defer) std::fill(dist_ready.begin(), dist_ready.end(), std::uint8_t{1});
-  // Engine rows go through step_batch as one fused call (float and quant
-  // precisions separately); rows are independent in every kernel, so the
-  // result stays bit-identical to stepping each row alone. Degraded and
-  // reference-path rows step individually.
+  // Engine rows go through step_batch as one fused call; rows are
+  // independent in every kernel, so the result stays bit-identical to
+  // stepping each row alone. Degraded and model-path rows step
+  // individually.
   thread_local nn::infer::EngineScratch scratch;
   std::vector<nn::infer::EngineState*> eng_states;
   std::vector<int> eng_actions;
   std::vector<std::vector<float>*> eng_out;
   std::vector<std::size_t> eng_rows;
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool want_quant = pass == 1;
-    eng_states.clear();
-    eng_actions.clear();
-    eng_out.clear();
-    eng_rows.clear();
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      ClusterState& state = *states[i];
-      if (cluster_degraded(c) || !state.use_engine || state.use_quant != want_quant) continue;
-      state.last_action = actions[i];
-      eng_states.push_back(&state.eng);
-      eng_actions.push_back(actions[i]);
-      eng_out.push_back(out[i]);
-      eng_rows.push_back(i);
-    }
-    if (!eng_states.empty()) {
-      const bool deferred = engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch,
-                                                       want_quant, may_defer);
-      if (deferred) {
-        for (const std::size_t i : eng_rows) dist_ready[i] = 0;
-      }
-    }
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    ClusterState& state = *states[i];
+    if (cluster_degraded(c) || !state.use_engine) continue;
+    state.last_action = actions[i];
+    eng_states.push_back(&state.eng);
+    eng_actions.push_back(actions[i]);
+    eng_out.push_back(out[i]);
+    eng_rows.push_back(i);
+  }
+  if (!eng_states.empty() &&
+      engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch, may_defer)) {
+    for (const std::size_t i : eng_rows) dist_ready[i] = 0;
   }
   for (std::size_t i = 0; i < states.size(); ++i) {
     if (!cluster_degraded(c) && states[i]->use_engine) continue;
@@ -333,10 +312,10 @@ void MisuseDetector::step_cluster_batch(std::size_t c, std::span<ClusterState* c
 void MisuseDetector::materialize_cluster_dist(std::size_t c, const ClusterState& state,
                                               std::vector<float>& out) const {
   assert(state.use_engine && !cluster_degraded(c));
-  engines_.at(c)->finish_probs(state.eng, out, state.use_quant);
+  engines_.at(c)->finish_probs(state.eng, out);
 }
 
-void MisuseDetector::save(BinaryWriter& w, const DetectorSaveOptions& options) const {
+void MisuseDetector::save(BinaryWriter& w) const {
   // A saved archive always carries healthy models (degraded detectors
   // re-saving would silently drop the LSTMs they no longer have).
   assert(degraded_cluster_count() == 0);
@@ -355,15 +334,7 @@ void MisuseDetector::save(BinaryWriter& w, const DetectorSaveOptions& options) c
   for (std::size_t c = 0; c < models_.size(); ++c) {
     write_section(w, *models_[c]);
     write_section(w, *fallbacks_.at(c));
-    // v3: one quant marker byte per cluster, then (when non-zero) the
-    // quantized weights as their own CRC'd section. Clusters without a
-    // packed engine (unsupported model shape) stay float-only.
-    nn::infer::QuantKind kind = options.quant;
-    if (engines_.size() <= c || engines_[c] == nullptr) kind = nn::infer::QuantKind::kNone;
-    w.write<std::uint8_t>(static_cast<std::uint8_t>(kind));
-    if (kind != nn::infer::QuantKind::kNone) {
-      write_section(w, nn::infer::quantize(engines_[c]->packed(), kind));
-    }
+    w.write<std::uint8_t>(0);  // v3 quant marker: no quantized section
   }
   // Whole-file footer: CRC over every byte written above, including the
   // footer magic itself, so any corruption the per-section checks cannot
@@ -432,16 +403,11 @@ MisuseDetector MisuseDetector::load(BinaryReader& r) {
   std::size_t corrupt_sections = 0;
   detector.models_.resize(n);
   detector.fallbacks_.resize(n);
-  detector.engines_.resize(n);
-  detector.quant_degraded_.assign(n, false);
   for (std::size_t c = 0; c < n; ++c) {
     auto lstm_bytes = load_phase("cluster " + std::to_string(c) + " LSTM",
                                  [&] { return read_section(r); });
     if (lstm_bytes && MISUSEDET_FAILPOINT("detector.load.lstm")) lstm_bytes.reset();
     if (lstm_bytes) detector.models_[c] = parse_section<lm::ActionLanguageModel>(*lstm_bytes);
-    if (detector.models_[c] != nullptr) {
-      detector.engines_[c] = nn::infer::LstmInferEngine::build(detector.models_[c]->network());
-    }
     const auto markov_bytes = load_phase("cluster " + std::to_string(c) + " Markov fallback",
                                          [&] { return read_section(r); });
     if (markov_bytes) detector.fallbacks_[c] = parse_section<lm::MarkovChainModel>(*markov_bytes);
@@ -466,42 +432,28 @@ MisuseDetector MisuseDetector::load(BinaryReader& r) {
     if (version >= kDetectorVersion) {
       const auto marker = load_phase("cluster " + std::to_string(c) + " quant marker", [&] {
         const auto byte = r.read<std::uint8_t>();
-        if (byte > static_cast<std::uint8_t>(nn::infer::QuantKind::kFp16)) {
+        if (byte > kMaxQuantMarker) {
           // The marker decides whether a section follows; with it gone we
           // cannot even find the next cluster, so this is unrecoverable.
           throw SerializeError("unknown quantization marker " + std::to_string(byte));
         }
         return byte;
       });
+      // A legacy quantized-weights section: scoring never reads it, so it
+      // is only checked and skipped. Bit-rot in it is localized damage the
+      // footer check must tolerate, like any other corrupt section.
       if (marker != 0) {
-        auto quant_bytes = load_phase("cluster " + std::to_string(c) + " quantized weights",
-                                      [&] { return read_section(r); });
-        if (quant_bytes && MISUSEDET_FAILPOINT("detector.load.quant")) quant_bytes.reset();
-        bool attached = false;
-        const bool wanted = nn::infer::quant_enabled() && detector.engines_[c] != nullptr;
-        if (wanted && quant_bytes) {
-          // parse + attach validate shape against the packed floats; any
-          // failure below lands on the float-fallback path.
-          if (auto quant = parse_section<nn::infer::QuantizedLstm>(*quant_bytes)) {
-            try {
-              detector.engines_[c]->attach_quantized(std::move(*quant));
-              attached = true;
-            } catch (const SerializeError&) {
-            }
-          }
-        }
-        if (wanted && !attached) {
-          // Quantization is an optimization, never availability: serve the
-          // float weights, flag the cluster, and let the footer CRC logic
-          // know a section was lost.
-          detector.quant_degraded_[c] = true;
+        const auto quant_bytes = load_phase("cluster " + std::to_string(c) + " quantized weights",
+                                            [&] { return read_section(r); });
+        if (!quant_bytes) {
           ++corrupt_sections;
           log_warn() << "detector archive: cluster " << c
-                     << " quantized section corrupt; serving float weights";
+                     << " quantized section corrupt; it is unused, ignoring it";
         }
       }
     }
   }
+  detector.build_engines();
 
   load_phase("footer", [&] {
     const std::uint32_t footer_magic = r.read<std::uint32_t>();

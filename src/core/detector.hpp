@@ -107,15 +107,6 @@ struct FineTuneReport {
   std::size_t windows = 0;  // total windows consumed by the pass
 };
 
-/// Options for MisuseDetector::save. `quant` != kNone additionally writes
-/// each cluster's packed weights quantized (int8 per-row scales or fp16)
-/// as an optional v3 archive section; loading such an archive scores with
-/// the quantized weights by default. Publish quantized archives only
-/// through the registry's accuracy gate (core/quant_gate.hpp).
-struct DetectorSaveOptions {
-  nn::infer::QuantKind quant = nn::infer::QuantKind::kNone;
-};
-
 class MisuseDetector {
  public:
   /// Trains the full pipeline on a session store. The store must outlive
@@ -165,33 +156,18 @@ class MisuseDetector {
   std::size_t degraded_cluster_count() const;
 
   // -- Inference engine ----------------------------------------------------
-  // At train/load time each healthy cluster's LSTM is additionally packed
-  // into an inference engine (nn/infer/engine.hpp) when the model has the
-  // supported shape; streaming scoring then runs through it unless the
-  // infer mode is `reference`. A v3 archive may carry quantized weights
-  // per cluster; a corrupt quantized section falls back to float scoring
-  // (quant-degraded, not a load failure).
-
-  /// True when cluster `c` scores with quantized weights by default.
-  bool cluster_quantized(std::size_t c) const;
-  /// True when cluster `c`'s archived quantized section was corrupt (the
-  /// cluster serves float weights instead).
-  bool cluster_quant_degraded(std::size_t c) const { return quant_degraded_.at(c); }
-  std::size_t quant_degraded_count() const;
-
-  /// Numeric mode of a scoring stream: kDefault uses the cluster's
-  /// quantized weights when present; kFloat forces full-precision floats
-  /// (the baseline side of the quantization accuracy gate).
-  enum class ScoringPrecision { kDefault, kFloat };
+  // Each healthy cluster whose model has the paper shape (one LSTM layer,
+  // token input) gets an inference engine (nn/infer/engine.hpp) that
+  // reads the model's weights in place; streaming scoring runs through
+  // it. Other shapes step through NextActionModel::step_into.
 
   /// Streaming state of one cluster's behavior model — engine state on
-  /// the packed fast path, LSTM recurrent state on the reference path,
-  /// last-action context in degraded mode.
+  /// the engine path, LSTM recurrent state on the model path, last-action
+  /// context in degraded mode.
   struct ClusterState {
     nn::ModelState nn;
     nn::infer::EngineState eng;
     bool use_engine = false;
-    bool use_quant = false;
     int last_action = -1;
     void reset() {
       nn.reset();
@@ -199,8 +175,7 @@ class MisuseDetector {
       last_action = -1;
     }
   };
-  ClusterState make_cluster_state(std::size_t c,
-                                  ScoringPrecision precision = ScoringPrecision::kDefault) const;
+  ClusterState make_cluster_state(std::size_t c) const;
   /// Advances cluster `c`'s model with the observed action and returns
   /// the next-action distribution (the degraded-aware counterpart of
   /// model(c).step).
@@ -253,15 +228,15 @@ class MisuseDetector {
 
   /// Archive v3: header + vocab + clusters + assigner (covered by the
   /// whole-file CRC footer), then per cluster a length-prefixed,
-  /// CRC-checked LSTM section, Markov-fallback section, and an optional
-  /// quantized-weights section (marker byte + section when present). v1
-  /// archives (no sections, no footer, no fallbacks) and v2 archives (no
-  /// quant markers) still load. Load errors name the failing archive
-  /// section ("vocab", "cluster 3 LSTM", ...). A corrupt quantized
-  /// section never fails the load: the cluster is flagged quant-degraded
-  /// and serves float weights.
-  void save(BinaryWriter& w, const DetectorSaveOptions& options) const;
-  void save(BinaryWriter& w) const { save(w, DetectorSaveOptions{}); }
+  /// CRC-checked LSTM section, Markov-fallback section, and a quant
+  /// marker byte, always written 0. Older writers could set the marker to
+  /// 1 (int8) or 2 (fp16) and follow it with a CRC-checked quantized-
+  /// weights section; load checks and discards that section (a CRC
+  /// failure there counts as localized damage, not a load failure).
+  /// v1 archives (no sections, no footer, no fallbacks) and v2 archives
+  /// (no quant markers) still load. Load errors name the failing archive
+  /// section ("vocab", "cluster 3 LSTM", ...).
+  void save(BinaryWriter& w) const;
   static MisuseDetector load(BinaryReader& r);
 
   /// Opens and loads an archive from disk. Any failure — missing file,
@@ -283,12 +258,11 @@ class MisuseDetector {
   /// entries for v1 archives (no fallback: corruption is fatal there).
   std::vector<std::unique_ptr<lm::MarkovChainModel>> fallbacks_;
   std::vector<bool> degraded_;
-  /// Per-cluster packed inference engines; nullptr when the cluster is
-  /// degraded or its model shape is unsupported (scoring then runs the
-  /// reference path). Rebuilt from the models at train/load time, never
+  /// Per-cluster inference engines over models_' weights; nullptr when
+  /// the cluster is degraded or its model shape is unsupported (scoring
+  /// then steps the model). Rebuilt whenever models_ changes, never
   /// persisted.
   std::vector<std::unique_ptr<nn::infer::LstmInferEngine>> engines_;
-  std::vector<bool> quant_degraded_;
   std::unique_ptr<cluster::ClusterAssigner> assigner_;
 
   /// (Re)builds engines_ from models_; call whenever models_ changes.

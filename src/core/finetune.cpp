@@ -76,7 +76,6 @@ MisuseDetector MisuseDetector::fine_tune(
   out.clusters_ = parent.clusters_;
   out.reports_ = parent.reports_;
   out.degraded_.assign(k, false);
-  out.quant_degraded_.assign(k, false);
 
   std::size_t total_windows = 0;
   for (const auto& windows : cluster_windows) total_windows += windows.size();

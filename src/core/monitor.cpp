@@ -28,11 +28,9 @@ bool TrendDetector::push(double value) {
   return previous > 0.0 && recent < previous * (1.0 - drop_);
 }
 
-OnlineMonitor::OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config,
-                             MisuseDetector::ScoringPrecision precision)
+OnlineMonitor::OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config)
     : detector_(detector),
       config_(config),
-      precision_(precision),
       assignment_(detector.assigner().start_online()),
       trend_(config.trend_window, config.trend_drop) {
   monitor_metrics().sessions.inc();
@@ -68,7 +66,7 @@ OnlineMonitor::Lane& OnlineMonitor::lane(std::size_t c) {
   for (Lane& l : lanes_) {
     if (l.cluster == c) return l;
   }
-  lanes_.push_back({c, detector_.make_cluster_state(c, precision_), 0});
+  lanes_.push_back({c, detector_.make_cluster_state(c), 0});
   return lanes_.back();
 }
 

@@ -61,13 +61,7 @@ class TrendDetector {
 
 class OnlineMonitor {
  public:
-  /// `precision` selects the numeric mode of this stream's cluster
-  /// states: kDefault scores quantized clusters with their quantized
-  /// weights; kFloat forces full precision (the baseline side of the
-  /// quantization gate, core/quant_gate.hpp).
-  OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config,
-                MisuseDetector::ScoringPrecision precision =
-                    MisuseDetector::ScoringPrecision::kDefault);
+  OnlineMonitor(const MisuseDetector& detector, const MonitorConfig& config);
 
   /// One of the actions the voted model expected at this step — surfaced
   /// on alarms so the operator sees *what normal would have looked like*
@@ -107,11 +101,10 @@ class OnlineMonitor {
   /// A monitor may appear at most once. Lanes catching up after a vote
   /// switch replay per row; each row's final advance, on its previous
   /// action, runs as one batched forward per cluster across all monitors
-  /// (the inference engine's step_batch). With the scalar kernels this is
-  /// bit-identical to calling monitors[i]->observe(actions[i]) in order —
-  /// sessions only share read-only weights. Under the opt-in AVX2 mode
-  /// results stay ULP-close but can depend on batch composition (the tile
-  /// and single-row kernels reduce in different orders).
+  /// (the inference engine's step_batch). Under either kernel mode this
+  /// is bit-identical to calling monitors[i]->observe(actions[i]) in
+  /// order — sessions only share read-only weights, and the fused AVX2
+  /// tiles compute each row exactly as the one-row kernels do.
   static void observe_batch(const MisuseDetector& detector,
                             std::span<OnlineMonitor* const> monitors,
                             std::span<const int> actions, std::span<StepResult> results);
@@ -145,7 +138,6 @@ class OnlineMonitor {
 
   const MisuseDetector& detector_;
   MonitorConfig config_;
-  MisuseDetector::ScoringPrecision precision_;
   cluster::ClusterAssigner::OnlineAssignment assignment_;
   /// Lanes of the clusters the vote has named this session (one after
   /// the vote seals).

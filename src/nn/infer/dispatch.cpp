@@ -17,27 +17,14 @@ InferMode env_default_mode() {
   return InferMode::kAuto;
 }
 
-bool env_default_quant() {
-  const char* env = std::getenv("MISUSEDET_QUANT");
-  if (env == nullptr) return true;
-  const std::string_view v(env);
-  return !(v == "off" || v == "0" || v == "false");
-}
-
 std::atomic<InferMode>& mode_slot() {
   static std::atomic<InferMode> slot{env_default_mode()};
   return slot;
 }
 
-std::atomic<bool>& quant_slot() {
-  static std::atomic<bool> slot{env_default_quant()};
-  return slot;
-}
-
 bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-         __builtin_cpu_supports("f16c");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
@@ -49,7 +36,6 @@ std::optional<InferMode> parse_infer_mode(std::string_view name) {
   if (name == "auto") return InferMode::kAuto;
   if (name == "scalar") return InferMode::kScalar;
   if (name == "avx2") return InferMode::kAvx2;
-  if (name == "reference") return InferMode::kReference;
   return std::nullopt;
 }
 
@@ -58,7 +44,6 @@ const char* infer_mode_name(InferMode mode) {
     case InferMode::kAuto: return "auto";
     case InferMode::kScalar: return "scalar";
     case InferMode::kAvx2: return "avx2";
-    case InferMode::kReference: return "reference";
   }
   return "?";
 }
@@ -83,9 +68,5 @@ bool avx2_supported() {
   static const bool supported = avx2_kernels() != nullptr && cpu_has_avx2();
   return supported;
 }
-
-bool quant_enabled() { return quant_slot().load(std::memory_order_relaxed); }
-
-void set_quant_enabled(bool on) { quant_slot().store(on, std::memory_order_relaxed); }
 
 }  // namespace misuse::nn::infer

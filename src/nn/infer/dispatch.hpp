@@ -9,13 +9,9 @@
 //               bit-identical: the gate nonlinearities use a vectorized
 //               exp approximation). Strictly opt-in; silently falls back
 //               to scalar when not compiled in or unsupported by the CPU.
-//   reference — bypass the engine entirely and score through
-//               NextActionModel::step_into (differential-test baseline).
 //
 // Configured once per process via --infer / set_infer_mode(); the
-// MISUSEDET_INFER environment variable seeds the default. MISUSEDET_QUANT
-// ("off" to disable) gates whether archives' quantized weight sections
-// are used at load time.
+// MISUSEDET_INFER environment variable seeds the default.
 #pragma once
 
 #include <optional>
@@ -23,9 +19,9 @@
 
 namespace misuse::nn::infer {
 
-enum class InferMode { kAuto, kScalar, kAvx2, kReference };
+enum class InferMode { kAuto, kScalar, kAvx2 };
 
-/// "auto" | "scalar" | "avx2" | "reference" -> mode; nullopt otherwise.
+/// "auto" | "scalar" | "avx2" -> mode; nullopt otherwise.
 std::optional<InferMode> parse_infer_mode(std::string_view name);
 const char* infer_mode_name(InferMode mode);
 
@@ -36,13 +32,7 @@ void set_infer_mode(InferMode mode);
 /// The configured mode with kAuto resolved against this host.
 InferMode effective_infer_mode();
 
-/// AVX2 kernels are compiled in AND this CPU can run them (AVX2+FMA+F16C).
+/// AVX2 kernels are compiled in AND this CPU can run them (AVX2+FMA).
 bool avx2_supported();
-
-/// Whether quantized archive sections are consumed at detector-load time
-/// (defaults to MISUSEDET_QUANT != "off"). Scoring falls back to the
-/// float weights when disabled.
-bool quant_enabled();
-void set_quant_enabled(bool on);
 
 }  // namespace misuse::nn::infer

@@ -2,8 +2,9 @@
 
 #include <cassert>
 
-#include "nn/infer/kernels.hpp"
+#include "nn/dense.hpp"
 #include "nn/gate_math.hpp"
+#include "nn/infer/kernels.hpp"
 #include "nn/lstm.hpp"
 #include "nn/next_action_model.hpp"
 #include "tensor/ops.hpp"
@@ -29,47 +30,20 @@ namespace {
 // flags. The nonlinearities/cell update are the same inline helpers
 // (nn/gate_math.hpp) the reference compiles.
 
-void scalar_gates(const PackedLstm& w, const float* h, int token, float* gates) {
+void scalar_gates(const LstmWeights& w, const float* h, int token, float* gates) {
   const std::size_t hidden = w.hidden;
   const std::size_t g4 = 4 * hidden;
-  const float* bias = w.bias.data();
-  for (std::size_t j = 0; j < g4; ++j) gates[j] = bias[j];
+  for (std::size_t j = 0; j < g4; ++j) gates[j] = w.bias[j];
   if (token != kPadToken) {
     assert(token >= 0 && static_cast<std::size_t>(token) < w.vocab);
-    const float* wxrow = w.wx.data() + static_cast<std::size_t>(token) * g4;
+    const float* wxrow = w.wx + static_cast<std::size_t>(token) * g4;
     for (std::size_t j = 0; j < g4; ++j) gates[j] += wxrow[j];
   }
   for (std::size_t p = 0; p < hidden; ++p) {
     const float hp = h[p];
     if (hp == 0.0f) continue;  // matches gemm_rows' zero-skip
-    const float* wrow = w.wh.data() + p * g4;
+    const float* wrow = w.wh + p * g4;
     for (std::size_t j = 0; j < g4; ++j) gates[j] += hp * wrow[j];
-  }
-}
-
-void scalar_gates_quant(const QuantizedLstm& w, const float* h, int token, float* gates) {
-  const std::size_t hidden = w.hidden;
-  const std::size_t g4 = 4 * hidden;
-  for (std::size_t j = 0; j < g4; ++j) {
-    float acc = w.bias[j];
-    if (token != kPadToken) {
-      const std::size_t wx_at = static_cast<std::size_t>(token) * g4 + j;
-      if (w.kind == QuantKind::kInt8) {
-        acc += w.wx_scale[static_cast<std::size_t>(token)] * static_cast<float>(w.wx_q[wx_at]);
-      } else {
-        acc += half_to_float(w.wx_h[wx_at]);
-      }
-    }
-    if (w.kind == QuantKind::kInt8) {
-      const std::int8_t* qt = w.wh_t_q.data() + j * hidden;
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < hidden; ++p) dot += h[p] * static_cast<float>(qt[p]);
-      acc += w.wh_t_scale[j] * dot;
-    } else {
-      const std::uint16_t* wt = w.wh_t_h.data() + j * hidden;
-      for (std::size_t p = 0; p < hidden; ++p) acc += h[p] * half_to_float(wt[p]);
-    }
-    gates[j] = acc;
   }
 }
 
@@ -78,35 +52,18 @@ void scalar_activate_update(float* gates, std::size_t hidden, float* c, float* h
   lstm_cell_update(gates, hidden, c, h);
 }
 
-void scalar_head(const PackedLstm& w, const float* h, float* logits) {
+void scalar_head(const LstmWeights& w, const float* h, float* logits) {
   const std::size_t hidden = w.hidden;
   const std::size_t n = w.head_out;
   for (std::size_t j = 0; j < n; ++j) logits[j] = 0.0f;  // Dense::infer gemm has beta == 0
   for (std::size_t p = 0; p < hidden; ++p) {
     const float hp = h[p];
     if (hp == 0.0f) continue;
-    const float* wrow = w.head_w.data() + p * n;
+    const float* wrow = w.head_w + p * n;
     for (std::size_t j = 0; j < n; ++j) logits[j] += hp * wrow[j];
   }
   // Bias lands AFTER the full accumulation, as add_row_broadcast does.
   for (std::size_t j = 0; j < n; ++j) logits[j] += w.head_b[j];
-}
-
-void scalar_head_quant(const QuantizedLstm& w, const float* h, float* logits) {
-  const std::size_t hidden = w.hidden;
-  for (std::size_t j = 0; j < w.head_out; ++j) {
-    float acc = 0.0f;
-    if (w.kind == QuantKind::kInt8) {
-      const std::int8_t* qt = w.head_w_q.data() + j * hidden;
-      float dot = 0.0f;
-      for (std::size_t p = 0; p < hidden; ++p) dot += h[p] * static_cast<float>(qt[p]);
-      acc = w.head_w_scale[j] * dot;
-    } else {
-      const std::uint16_t* wt = w.head_w_h.data() + j * hidden;
-      for (std::size_t p = 0; p < hidden; ++p) acc += h[p] * half_to_float(wt[p]);
-    }
-    logits[j] = acc + w.head_b[j];
-  }
 }
 
 void scalar_softmax(const float* logits, std::size_t n, float* probs) {
@@ -124,8 +81,7 @@ const Kernels* select_kernels() {
 
 const Kernels* scalar_kernels() {
   static const Kernels kernels = {
-      &scalar_gates, &scalar_gates_quant, &scalar_activate_update, &scalar_head,
-      &scalar_head_quant, &scalar_softmax, nullptr, nullptr,
+      &scalar_gates, &scalar_activate_update, &scalar_head, &scalar_softmax, nullptr, nullptr,
   };
   return &kernels;
 }
@@ -138,61 +94,51 @@ std::unique_ptr<LstmInferEngine> LstmInferEngine::build(const NextActionModel& m
   }
   const auto* cell = dynamic_cast<const Lstm*>(&model.layer(0));
   if (cell == nullptr) return nullptr;
-  return std::unique_ptr<LstmInferEngine>(new LstmInferEngine(pack_lstm(*cell, model.head())));
-}
-
-void LstmInferEngine::attach_quantized(QuantizedLstm quant) {
-  if (quant.vocab != packed_.vocab || quant.hidden != packed_.hidden ||
-      quant.head_out != packed_.head_out) {
-    throw SerializeError("quantized weights shape mismatch");
-  }
-  quant_ = std::move(quant);
+  const Dense& head = model.head();
+  assert(head.in_dim() == cell->hidden());
+  LstmWeights w;
+  w.vocab = cell->vocab();
+  w.hidden = cell->hidden();
+  w.head_out = head.out_dim();
+  w.wx = cell->wx().data();
+  w.wh = cell->wh().data();
+  w.bias = cell->bias().data();
+  w.head_w = head.weights().data();
+  w.head_b = head.bias().data();
+  return std::unique_ptr<LstmInferEngine>(new LstmInferEngine(w));
 }
 
 EngineState LstmInferEngine::make_state() const {
   EngineState state;
-  state.h.assign(packed_.hidden, 0.0f);
-  state.c.assign(packed_.hidden, 0.0f);
+  state.h.assign(w_.hidden, 0.0f);
+  state.c.assign(w_.hidden, 0.0f);
   return state;
 }
 
 void LstmInferEngine::step(EngineState& state, int action, std::vector<float>& probs,
-                           EngineScratch& scratch, bool use_quant) const {
-  assert(!use_quant || has_quantized());
+                           EngineScratch& scratch) const {
   const Kernels* k = select_kernels();
-  scratch.gates.resize(4 * packed_.hidden);
-  probs.resize(packed_.head_out);
+  scratch.gates.resize(4 * w_.hidden);
   float* gates = scratch.gates.data();
-  if (use_quant) {
-    k->gates_quant(quant_, state.h.data(), action, gates);
-  } else {
-    k->gates(packed_, state.h.data(), action, gates);
-  }
-  k->activate_update(gates, packed_.hidden, state.c.data(), state.h.data());
-  if (use_quant) {
-    k->head_quant(quant_, state.h.data(), probs.data());
-  } else {
-    k->head(packed_, state.h.data(), probs.data());
-  }
-  k->softmax(probs.data(), packed_.head_out, probs.data());
+  k->gates(w_, state.h.data(), action, gates);
+  k->activate_update(gates, w_.hidden, state.c.data(), state.h.data());
+  finish_probs(state, probs);
 }
 
 bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                                  std::span<std::vector<float>* const> probs,
-                                 EngineScratch& scratch, bool use_quant, bool defer_heads) const {
+                                 EngineScratch& scratch, bool defer_heads) const {
   assert(states.size() == actions.size() && states.size() == probs.size());
   const std::size_t n = states.size();
   const Kernels* k = select_kernels();
-  if (n < 2 || use_quant || k->gates_batch == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      step(*states[i], actions[i], *probs[i], scratch, use_quant);
-    }
+  if (n < 2 || k->gates_batch == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) step(*states[i], actions[i], *probs[i], scratch);
     return false;
   }
-  // Fused path (avx2 only): register-blocked batch kernels. Scalar mode
-  // never takes this branch (null batch kernels), so scalar batch ==
-  // sequential bitwise; avx2 fusion stays in the table's ULP envelope.
-  const std::size_t hidden = packed_.hidden;
+  // Fused path (avx2 only): register-blocked batch kernels that give each
+  // row the one-row kernels' exact FMA sequence. Scalar mode never takes
+  // this branch (null batch kernels), so scalar batch == sequential.
+  const std::size_t hidden = w_.hidden;
   const std::size_t g4 = 4 * hidden;
   scratch.gates.resize(n * g4);
   scratch.h_rows.resize(n);
@@ -201,35 +147,29 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
     scratch.h_rows[i] = states[i]->h.data();
     scratch.gate_rows[i] = scratch.gates.data() + i * g4;
   }
-  k->gates_batch(packed_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
+  k->gates_batch(w_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     k->activate_update(scratch.gate_rows[i], hidden, states[i]->c.data(), states[i]->h.data());
   }
   if (defer_heads) return true;
   scratch.logit_rows.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    probs[i]->resize(packed_.head_out);
+    probs[i]->resize(w_.head_out);
     scratch.logit_rows[i] = probs[i]->data();
   }
   // h advanced in place above; h_rows still point at the live storage.
-  k->head_batch(packed_, scratch.h_rows.data(), scratch.logit_rows.data(), n);
+  k->head_batch(w_, scratch.h_rows.data(), scratch.logit_rows.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    k->softmax(scratch.logit_rows[i], packed_.head_out, scratch.logit_rows[i]);
+    k->softmax(scratch.logit_rows[i], w_.head_out, scratch.logit_rows[i]);
   }
   return false;
 }
 
-void LstmInferEngine::finish_probs(const EngineState& state, std::vector<float>& probs,
-                                   bool use_quant) const {
-  assert(!use_quant || has_quantized());
+void LstmInferEngine::finish_probs(const EngineState& state, std::vector<float>& probs) const {
   const Kernels* k = select_kernels();
-  probs.resize(packed_.head_out);
-  if (use_quant) {
-    k->head_quant(quant_, state.h.data(), probs.data());
-  } else {
-    k->head(packed_, state.h.data(), probs.data());
-  }
-  k->softmax(probs.data(), packed_.head_out, probs.data());
+  probs.resize(w_.head_out);
+  k->head(w_, state.h.data(), probs.data());
+  k->softmax(probs.data(), w_.head_out, probs.data());
 }
 
 }  // namespace misuse::nn::infer

@@ -1,15 +1,17 @@
 // Inference-only LSTM forward for the paper architecture (one token-input
 // LSTM layer + dense softmax head — the shape every trained detector
-// cluster uses). Weights are packed once at detector-load time
-// (nn/infer/packed.hpp); per-step scoring then runs allocation-free
-// through the kernel table selected by nn/infer/dispatch.hpp.
+// cluster uses). The engine reads the trained model's own row-major
+// matrices in place: it keeps sizes and pointers, never a copy, so the
+// model must outlive it (MisuseDetector owns both and rebuilds its
+// engines whenever its models change). Per-step scoring runs
+// allocation-free through the kernel table selected by
+// nn/infer/dispatch.hpp.
 //
 // Contract: with the scalar kernels, step()/step_batch() are bit-identical
 // to NextActionModel::step_into on the same weights and state — proven by
 // tests/test_infer.cpp — so every determinism guarantee (WAL replay, hot
 // swap, server-vs-offline) survives the fast path. The avx2 kernels are
-// ULP-bounded instead; quantized scoring additionally changes the weights
-// and is gated by core/quant_gate.hpp.
+// ULP-bounded instead.
 #pragma once
 
 #include <algorithm>
@@ -19,14 +21,25 @@
 #include <vector>
 
 #include "nn/infer/dispatch.hpp"
-#include "nn/infer/packed.hpp"
-#include "nn/infer/quant.hpp"
 
 namespace misuse::nn {
 class NextActionModel;
 }
 
 namespace misuse::nn::infer {
+
+/// The model's weights as the kernels read them, in the reference
+/// layouts (tensor/matrix.hpp row-major). Non-owning.
+struct LstmWeights {
+  std::size_t vocab = 0;     // token vocabulary (wx rows)
+  std::size_t hidden = 0;    // H
+  std::size_t head_out = 0;  // V — head output width (== vocab here)
+  const float* wx = nullptr;      // vocab x 4H
+  const float* wh = nullptr;      // H x 4H
+  const float* bias = nullptr;    // 4H
+  const float* head_w = nullptr;  // H x V
+  const float* head_b = nullptr;  // V
+};
 
 /// Streaming state of one session on the engine (h and c, length H).
 struct EngineState {
@@ -50,28 +63,17 @@ struct EngineScratch {
 
 class LstmInferEngine {
  public:
-  /// Packs the model's weights; returns null when the model is outside
-  /// the supported shape (stacked layers, embeddings, or a non-LSTM
-  /// cell fall back to the reference path).
+  /// Points an engine at the model's weights; returns null when the
+  /// model is outside the supported shape (stacked layers, embeddings,
+  /// or a non-LSTM cell step through NextActionModel instead).
   static std::unique_ptr<LstmInferEngine> build(const NextActionModel& model);
-
-  std::size_t vocab() const { return packed_.vocab; }
-  std::size_t hidden() const { return packed_.hidden; }
-  const PackedLstm& packed() const { return packed_; }
-
-  /// Attaches quantized weights loaded from a v3 archive (or freshly
-  /// quantized). Shapes must match the packed float weights.
-  void attach_quantized(QuantizedLstm quant);
-  bool has_quantized() const { return quant_.kind != QuantKind::kNone; }
-  const QuantizedLstm& quantized() const { return quant_; }
 
   EngineState make_state() const;
 
   /// Advances one session by one action; writes the softmax'd
   /// next-action distribution into probs (resized to vocab).
-  /// use_quant requires has_quantized().
-  void step(EngineState& state, int action, std::vector<float>& probs, EngineScratch& scratch,
-            bool use_quant = false) const;
+  void step(EngineState& state, int action, std::vector<float>& probs,
+            EngineScratch& scratch) const;
 
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
   /// Rows are processed independently, so the result is bit-identical to
@@ -81,24 +83,22 @@ class LstmInferEngine {
   /// head + softmax (most batch consumers only ever read one or two
   /// clusters' distributions; see OnlineMonitor); the probs vectors are
   /// then left untouched and the call returns true — recover any row
-  /// later with finish_probs. Paths that cannot defer (sequential
-  /// fallback, quantized) ignore the flag, fill probs, and return false.
+  /// later with finish_probs. The sequential path (scalar kernels, or a
+  /// single row) ignores the flag, fills probs, and returns false.
   bool step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                   std::span<std::vector<float>* const> probs, EngineScratch& scratch,
-                  bool use_quant = false, bool defer_heads = false) const;
+                  bool defer_heads = false) const;
 
   /// Head + softmax only, from the state's current h (i.e. the
-  /// distribution the last step() / step_batch() advance implies). With
-  /// the scalar kernels this is the exact tail of step(), so a deferred
-  /// batch step + finish_probs stays bit-identical to the eager step.
-  void finish_probs(const EngineState& state, std::vector<float>& probs,
-                    bool use_quant = false) const;
+  /// distribution the last step() / step_batch() advance implies). step()
+  /// ends with this call, so a deferred batch step + finish_probs equals
+  /// the eager step bit for bit.
+  void finish_probs(const EngineState& state, std::vector<float>& probs) const;
 
  private:
-  explicit LstmInferEngine(PackedLstm packed) : packed_(std::move(packed)) {}
+  explicit LstmInferEngine(const LstmWeights& w) : w_(w) {}
 
-  PackedLstm packed_;
-  QuantizedLstm quant_;
+  LstmWeights w_;
 };
 
 }  // namespace misuse::nn::infer

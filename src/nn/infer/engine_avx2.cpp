@@ -1,88 +1,37 @@
-// AVX2/FMA/F16C kernel table for the inference engine. This TU is the
-// only one compiled with -mavx2 -mfma -mf16c (see src/nn/CMakeLists.txt,
+// AVX2/FMA kernel table for the inference engine. This TU is the only
+// one compiled with -mavx2 -mfma (see src/nn/CMakeLists.txt,
 // MISUSE_SIMD); everything it exports is reached through the runtime
 // dispatch in nn/infer/dispatch.cpp, which checks CPU support first.
 //
 // These kernels are ULP-close to the scalar table, not bit-identical:
-// the dot products use 8-lane FMA accumulators (different association
-// order) and the gate nonlinearities run on a vectorized exp polynomial
-// (Cephes-style, as in avx_mathfun) instead of libm. tests/test_infer.cpp
-// pins the divergence with a per-step ULP/absolute bound.
+// every multiply-add is one fused FMA and the gate nonlinearities run on
+// a vectorized exp polynomial (Cephes-style, as in avx_mathfun) instead
+// of libm. tests/test_infer.cpp pins the divergence with a per-step ULP
+// bound.
+//
+// Both matrix-vector products read the model's reference layouts in
+// place (wh: H x 4H, head_w: H x V) by broadcast-FMA: each output
+// element is one FMA chain over p ascending, seeded with its bias. The
+// one-row kernels and the fused batch tiles build every element with
+// that same chain (the tiles hand their last < 16 columns to the
+// one-row kernel's masked pass), so a fused batch step equals one-row
+// steps bit for bit.
 #include "nn/infer/kernels.hpp"
 
 #if defined(MISUSEDET_HAVE_AVX2)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "nn/gate_math.hpp"
-#include "nn/infer/packed.hpp"
-#include "nn/infer/quant.hpp"
+#include "nn/infer/engine.hpp"
 #include "nn/lstm.hpp"
-#include "tensor/ops.hpp"
 
 namespace misuse::nn::infer {
 
 namespace {
-
-inline float hsum256(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
-  return _mm_cvtss_f32(lo);
-}
-
-// Dense float dot with 4 independent accumulators to hide FMA latency.
-inline float dot_f32(const float* a, const float* b, std::size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  std::size_t p = 0;
-  for (; p + 32 <= n; p += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p), acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 8), _mm256_loadu_ps(b + p + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 16), _mm256_loadu_ps(b + p + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p + 24), _mm256_loadu_ps(b + p + 24), acc3);
-  }
-  for (; p + 8 <= n; p += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + p), _mm256_loadu_ps(b + p), acc0);
-  }
-  float total = hsum256(_mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3)));
-  for (; p < n; ++p) total += a[p] * b[p];
-  return total;
-}
-
-// int8 dot: sign-extend 8 bytes -> i32 -> f32, FMA against b.
-inline float dot_q8(const std::int8_t* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t p = 0;
-  for (; p + 8 <= n; p += 8) {
-    const __m128i bytes = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a + p));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes));
-    acc = _mm256_fmadd_ps(f, _mm256_loadu_ps(b + p), acc);
-  }
-  float total = hsum256(acc);
-  for (; p < n; ++p) total += static_cast<float>(a[p]) * b[p];
-  return total;
-}
-
-// fp16 dot: decode 8 halves per cycle through F16C.
-inline float dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t p = 0;
-  for (; p + 8 <= n; p += 8) {
-    const __m128i halves = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p));
-    acc = _mm256_fmadd_ps(_mm256_cvtph_ps(halves), _mm256_loadu_ps(b + p), acc);
-  }
-  float total = hsum256(acc);
-  for (; p < n; ++p) total += half_to_float(a[p]) * b[p];
-  return total;
-}
 
 // Vectorized exp (Cephes expf port, as in avx_mathfun): range-reduced
 // polynomial, ~1 ulp relative error inside the clamp range.
@@ -126,58 +75,76 @@ inline __m256 tanh256(__m256 x) {
   return _mm256_div_ps(_mm256_sub_ps(e2x, one), _mm256_add_ps(e2x, one));
 }
 
-inline const float* wx_row(const PackedLstm& w, int token) {
-  return token == kPadToken ? nullptr
-                            : w.wx.data() + static_cast<std::size_t>(token) * 4 * w.hidden;
+inline const float* wx_row(const LstmWeights& w, int token) {
+  return token == kPadToken ? nullptr : w.wx + static_cast<std::size_t>(token) * 4 * w.hidden;
 }
 
-void avx2_gates(const PackedLstm& w, const float* h, int token, float* gates) {
-  const std::size_t hidden = w.hidden;
-  const std::size_t g4 = 4 * hidden;
-  const float* wxrow = wx_row(w, token);
-  for (std::size_t j = 0; j < g4; ++j) {
-    float acc = w.bias[j];
-    if (wxrow != nullptr) acc += wxrow[j];
-    gates[j] = acc + dot_f32(w.wh_t.data() + j * hidden, h, hidden);
+template <bool Masked>
+inline __m256 load_cols(const float* at, __m256i mask) {
+  if constexpr (Masked) {
+    return _mm256_maskload_ps(at, mask);
+  } else {
+    return _mm256_loadu_ps(at);
   }
 }
 
-// Fused batch GEMV: accumulate `row[j0..] += x[p] * m(p, j0..)` for one
-// session with the output block pinned in 8 ymm registers — pure
-// broadcast-FMA streams, no horizontal reductions. `m` is in reference
-// (p-major) layout. This associates the sum differently from dot_f32
-// (p-ascending instead of 4-lane chunks), which is fine: the whole avx2
-// table is ULP-close to scalar, not bit-identical, and the batch kernels
-// are pinned against the one-row kernels by the same ULP bound in
-// tests/test_infer.cpp.
+// One register-blocked pass over the output columns [j0, j0 + 8 NV) of
+// one session: `row[j] += x[p] * m(p, j)` for p ascending, with the NV
+// accumulators pinned in ymm registers — pure broadcast-FMA streams, no
+// horizontal reductions. With Masked, the last vector covers only the
+// lanes `mask` selects; the columns past the matrix edge are never read
+// or written.
+template <int NV, bool Masked>
+inline void accum_pass(const float* m, std::size_t cols, std::size_t j0, const float* x,
+                       std::size_t len, float* row, __m256i mask) {
+  __m256 acc[NV];
+  for (int b = 0; b < NV - 1; ++b) acc[b] = _mm256_loadu_ps(row + j0 + 8 * b);
+  acc[NV - 1] = load_cols<Masked>(row + j0 + 8 * (NV - 1), mask);
+  for (std::size_t p = 0; p < len; ++p) {
+    const __m256 xp = _mm256_set1_ps(x[p]);
+    const float* wrow = m + p * cols + j0;
+    for (int b = 0; b < NV - 1; ++b) {
+      acc[b] = _mm256_fmadd_ps(xp, _mm256_loadu_ps(wrow + 8 * b), acc[b]);
+    }
+    acc[NV - 1] = _mm256_fmadd_ps(xp, load_cols<Masked>(wrow + 8 * (NV - 1), mask), acc[NV - 1]);
+  }
+  for (int b = 0; b < NV - 1; ++b) _mm256_storeu_ps(row + j0 + 8 * b, acc[b]);
+  if constexpr (Masked) {
+    _mm256_maskstore_ps(row + j0 + 8 * (NV - 1), mask, acc[NV - 1]);
+  } else {
+    _mm256_storeu_ps(row + j0 + 8 * (NV - 1), acc[NV - 1]);
+  }
+}
+
+// The last cols - j0 < 64 columns: one pass of ceil((cols - j0) / 8)
+// accumulators, the last vector masked to the columns that exist.
+inline void accum_tail(const float* m, std::size_t cols, std::size_t j0, const float* x,
+                       std::size_t len, float* row) {
+  const std::size_t rest = cols - j0;
+  if (rest == 0) return;
+  const std::size_t vectors = (rest + 7) / 8;
+  const auto live = static_cast<int>(rest - 8 * (vectors - 1));  // 1..8 lanes
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(live), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  switch (vectors) {
+    case 1: accum_pass<1, true>(m, cols, j0, x, len, row, mask); break;
+    case 2: accum_pass<2, true>(m, cols, j0, x, len, row, mask); break;
+    case 3: accum_pass<3, true>(m, cols, j0, x, len, row, mask); break;
+    case 4: accum_pass<4, true>(m, cols, j0, x, len, row, mask); break;
+    case 5: accum_pass<5, true>(m, cols, j0, x, len, row, mask); break;
+    case 6: accum_pass<6, true>(m, cols, j0, x, len, row, mask); break;
+    case 7: accum_pass<7, true>(m, cols, j0, x, len, row, mask); break;
+    default: accum_pass<8, true>(m, cols, j0, x, len, row, mask); break;
+  }
+}
+
+// One-row GEMV accumulate, `m` in reference (p-major) layout: 64-column
+// passes (8 ymm accumulators), then the masked tail.
 inline void accum_rows(const float* m, std::size_t cols, const float* x, std::size_t len,
                        float* row) {
-  constexpr std::size_t kBlock = 8;  // 8 ymm = 64 output columns per pass
   std::size_t j0 = 0;
-  for (; j0 + kBlock * 8 <= cols; j0 += kBlock * 8) {
-    __m256 acc[kBlock];
-    for (std::size_t b = 0; b < kBlock; ++b) acc[b] = _mm256_loadu_ps(row + j0 + 8 * b);
-    for (std::size_t p = 0; p < len; ++p) {
-      const __m256 xp = _mm256_set1_ps(x[p]);
-      const float* wrow = m + p * cols + j0;
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        acc[b] = _mm256_fmadd_ps(xp, _mm256_loadu_ps(wrow + 8 * b), acc[b]);
-      }
-    }
-    for (std::size_t b = 0; b < kBlock; ++b) _mm256_storeu_ps(row + j0 + 8 * b, acc[b]);
-  }
-  for (; j0 + 8 <= cols; j0 += 8) {
-    __m256 acc = _mm256_loadu_ps(row + j0);
-    for (std::size_t p = 0; p < len; ++p) {
-      acc = _mm256_fmadd_ps(_mm256_set1_ps(x[p]), _mm256_loadu_ps(m + p * cols + j0), acc);
-    }
-    _mm256_storeu_ps(row + j0, acc);
-  }
-  for (; j0 < cols; ++j0) {
-    float acc = row[j0];
-    for (std::size_t p = 0; p < len; ++p) acc += x[p] * m[p * cols + j0];
-    row[j0] = acc;
-  }
+  for (; j0 + 64 <= cols; j0 += 64) accum_pass<8, false>(m, cols, j0, x, len, row, __m256i{});
+  accum_tail(m, cols, j0, x, len, row);
 }
 
 // Multi-session tile: N sessions x 16 columns of output pinned in
@@ -215,24 +182,9 @@ void accum_rows_tile(const float* m, std::size_t cols, const float* const* x, st
       _mm256_storeu_ps(rows[s] + j0 + 8, acc[s][1]);
     }
   }
-  for (; j0 + 8 <= cols; j0 += 8) {
-    __m256 acc[N];
-    for (int s = 0; s < N; ++s) acc[s] = _mm256_loadu_ps(rows[s] + j0);
-    for (std::size_t p = 0; p < len; ++p) {
-      const __m256 w0 = _mm256_loadu_ps(m + p * cols + j0);
-      for (int s = 0; s < N; ++s) {
-        acc[s] = _mm256_fmadd_ps(_mm256_set1_ps(x[s][p]), w0, acc[s]);
-      }
-    }
-    for (int s = 0; s < N; ++s) _mm256_storeu_ps(rows[s] + j0, acc[s]);
-  }
-  for (; j0 < cols; ++j0) {
-    for (int s = 0; s < N; ++s) {
-      float acc = rows[s][j0];
-      for (std::size_t p = 0; p < len; ++p) acc += x[s][p] * m[p * cols + j0];
-      rows[s][j0] = acc;
-    }
-  }
+  // The last < 16 columns go through the one-row kernel's masked pass,
+  // so every element gets exactly the chain accum_rows would give it.
+  for (int s = 0; s < N; ++s) accum_tail(m, cols, j0, x[s], len, rows[s]);
 }
 
 // Full-batch GEMV accumulate: 6-session tiles, then 4/2-session tiles on
@@ -254,52 +206,31 @@ void accum_rows_batch(const float* m, std::size_t cols, const float* const* x, s
   if (i < n) accum_rows(m, cols, x[i], len, rows[i]);
 }
 
-void seed_gate_rows(const PackedLstm& w, float* const* gates, const int* tokens, std::size_t n) {
+// gates = bias + wx[token] (or bias alone for the pad token): the seed
+// every gate unit's FMA chain starts from.
+void seed_gate_row(const LstmWeights& w, int token, float* g) {
   const std::size_t g4 = 4 * w.hidden;
-  const float* bias = w.bias.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    float* g = gates[i];
-    const float* wxrow = wx_row(w, tokens[i]);
-    if (wxrow != nullptr) {
-      std::size_t j = 0;
-      for (; j + 8 <= g4; j += 8) {
-        _mm256_storeu_ps(g + j,
-                         _mm256_add_ps(_mm256_loadu_ps(bias + j), _mm256_loadu_ps(wxrow + j)));
-      }
-      for (; j < g4; ++j) g[j] = bias[j] + wxrow[j];
-    } else {
-      for (std::size_t j = 0; j < g4; ++j) g[j] = bias[j];
-    }
+  const float* wxrow = wx_row(w, token);
+  if (wxrow == nullptr) {
+    std::copy(w.bias, w.bias + g4, g);
+    return;
   }
+  std::size_t j = 0;
+  for (; j + 8 <= g4; j += 8) {
+    _mm256_storeu_ps(g + j, _mm256_add_ps(_mm256_loadu_ps(w.bias + j), _mm256_loadu_ps(wxrow + j)));
+  }
+  for (; j < g4; ++j) g[j] = w.bias[j] + wxrow[j];
 }
 
-void avx2_gates_batch(const PackedLstm& w, float* const* h, const int* tokens,
+void avx2_gates(const LstmWeights& w, const float* h, int token, float* gates) {
+  seed_gate_row(w, token, gates);
+  accum_rows(w.wh, 4 * w.hidden, h, w.hidden, gates);
+}
+
+void avx2_gates_batch(const LstmWeights& w, float* const* h, const int* tokens,
                       float* const* gates, std::size_t n) {
-  const std::size_t g4 = 4 * w.hidden;
-  seed_gate_rows(w, gates, tokens, n);
-  accum_rows_batch(w.wh.data(), g4, h, w.hidden, gates, n);
-}
-
-void avx2_gates_quant(const QuantizedLstm& w, const float* h, int token, float* gates) {
-  const std::size_t hidden = w.hidden;
-  const std::size_t g4 = 4 * hidden;
-  for (std::size_t j = 0; j < g4; ++j) {
-    float acc = w.bias[j];
-    if (token != kPadToken) {
-      const std::size_t wx_at = static_cast<std::size_t>(token) * g4 + j;
-      if (w.kind == QuantKind::kInt8) {
-        acc += w.wx_scale[static_cast<std::size_t>(token)] * static_cast<float>(w.wx_q[wx_at]);
-      } else {
-        acc += half_to_float(w.wx_h[wx_at]);
-      }
-    }
-    if (w.kind == QuantKind::kInt8) {
-      acc += w.wh_t_scale[j] * dot_q8(w.wh_t_q.data() + j * hidden, h, hidden);
-    } else {
-      acc += dot_f16(w.wh_t_h.data() + j * hidden, h, hidden);
-    }
-    gates[j] = acc;
-  }
+  for (std::size_t i = 0; i < n; ++i) seed_gate_row(w, tokens[i], gates[i]);
+  accum_rows_batch(w.wh, 4 * w.hidden, h, w.hidden, gates, n);
 }
 
 void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) {
@@ -338,31 +269,15 @@ void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) 
   }
 }
 
-void avx2_head(const PackedLstm& w, const float* h, float* logits) {
-  for (std::size_t j = 0; j < w.head_out; ++j) {
-    logits[j] = dot_f32(w.head_w_t.data() + j * w.hidden, h, w.hidden) + w.head_b[j];
-  }
+// Logits seed with the head bias, then accumulate like the gates.
+void avx2_head(const LstmWeights& w, const float* h, float* logits) {
+  std::copy(w.head_b, w.head_b + w.head_out, logits);
+  accum_rows(w.head_w, w.head_out, h, w.hidden, logits);
 }
 
-void avx2_head_batch(const PackedLstm& w, float* const* h, float* const* logits, std::size_t n) {
-  const std::size_t out = w.head_out;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = logits[i];
-    for (std::size_t j = 0; j < out; ++j) row[j] = w.head_b[j];
-  }
-  accum_rows_batch(w.head_w.data(), out, h, w.hidden, logits, n);
-}
-
-void avx2_head_quant(const QuantizedLstm& w, const float* h, float* logits) {
-  for (std::size_t j = 0; j < w.head_out; ++j) {
-    float acc;
-    if (w.kind == QuantKind::kInt8) {
-      acc = w.head_w_scale[j] * dot_q8(w.head_w_q.data() + j * w.hidden, h, w.hidden);
-    } else {
-      acc = dot_f16(w.head_w_h.data() + j * w.hidden, h, w.hidden);
-    }
-    logits[j] = acc + w.head_b[j];
-  }
+void avx2_head_batch(const LstmWeights& w, float* const* h, float* const* logits, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) std::copy(w.head_b, w.head_b + w.head_out, logits[i]);
+  accum_rows_batch(w.head_w, w.head_out, h, w.hidden, logits, n);
 }
 
 void avx2_softmax(const float* logits, std::size_t n, float* probs) {
@@ -384,8 +299,8 @@ void avx2_softmax(const float* logits, std::size_t n, float* probs) {
 
 const Kernels* avx2_kernels() {
   static const Kernels kernels = {
-      &avx2_gates, &avx2_gates_quant, &avx2_activate_update, &avx2_head,
-      &avx2_head_quant, &avx2_softmax, &avx2_gates_batch, &avx2_head_batch,
+      &avx2_gates, &avx2_activate_update, &avx2_head,
+      &avx2_softmax, &avx2_gates_batch, &avx2_head_batch,
   };
   return &kernels;
 }

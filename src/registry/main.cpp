@@ -1,7 +1,6 @@
 // misusedet_registry: operator CLI over the model registry.
 //
 //   misusedet_registry publish  --root=DIR ARCHIVE [--note=TEXT]
-//                               [--quantize=int8|fp16 [--max-flip-rate=X]]
 //   misusedet_registry list     --root=DIR
 //   misusedet_registry show     --root=DIR VERSION
 //   misusedet_registry promote  --root=DIR VERSION
@@ -11,20 +10,19 @@
 //   misusedet_registry gc       --root=DIR [--keep-retired=N]
 //
 // VERSION is "v3" or plain "3". Exit code 0 on success, 1 on any error
-// (message on stderr). See README "Model lifecycle" for the publish ->
-// canary -> promote -> rollback walkthrough.
+// (message on stderr), 2 on a flag no command reads. See README "Model
+// lifecycle" for the publish -> canary -> promote -> rollback
+// walkthrough.
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <exception>
-#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 
-#include "core/detector.hpp"
-#include "core/quant_gate.hpp"
-#include "nn/infer/quant.hpp"
 #include "registry/registry.hpp"
 #include "util/cli.hpp"
-#include "util/serialize.hpp"
 
 namespace {
 
@@ -34,14 +32,14 @@ using misuse::registry::VersionMetadata;
 using misuse::registry::version_name;
 using misuse::registry::version_state_name;
 
-[[noreturn]] void usage(const char* program) {
-  std::fprintf(stderr,
+/// Every flag some command reads ("--no-json" folds into "json").
+constexpr std::string_view kKnownFlags[] = {"help", "root", "note", "json", "keep-retired"};
+
+[[noreturn]] void usage(const char* program, int status = 1) {
+  std::fprintf(status == 0 ? stdout : stderr,
                "usage: %s COMMAND --root=DIR [args]\n"
                "commands:\n"
                "  publish ARCHIVE [--note=TEXT]   add a detector archive as a staging version\n"
-               "          [--quantize=int8|fp16]   rewrite with quantized inference weights;\n"
-               "          [--max-flip-rate=X]      refused unless the accuracy gate passes\n"
-               "                                   (verdict flips <= X, default 0.01)\n"
                "  list [--json]                   all versions with state and provenance\n"
                "                                  (--json: one meta.json line per version)\n"
                "  show VERSION [--json]           one version's metadata + its parent\n"
@@ -51,7 +49,7 @@ using misuse::registry::version_state_name;
                "  pin VERSION / unpin VERSION     shield from / expose to gc\n"
                "  gc [--keep-retired=N]           remove old retired versions (default N=2)\n",
                program);
-  std::exit(1);
+  std::exit(status);
 }
 
 std::uint64_t parse_version_arg(const std::string& arg) {
@@ -81,6 +79,13 @@ void print_version(const VersionMetadata& meta, std::uint64_t current, std::uint
 
 int run(int argc, char** argv) {
   const misuse::CliArgs args(argc, argv);
+  for (const std::string& key : args.keys()) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) == std::end(kKnownFlags)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+      return 2;
+    }
+  }
+  if (args.flag("help")) usage(argv[0], 0);
   const auto& positional = args.positional();
   if (positional.empty()) usage(argv[0]);
   const std::string& command = positional[0];
@@ -93,47 +98,7 @@ int run(int argc, char** argv) {
 
   if (command == "publish") {
     if (positional.size() != 2) usage(argv[0]);
-    std::string archive = positional[1];
-    std::string quantized_tmp;
-    if (args.has("quantize")) {
-      const auto kind = misuse::nn::infer::parse_quant_kind(args.str("quantize"));
-      if (!kind || *kind == misuse::nn::infer::QuantKind::kNone) {
-        throw RegistryError("unknown --quantize kind '" + args.str("quantize") +
-                            "' (int8 | fp16)");
-      }
-      // Rewrite the archive with quantized weight sections, then reload
-      // that rewrite and measure the accuracy gate on what would actually
-      // serve — verdict flips and loss deltas against the float weights.
-      const auto detector = misuse::core::MisuseDetector::load_file(archive);
-      quantized_tmp = archive + ".quantized.tmp";
-      {
-        std::ofstream out(quantized_tmp, std::ios::binary);
-        if (!out) throw RegistryError("cannot write " + quantized_tmp);
-        misuse::BinaryWriter writer(out);
-        misuse::core::DetectorSaveOptions options;
-        options.quant = *kind;
-        detector.save(writer, options);
-      }
-      const auto reloaded = misuse::core::MisuseDetector::load_file(quantized_tmp);
-      misuse::core::QuantGateConfig gate;
-      gate.max_flip_rate = args.real("max-flip-rate", 0.01);
-      const auto result = misuse::core::measure_quant_gate(reloaded, gate);
-      std::fprintf(stderr,
-                   "quantize %s: %llu sessions, %llu steps, %llu verdict flips "
-                   "(rate %.5f, cap %.5f), max loss delta %.5f (cap %.5f)\n",
-                   misuse::nn::infer::quant_kind_name(*kind),
-                   static_cast<unsigned long long>(result.sessions),
-                   static_cast<unsigned long long>(result.steps),
-                   static_cast<unsigned long long>(result.verdict_flips), result.flip_rate,
-                   gate.max_flip_rate, result.max_loss_delta, gate.max_loss_delta);
-      if (!result.pass) {
-        std::remove(quantized_tmp.c_str());
-        throw RegistryError("quantization accuracy gate failed; refusing to publish");
-      }
-      archive = quantized_tmp;
-    }
-    const std::uint64_t version = registry.publish(archive, args.str("note"));
-    if (!quantized_tmp.empty()) std::remove(quantized_tmp.c_str());
+    const std::uint64_t version = registry.publish(positional[1], args.str("note"));
     std::printf("%s\n", version_name(version).c_str());
     return 0;
   }

@@ -21,9 +21,9 @@
 //       [--shards=N] [--queue-capacity=N] [--backpressure=block|drop_oldest]
 //       [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
 //       [--alarm-likelihood=X] [--trend-window=N] [--trend-drop=X]
-//       [--infer=auto|scalar|avx2|reference] [--no-quant]
-//       [--no-steps] [--metrics-out=PATH]
+//       [--infer=auto|scalar|avx2] [--no-steps] [--metrics-out=PATH]
 //       [--admin-port=PORT] [--trace-sample=N]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -202,10 +203,9 @@ void print_usage(const std::string& program) {
       << "  --alarm-likelihood=X    immediate alarm threshold (default 0.02)\n"
       << "  --trend-window=N        trend detector window (default 8)\n"
       << "  --trend-drop=X          trend alarm relative drop (default 0.5)\n"
-      << "  --infer=MODE            inference kernels: auto | scalar | avx2 | reference\n"
+      << "  --infer=MODE            inference kernels: auto | scalar | avx2\n"
       << "                          (default auto = fastest bit-identical mode; avx2 is\n"
       << "                          opt-in and ULP-close, not bit-identical)\n"
-      << "  --no-quant              ignore quantized weight sections in the archive\n"
       << "  --no-steps              emit only session reports, not per-step verdicts\n"
       << "  --metrics-out=PATH      write the metrics/trace snapshot on exit\n"
       << "  --admin-port=PORT       operations plane: /metrics (Prometheus) /healthz /statusz\n"
@@ -405,8 +405,30 @@ int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader
   return 0;
 }
 
+/// Every flag serve_main reads. CliArgs folds "--no-X" into key "X", so
+/// negated flags are listed under their positive name.
+constexpr std::string_view kKnownFlags[] = {
+    // Usage, model source and hot swap.
+    "help", "model", "registry", "registry-poll", "shadow", "canary-fraction", "drift",
+    // Front end and session table.
+    "listen", "io", "shards", "queue-capacity", "backpressure", "idle-ttl", "max-sessions", "batch",
+    "threads",
+    // Scoring and output.
+    "alarm-likelihood", "trend-window", "trend-drop", "infer", "steps", "metrics-out",
+    // Operations plane and crash safety.
+    "admin-port", "trace-sample", "wal-dir", "wal-sync", "snapshot-every", "resume-replay",
+};
+
 int serve_main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  // An unread flag would otherwise be ignored silently — a typo, or a
+  // flag this build no longer has, must not start a misconfigured server.
+  for (const std::string& key : args.keys()) {
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) == std::end(kKnownFlags)) {
+      std::cerr << "misusedet_serve: unknown flag --" << key << " (see --help)\n";
+      return 2;
+    }
+  }
   if (args.flag("help")) {
     print_usage(args.program());
     return 0;
@@ -452,23 +474,19 @@ int serve_main(int argc, char** argv) {
   if (args.has("threads")) {
     set_global_threads(static_cast<std::size_t>(args.integer("threads", 0)));
   }
-  // Kernel selection must be settled before the detector loads: quant
-  // gating happens at load time, and the mode is process-global.
+  // The kernel mode is process-global; settle it before anything scores.
   if (args.has("infer")) {
     const auto mode = nn::infer::parse_infer_mode(args.str("infer"));
     if (!mode) {
-      std::cerr << "unknown --infer mode '" << args.str("infer")
-                << "' (auto | scalar | avx2 | reference)\n";
+      std::cerr << "unknown --infer mode '" << args.str("infer") << "' (auto | scalar | avx2)\n";
       return 2;
     }
     nn::infer::set_infer_mode(*mode);
   }
-  if (!args.flag("quant", true)) nn::infer::set_quant_enabled(false);
   log_info() << "inference kernels: " << nn::infer::infer_mode_name(nn::infer::infer_mode())
              << " (effective "
              << nn::infer::infer_mode_name(nn::infer::effective_infer_mode())
-             << ", avx2 " << (nn::infer::avx2_supported() ? "available" : "unavailable")
-             << ", quantized sections " << (nn::infer::quant_enabled() ? "on" : "off") << ")";
+             << ", avx2 " << (nn::infer::avx2_supported() ? "available" : "unavailable") << ")";
 
   core::register_core_metrics();
   core::MetricsExport metrics_export(args.str("metrics-out"));

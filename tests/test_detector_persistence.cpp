@@ -1,11 +1,14 @@
 // Detector persistence round-trip as used by the serving path
 // (misusedet_serve loads an archive saved after training): save -> load
 // -> score equivalence, plus SerializeError coverage for truncated
-// archives, wrong magic, and unsupported versions.
+// archives, wrong magic, and unsupported versions, and the load of
+// legacy archives that carry quantized weight sections.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -15,7 +18,6 @@
 #include "core/detector.hpp"
 #include "core/monitor.hpp"
 #include "nn/infer/dispatch.hpp"
-#include "nn/infer/quant.hpp"
 #include "synth/portal.hpp"
 #include "util/crc32.hpp"
 #include "util/failpoint.hpp"
@@ -330,146 +332,128 @@ TEST_F(PersistenceFixture, InjectedLstmCorruptionDegradesToMarkovFallback) {
   }
 }
 
-// --- archive v3: quantized weight sections -----------------------------
+// --- archive v3: legacy quantized weight sections ----------------------
+//
+// detector_int8.bin is the golden detector.bin re-saved by a writer that
+// still emitted int8 quantized weights: quant marker 1 and a CRC-checked
+// section per cluster. Load checks those sections and discards them, so
+// the archive must score exactly like detector.bin, and damage inside
+// them must be tolerated the way damage to any other section is.
 
-// The quantized payload begins with its "IMQT" magic; locating it in the
-// raw archive gives a byte offset inside the (CRC-protected) quant
-// section without hard-coding the layout of everything before it.
+const std::string kGoldenDir = MISUSEDET_GOLDEN_DIR;
+
+MisuseDetector load_bytes(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  BinaryReader reader(in);
+  return MisuseDetector::load(reader);
+}
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(kGoldenDir + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// The first cluster's quantized payload begins with its "IMQT" magic;
+/// its offset locates the section without hard-coding the layout of
+/// everything before it. The section's u64 length and the marker byte
+/// sit just before it.
 std::size_t first_quant_payload(const std::string& archive) {
   const std::size_t at = archive.find("IMQT");
   EXPECT_NE(at, std::string::npos) << "no quantized section in archive";
   return at;
 }
 
-std::string save_quantized(const MisuseDetector& detector, nn::infer::QuantKind kind) {
-  std::ostringstream out(std::ios::binary);
-  BinaryWriter writer(out);
-  DetectorSaveOptions options;
-  options.quant = kind;
-  detector.save(writer, options);
-  return out.str();
+/// Every step of the golden trace, scored in-process with one monitor
+/// per session; doubles print as hex floats, so equal lines mean equal
+/// bits.
+std::vector<std::string> score_golden_trace(const MisuseDetector& detector) {
+  std::istringstream trace(read_golden("trace.ndjson"));
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::string tag = "\"" + key + "\":\"";
+    const std::size_t from = line.find(tag) + tag.size();
+    return line.substr(from, line.find('"', from) - from);
+  };
+  std::map<std::string, std::unique_ptr<OnlineMonitor>> sessions;
+  std::vector<std::string> scored;
+  std::string line;
+  while (std::getline(trace, line)) {
+    auto& monitor = sessions[field(line, "session_id")];
+    if (monitor == nullptr) monitor = std::make_unique<OnlineMonitor>(detector, MonitorConfig{});
+    const auto step = monitor->observe(std::stoi(field(line, "action")));
+    std::ostringstream out;
+    out << std::hexfloat << step.step << ' ' << step.cluster_argmax << ' ' << step.cluster_voted;
+    out << ' ' << step.likelihood_voted.value_or(-1.0) << ' ' << step.alarm << step.trend_alarm;
+    out << step.degraded;
+    for (const double score : step.ocsvm_scores) out << ' ' << score;
+    for (const auto& expected : step.expected) {
+      out << ' ' << expected.action << ':' << expected.probability;
+    }
+    scored.push_back(out.str());
+  }
+  return scored;
 }
 
-struct QuantEnabledGuard {
-  bool saved = nn::infer::quant_enabled();
-  ~QuantEnabledGuard() { nn::infer::set_quant_enabled(saved); }
-};
+void expect_scores_like_float_golden(const MisuseDetector& loaded) {
+  EXPECT_EQ(loaded.degraded_cluster_count(), 0u);
+  const auto want = score_golden_trace(load_bytes(read_golden("detector.bin")));
+  const auto got = score_golden_trace(loaded);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_GT(want.size(), 200u);
+  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(got[i], want[i]) << "trace line " << i;
+}
 
-TEST_F(PersistenceFixture, QuantizedArchiveRoundTripAttachesAllClusters) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  const MisuseDetector loaded = load_from(save_quantized(*detector_, nn::infer::QuantKind::kInt8));
-  EXPECT_EQ(loaded.quant_degraded_count(), 0u);
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    EXPECT_TRUE(loaded.cluster_quantized(c)) << "cluster " << c;
+std::string load_error(const std::string& archive) {
+  try {
+    (void)load_bytes(archive);
+  } catch (const SerializeError& e) {
+    return e.what();
   }
-  // kFloat precision ignores the quantized weights entirely, so a monitor
-  // over the quantized archive must match the float archive bit for bit.
-  const MisuseDetector float_loaded = load_from(*archive_);
-  const MonitorConfig config;
-  OnlineMonitor quant_monitor(loaded, config, MisuseDetector::ScoringPrecision::kFloat);
-  OnlineMonitor float_monitor(float_loaded, config);
-  for (std::size_t i = 0; i < store_->size(); ++i) {
-    if (store_->at(i).length() < 4) continue;
-    for (const int action : store_->at(i).view()) {
-      const auto a = quant_monitor.observe(action);
-      const auto b = float_monitor.observe(action);
-      EXPECT_EQ(a.likelihood_voted, b.likelihood_voted);
-      EXPECT_EQ(a.alarm, b.alarm);
-    }
-    break;
-  }
+  return "(loaded)";
+}
+
+TEST_F(PersistenceFixture, LegacyQuantizedArchiveScoresLikeFloat) {
+  const std::string archive = read_golden("detector_int8.bin");
+  (void)first_quant_payload(archive);
+  expect_scores_like_float_golden(load_bytes(archive));
 }
 
 TEST_F(PersistenceFixture, CorruptQuantSectionFallsBackToFloatWithoutCrashing) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  std::string archive = save_quantized(*detector_, nn::infer::QuantKind::kInt8);
+  std::string archive = read_golden("detector_int8.bin");
   const std::size_t payload = first_quant_payload(archive);
   ASSERT_LT(payload + 20, archive.size());
   archive[payload + 20] ^= 0x40;  // bit-rot inside the quant payload
+  expect_scores_like_float_golden(load_bytes(archive));  // must not throw
+}
 
-  const MisuseDetector loaded = load_from(archive);  // must not throw
-  EXPECT_EQ(loaded.quant_degraded_count(), 1u);
-  // Exactly one cluster lost its quantized weights; it must flag degraded
-  // quant, serve floats, and score bit-identically to the float archive.
-  const MisuseDetector float_loaded = load_from(*archive_);
-  std::size_t degraded_cluster = loaded.cluster_count();
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    if (loaded.cluster_quant_degraded(c)) {
-      degraded_cluster = c;
-      EXPECT_FALSE(loaded.cluster_quantized(c));
-    }
-  }
-  ASSERT_LT(degraded_cluster, loaded.cluster_count());
-  std::span<const int> probe;
-  for (std::size_t i = 0; i < store_->size(); ++i) {
-    if (store_->at(i).length() >= 4) {
-      probe = store_->at(i).view();
-      break;
-    }
-  }
-  ASSERT_FALSE(probe.empty());
-  auto corrupt_state = loaded.make_cluster_state(degraded_cluster);
-  auto float_state = float_loaded.make_cluster_state(degraded_cluster);
-  std::vector<float> corrupt_probs, float_probs;
-  for (const int action : probe) {
-    loaded.step_cluster_into(degraded_cluster, corrupt_state, action, corrupt_probs);
-    float_loaded.step_cluster_into(degraded_cluster, float_state, action, float_probs);
-    EXPECT_EQ(corrupt_probs, float_probs);  // bit-exact float fallback
-  }
+TEST_F(PersistenceFixture, UnknownQuantMarkerThrows) {
+  std::string archive = read_golden("detector_int8.bin");
+  const std::size_t marker = first_quant_payload(archive) - sizeof(std::uint64_t) - 1;
+  ASSERT_EQ(archive[marker], 1) << "int8 marker expected before the first section";
+  archive[marker] = 3;
+  EXPECT_NE(load_error(archive).find("unknown quantization marker 3"), std::string::npos)
+      << load_error(archive);
 }
 
 TEST_F(PersistenceFixture, TruncationInsideQuantSectionThrows) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  std::string archive = save_quantized(*detector_, nn::infer::QuantKind::kFp16);
-  const std::size_t payload = first_quant_payload(archive);
-  archive.resize(payload + 8);  // structural damage, not bit-rot
-  EXPECT_THROW((void)load_from(archive), SerializeError);
+  std::string archive = read_golden("detector_int8.bin");
+  archive.resize(first_quant_payload(archive) + 8);  // structural damage, not bit-rot
+  EXPECT_NE(load_error(archive).find("cluster 0 quantized weights"), std::string::npos)
+      << load_error(archive);
 }
 
-TEST_F(PersistenceFixture, V3ArchiveLoadsWithQuantizationDisabled) {
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(false);
-  const MisuseDetector loaded = load_from(save_quantized(*detector_, nn::infer::QuantKind::kInt8));
-  // Disabled != degraded: the section is intact, just unused.
-  EXPECT_EQ(loaded.quant_degraded_count(), 0u);
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    EXPECT_FALSE(loaded.cluster_quantized(c));
-  }
-  // With the quantized weights ignored, scoring is the float path — bit-
-  // identical to the unquantized archive.
-  const MisuseDetector float_loaded = load_from(*archive_);
-  const MonitorConfig config;
-  OnlineMonitor a(loaded, config);
-  OnlineMonitor b(float_loaded, config);
-  for (std::size_t i = 0; i < store_->size(); ++i) {
-    if (store_->at(i).length() < 4) continue;
-    for (const int action : store_->at(i).view()) {
-      const auto ra = a.observe(action);
-      const auto rb = b.observe(action);
-      EXPECT_EQ(ra.likelihood_voted, rb.likelihood_voted);
-      EXPECT_EQ(ra.alarm, rb.alarm);
-    }
-    break;
-  }
-}
-
-TEST_F(PersistenceFixture, QuantLoadFailpointDegradesEveryCluster) {
-  if (!failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
-  QuantEnabledGuard guard;
-  nn::infer::set_quant_enabled(true);
-  const std::string archive = save_quantized(*detector_, nn::infer::QuantKind::kInt8);
-  failpoints::configure("detector.load.quant=always");
-  const MisuseDetector loaded = load_from(archive);
-  failpoints::clear();
-  EXPECT_EQ(loaded.quant_degraded_count(), loaded.cluster_count());
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    EXPECT_FALSE(loaded.cluster_quantized(c));
-  }
-  // Still serves — from the float weights, not the fallback chain.
-  EXPECT_EQ(loaded.degraded_cluster_count(), 0u);
+TEST_F(PersistenceFixture, HeaderCorruptionOfLegacyQuantizedArchiveFailsTheFileCrc) {
+  // A flip inside a vocabulary name parses fine and leaves every section
+  // intact, so only the whole-file footer can catch it.
+  std::string archive = read_golden("detector_int8.bin");
+  const std::string name = load_bytes(archive).vocab().name(0);
+  const std::size_t at = archive.find(name);
+  ASSERT_NE(at, std::string::npos);
+  archive[at] ^= 0x20;
+  EXPECT_NE(load_error(archive).find("CRC mismatch outside model sections"), std::string::npos)
+      << load_error(archive);
 }
 
 TEST_F(PersistenceFixture, AllLstmSectionsCorruptStillServesFromMarkov) {

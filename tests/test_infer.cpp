@@ -7,11 +7,10 @@
 //     the one-row kernels). Every determinism guarantee in the repo
 //     (WAL replay, hot swap, server-vs-offline) leans on this.
 //   * avx2 kernels — ULP-bounded against scalar per step (vectorized
-//     exp approximation, FMA re-association); the fused batch kernels
-//     (register-blocked broadcast-FMA) must sit in the same envelope.
-//   * quantized weights — different weights entirely; gated by the
-//     measured verdict-flip check (core/quant_gate.hpp).
-//   * packing — a pure permutation; pack -> unpack is lossless.
+//     exp approximation, FMA contraction), and the fused batch kernels
+//     BIT-identical to the avx2 one-row kernels (every output element
+//     is the same FMA chain), across shapes whose 4H and V are not
+//     multiples of the 8-lane vector or the 64-column pass.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,30 +21,18 @@
 #include <sstream>
 #include <vector>
 
-#include "core/detector.hpp"
-#include "core/quant_gate.hpp"
-#include "nn/dense.hpp"
 #include "nn/infer/dispatch.hpp"
 #include "nn/infer/engine.hpp"
-#include "nn/infer/packed.hpp"
-#include "nn/infer/quant.hpp"
-#include "nn/lstm.hpp"
 #include "nn/next_action_model.hpp"
-#include "synth/portal.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 
 namespace misuse::nn::infer {
 namespace {
 
-// The mode/quant switches are process globals; every test restores them.
+// The kernel mode is a process global; every test restores it.
 struct ModeGuard {
   InferMode mode = infer_mode();
-  bool quant = quant_enabled();
-  ~ModeGuard() {
-    set_infer_mode(mode);
-    set_quant_enabled(quant);
-  }
+  ~ModeGuard() { set_infer_mode(mode); }
 };
 
 std::vector<int> random_actions(std::size_t n, std::size_t vocab, std::uint64_t seed) {
@@ -173,209 +160,107 @@ TEST(InferScalar, BatchBitIdenticalToSequential) {
   }
 }
 
-// --- avx2: ULP envelope against scalar ----------------------------------
+// --- avx2: ULP envelope against scalar, fused batch == one-row --------
+
+// (vocab, hidden) pairs whose gate width 4H and head width V cover every
+// column path of the avx2 kernels: whole 64-column passes, a tail of each
+// length from one to eight vectors, last vectors from one lane to full,
+// and widths below one vector (hidden 5 gives 4H = 20; vocab 7 and 65
+// leave 7 and 1 columns; vocab 60 is eight vectors, the last half full).
+struct Shape {
+  std::size_t vocab, hidden;
+  std::uint64_t seed;
+};
+constexpr Shape kAvx2Shapes[] = {
+    {7, 5, 41}, {65, 20, 42}, {30, 8, 44}, {33, 9, 45},
+    {60, 14, 46}, {50, 96, 29}, {44, 80, 31}, {300, 256, 43},
+};
 
 TEST(InferAvx2, OneRowStepWithinUlpOfScalar) {
   if (!avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
   ModeGuard guard;
-  const NextActionModel model = make_model(50, 96, 29);
-  const auto engine = LstmInferEngine::build(model);
-  ASSERT_NE(engine, nullptr);
-  const auto actions = random_actions(100, 50, 4242);
+  for (const Shape& shape : kAvx2Shapes) {
+    const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
+    const auto engine = LstmInferEngine::build(model);
+    ASSERT_NE(engine, nullptr);
+    const auto actions = random_actions(60, shape.vocab, shape.seed * 101);
 
-  // Walk the trajectory under scalar; at each step, run one avx2 step
-  // from the identical pre-step state so only per-step kernel error is
-  // measured, not accumulated trajectory divergence.
-  EngineState state = engine->make_state();
-  EngineScratch scratch;
-  std::vector<float> scalar_probs, avx2_probs;
-  std::int64_t worst = 0;
-  for (const int a : actions) {
-    EngineState snapshot = state;
-    set_infer_mode(InferMode::kScalar);
-    engine->step(state, a, scalar_probs, scratch);
-    set_infer_mode(InferMode::kAvx2);
-    engine->step(snapshot, a, avx2_probs, scratch);
-    ASSERT_EQ(scalar_probs.size(), avx2_probs.size());
-    for (std::size_t j = 0; j < scalar_probs.size(); ++j) {
-      worst = std::max(worst, ulp_distance(scalar_probs[j], avx2_probs[j]));
+    // Walk the trajectory under scalar; at each step, run one avx2 step
+    // from the identical pre-step state so only per-step kernel error is
+    // measured, not accumulated trajectory divergence.
+    EngineState state = engine->make_state();
+    EngineScratch scratch;
+    std::vector<float> scalar_probs, avx2_probs;
+    std::int64_t worst = 0;
+    for (const int a : actions) {
+      EngineState snapshot = state;
+      set_infer_mode(InferMode::kScalar);
+      engine->step(state, a, scalar_probs, scratch);
+      set_infer_mode(InferMode::kAvx2);
+      engine->step(snapshot, a, avx2_probs, scratch);
+      ASSERT_EQ(scalar_probs.size(), avx2_probs.size());
+      for (std::size_t j = 0; j < scalar_probs.size(); ++j) {
+        worst = std::max(worst, ulp_distance(scalar_probs[j], avx2_probs[j]));
+      }
+      ASSERT_LE(worst, kAvx2UlpBound) << "vocab=" << shape.vocab << " hidden=" << shape.hidden;
     }
-    ASSERT_LE(worst, kAvx2UlpBound);
   }
-  RecordProperty("max_ulp", static_cast<int>(worst));
 }
 
 TEST(InferAvx2, FusedBatchWithinUlpOfScalar) {
   if (!avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
   ModeGuard guard;
-  const NextActionModel model = make_model(44, 80, 31);
-  const auto engine = LstmInferEngine::build(model);
-  ASSERT_NE(engine, nullptr);
-
-  // 10 sessions: one full 6-session tile plus a remainder, so both the
-  // tiled kernel and the single-row tail are exercised.
-  constexpr std::size_t kSessions = 10;
-  constexpr std::size_t kSteps = 50;
-  std::vector<std::vector<int>> streams;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    streams.push_back(random_actions(kSteps, 44, 900 + i));
-  }
-
-  std::vector<EngineState> scalar_states(kSessions, engine->make_state());
-  EngineScratch scratch;
-  std::vector<float> scalar_probs;
-  std::vector<std::vector<float>> batch_probs(kSessions);
-  std::int64_t worst = 0;
-  for (std::size_t t = 0; t < kSteps; ++t) {
-    // Fresh copies of the scalar trajectory states for the avx2 batch.
-    std::vector<EngineState> batch_states(scalar_states);
-    std::vector<EngineState*> state_ptrs(kSessions);
-    std::vector<std::vector<float>*> prob_ptrs(kSessions);
-    std::vector<int> actions(kSessions);
+  // 13 sessions: two full 6-session tiles plus a single-row remainder;
+  // shrinking batches below walk the 4- and 2-session tiles too.
+  constexpr std::size_t kSessions = 13;
+  constexpr std::size_t kSteps = 30;
+  for (const Shape& shape : kAvx2Shapes) {
+    const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
+    const auto engine = LstmInferEngine::build(model);
+    ASSERT_NE(engine, nullptr);
+    std::vector<std::vector<int>> streams;
     for (std::size_t i = 0; i < kSessions; ++i) {
-      actions[i] = streams[i][t];
-      state_ptrs[i] = &batch_states[i];
-      prob_ptrs[i] = &batch_probs[i];
+      streams.push_back(random_actions(kSteps, shape.vocab, 900 + i));
     }
-    set_infer_mode(InferMode::kAvx2);
-    engine->step_batch(state_ptrs, actions, prob_ptrs, scratch);
-    set_infer_mode(InferMode::kScalar);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      engine->step(scalar_states[i], actions[i], scalar_probs, scratch);
-      ASSERT_EQ(scalar_probs.size(), batch_probs[i].size());
-      for (std::size_t j = 0; j < scalar_probs.size(); ++j) {
-        worst = std::max(worst, ulp_distance(scalar_probs[j], batch_probs[i][j]));
+
+    std::vector<EngineState> scalar_states(kSessions, engine->make_state());
+    EngineScratch scratch;
+    std::vector<float> scalar_probs, row_probs;
+    std::vector<std::vector<float>> batch_probs(kSessions);
+    std::int64_t worst = 0;
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      const std::size_t n = kSessions - t % 8;  // 13 down to 6 rows
+      // Fresh copies of the scalar trajectory states for both avx2 paths.
+      std::vector<EngineState> batch_states(scalar_states.begin(), scalar_states.begin() + n);
+      std::vector<EngineState> row_states(batch_states);
+      std::vector<EngineState*> state_ptrs(n);
+      std::vector<std::vector<float>*> prob_ptrs(n);
+      std::vector<int> actions(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        actions[i] = streams[i][t];
+        state_ptrs[i] = &batch_states[i];
+        prob_ptrs[i] = &batch_probs[i];
       }
-      ASSERT_LE(worst, kAvx2UlpBound) << "step " << t << " session " << i;
+      set_infer_mode(InferMode::kAvx2);
+      engine->step_batch(state_ptrs, actions, prob_ptrs, scratch);
+      for (std::size_t i = 0; i < n; ++i) {
+        engine->step(row_states[i], actions[i], row_probs, scratch);
+        ASSERT_TRUE(bit_equal(row_probs, batch_probs[i]))
+            << "vocab=" << shape.vocab << " hidden=" << shape.hidden << " step " << t
+            << " session " << i;
+        ASSERT_TRUE(bit_equal(row_states[i].h, batch_states[i].h));
+        ASSERT_TRUE(bit_equal(row_states[i].c, batch_states[i].c));
+      }
+      set_infer_mode(InferMode::kScalar);
+      for (std::size_t i = 0; i < kSessions; ++i) {
+        engine->step(scalar_states[i], streams[i][t], scalar_probs, scratch);
+        if (i >= n) continue;
+        for (std::size_t j = 0; j < scalar_probs.size(); ++j) {
+          worst = std::max(worst, ulp_distance(scalar_probs[j], batch_probs[i][j]));
+        }
+        ASSERT_LE(worst, kAvx2UlpBound) << "step " << t << " session " << i;
+      }
     }
-  }
-  RecordProperty("max_ulp", static_cast<int>(worst));
-}
-
-// --- packing: pure permutation, lossless --------------------------------
-
-TEST(InferPacking, PackUnpackLosslessOver100RandomShapes) {
-  Rng shape_rng(2026);
-  for (int k = 0; k < 100; ++k) {
-    const std::size_t vocab = 3 + shape_rng.uniform_index(38);
-    const std::size_t hidden = 2 + shape_rng.uniform_index(46);
-    const NextActionModel model = make_model(vocab, hidden, 7000 + k);
-    const auto* cell = dynamic_cast<const Lstm*>(&model.layer(0));
-    ASSERT_NE(cell, nullptr);
-    const PackedLstm packed = pack_lstm(*cell, model.head());
-
-    // Direct copies must match the source matrices bit for bit.
-    ASSERT_EQ(packed.wx.size(), cell->wx().size());
-    EXPECT_EQ(std::memcmp(packed.wx.data(), cell->wx().data(),
-                          packed.wx.size() * sizeof(float)),
-              0);
-    ASSERT_EQ(packed.wh.size(), cell->wh().size());
-    EXPECT_EQ(std::memcmp(packed.wh.data(), cell->wh().data(),
-                          packed.wh.size() * sizeof(float)),
-              0);
-    ASSERT_EQ(packed.head_w.size(), model.head().weights().size());
-    EXPECT_EQ(std::memcmp(packed.head_w.data(), model.head().weights().data(),
-                          packed.head_w.size() * sizeof(float)),
-              0);
-
-    // Transposed copies invert exactly.
-    const Matrix wh = unpack_wh(packed);
-    ASSERT_EQ(wh.rows(), cell->wh().rows());
-    ASSERT_EQ(wh.cols(), cell->wh().cols());
-    EXPECT_EQ(std::memcmp(wh.data(), cell->wh().data(), wh.size() * sizeof(float)), 0)
-        << "case " << k << " vocab=" << vocab << " hidden=" << hidden;
-    const Matrix hw = unpack_head_w(packed);
-    ASSERT_EQ(hw.rows(), model.head().weights().rows());
-    ASSERT_EQ(hw.cols(), model.head().weights().cols());
-    EXPECT_EQ(std::memcmp(hw.data(), model.head().weights().data(),
-                          hw.size() * sizeof(float)),
-              0)
-        << "case " << k << " vocab=" << vocab << " hidden=" << hidden;
-  }
-}
-
-// --- quantization: measured verdict-flip gate ---------------------------
-
-class QuantGateFixture : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    synth::PortalConfig pc;
-    pc.sessions = 150;
-    pc.action_count = 50;
-    pc.seed = 21;
-    const SessionStore store = synth::Portal(pc).generate();
-    core::DetectorConfig dc;
-    dc.ensemble.topic_counts = {8, 10};
-    dc.ensemble.iterations = 8;
-    dc.expert.target_clusters = 3;
-    dc.expert.min_cluster_sessions = 5;
-    dc.lm.hidden = 16;
-    dc.lm.epochs = 2;
-    dc.lm.patience = 0;
-    detector_ = new core::MisuseDetector(core::MisuseDetector::train(store, dc));
-  }
-  static void TearDownTestSuite() {
-    delete detector_;
-    detector_ = nullptr;
-  }
-
-  static core::MisuseDetector quantized_reload(QuantKind kind) {
-    std::ostringstream out(std::ios::binary);
-    BinaryWriter writer(out);
-    core::DetectorSaveOptions options;
-    options.quant = kind;
-    detector_->save(writer, options);
-    std::istringstream in(out.str(), std::ios::binary);
-    BinaryReader reader(in);
-    return core::MisuseDetector::load(reader);
-  }
-
-  static core::MisuseDetector* detector_;
-};
-
-core::MisuseDetector* QuantGateFixture::detector_ = nullptr;
-
-TEST_F(QuantGateFixture, Int8FlipRateUnderFixedThreshold) {
-  ModeGuard guard;
-  set_infer_mode(InferMode::kAuto);
-  const core::MisuseDetector loaded = quantized_reload(QuantKind::kInt8);
-  for (std::size_t c = 0; c < loaded.cluster_count(); ++c) {
-    ASSERT_TRUE(loaded.cluster_quantized(c));
-  }
-  core::QuantGateConfig gate;
-  gate.max_flip_rate = 0.01;  // the registry's default publish threshold
-  gate.sessions_per_cluster = 12;
-  gate.session_length = 32;
-  const core::QuantGateResult result = core::measure_quant_gate(loaded, gate);
-  EXPECT_GT(result.steps, 0u);
-  EXPECT_LE(result.flip_rate, 0.01) << result.verdict_flips << "/" << result.steps;
-  EXPECT_TRUE(result.pass) << "max_loss_delta=" << result.max_loss_delta;
-}
-
-TEST_F(QuantGateFixture, Fp16FlipRateUnderFixedThreshold) {
-  ModeGuard guard;
-  set_infer_mode(InferMode::kAuto);
-  const core::MisuseDetector loaded = quantized_reload(QuantKind::kFp16);
-  core::QuantGateConfig gate;
-  gate.max_flip_rate = 0.01;
-  gate.sessions_per_cluster = 12;
-  gate.session_length = 32;
-  const core::QuantGateResult result = core::measure_quant_gate(loaded, gate);
-  EXPECT_GT(result.steps, 0u);
-  EXPECT_LE(result.flip_rate, 0.01);
-  EXPECT_TRUE(result.pass);
-}
-
-// --- fp16 converters ----------------------------------------------------
-
-TEST(InferQuant, HalfRoundTripExactForRepresentableValues) {
-  // Every binary16 value decodes to a float that re-encodes to the same
-  // bits (NaNs excluded — payload bits may legitimately differ).
-  for (std::uint32_t bits = 0; bits < 0x10000; ++bits) {
-    const auto h = static_cast<std::uint16_t>(bits);
-    const float f = half_to_float(h);
-    if (std::isnan(f)) continue;
-    EXPECT_EQ(float_to_half(f), h) << "half bits 0x" << std::hex << bits;
   }
 }
 

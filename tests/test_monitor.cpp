@@ -3,12 +3,11 @@
 // cluster's model advances on every action, and each verdict reads the
 // voted cluster's prediction from the step before. The lazy monitor must
 // agree with it bit for bit on every field a verdict carries, across vote
-// switches inside the window, the seal, degraded and quantized clusters,
-// reset(), and batched stepping.
+// switches inside the window, the seal, degraded clusters, reset(), and
+// batched stepping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -20,7 +19,6 @@
 #include "core/detector.hpp"
 #include "core/monitor.hpp"
 #include "nn/infer/dispatch.hpp"
-#include "nn/infer/quant.hpp"
 #include "synth/portal.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -30,16 +28,15 @@ namespace misuse::core {
 namespace {
 
 using StepResult = OnlineMonitor::StepResult;
-using Precision = MisuseDetector::ScoringPrecision;
 
 /// The all-cluster lockstep monitor: k streaming states, all advanced on
 /// every action. Its trend alarm keeps the whole likelihood history.
 class EagerMonitor {
  public:
-  EagerMonitor(const MisuseDetector& detector, const MonitorConfig& config, Precision precision)
+  EagerMonitor(const MisuseDetector& detector, const MonitorConfig& config)
       : detector_(detector), config_(config), assignment_(detector.assigner().start_online()) {
     for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
-      states_.push_back(detector.make_cluster_state(c, precision));
+      states_.push_back(detector.make_cluster_state(c));
     }
     dists_.resize(detector.cluster_count());
   }
@@ -124,23 +121,6 @@ class EagerMonitor {
   return ::testing::AssertionSuccess();
 }
 
-/// Routing fields match exactly; the voted likelihood (and so any alarm
-/// near the threshold) only within the AVX2 kernels' envelope, as fused
-/// tiles and single rows reduce in different orders.
-::testing::AssertionResult close_step(const StepResult& got, const StepResult& want) {
-  if (got.step != want.step || got.ocsvm_scores != want.ocsvm_scores ||
-      got.cluster_argmax != want.cluster_argmax || got.cluster_voted != want.cluster_voted ||
-      got.degraded != want.degraded ||
-      got.likelihood_voted.has_value() != want.likelihood_voted.has_value()) {
-    return ::testing::AssertionFailure() << "routing differs at step " << want.step;
-  }
-  if (want.likelihood_voted &&
-      std::abs(*got.likelihood_voted - *want.likelihood_voted) > 1e-4 * *want.likelihood_voted) {
-    return ::testing::AssertionFailure() << "likelihood_voted drifted at step " << want.step;
-  }
-  return ::testing::AssertionSuccess();
-}
-
 const SessionStore& store() {
   static const SessionStore s = [] {
     synth::PortalConfig pc;
@@ -173,12 +153,10 @@ const MisuseDetector& detector(std::size_t vote_actions) {
   return *slot;
 }
 
-std::string save(const MisuseDetector& d, nn::infer::QuantKind quant) {
+std::string save(const MisuseDetector& d) {
   std::ostringstream out(std::ios::binary);
   BinaryWriter writer(out);
-  DetectorSaveOptions options;
-  options.quant = quant;
-  d.save(writer, options);
+  d.save(writer);
   return out.str();
 }
 
@@ -193,7 +171,7 @@ MisuseDetector load(const std::string& bytes) {
 /// single-byte flips until one degrades exactly one cluster; null if
 /// none does.
 std::unique_ptr<MisuseDetector> load_with_one_degraded_cluster() {
-  const std::string archive = save(detector(15), nn::infer::QuantKind::kNone);
+  const std::string archive = save(detector(15));
   // Most flips land in a section whose corruption the load logs.
   const LogLevel level = log_level();
   set_log_level(LogLevel::kError);
@@ -214,21 +192,6 @@ std::unique_ptr<MisuseDetector> load_with_one_degraded_cluster() {
 const MisuseDetector* degraded_detector() {
   static const std::unique_ptr<MisuseDetector> loaded = load_with_one_degraded_cluster();
   return loaded.get();
-}
-
-/// The vote-15 detector reloaded from an int8-quantized archive.
-std::unique_ptr<MisuseDetector> load_quantized() {
-  const bool saved = nn::infer::quant_enabled();
-  nn::infer::set_quant_enabled(true);
-  const std::string archive = save(detector(15), nn::infer::QuantKind::kInt8);
-  auto loaded = std::make_unique<MisuseDetector>(load(archive));
-  nn::infer::set_quant_enabled(saved);
-  return loaded;
-}
-
-const MisuseDetector& quantized_detector() {
-  static const std::unique_ptr<MisuseDetector> loaded = load_quantized();
-  return *loaded;
 }
 
 int cycled(const std::vector<int>& from, std::size_t i) {
@@ -294,12 +257,11 @@ void tally(const StepResult& want, std::set<std::size_t>& voted_so_far, Coverage
 
 /// Replays every session through a lazy and an eager monitor, one action
 /// at a time; fails at the first differing field.
-Coverage expect_matches_eager(const MisuseDetector& d, Precision precision,
-                              const MonitorConfig& config) {
+Coverage expect_matches_eager(const MisuseDetector& d, const MonitorConfig& config) {
   Coverage coverage;
   for (const auto& session : sessions_for(d)) {
-    OnlineMonitor lazy(d, config, precision);
-    EagerMonitor eager(d, config, precision);
+    OnlineMonitor lazy(d, config);
+    EagerMonitor eager(d, config);
     std::set<std::size_t> voted_so_far;
     for (const int action : session) {
       const StepResult want = eager.observe(action);
@@ -323,22 +285,22 @@ MonitorConfig short_trend() {
 TEST(MonitorLanes, MatchesEagerReferenceWithFifteenActionVote) {
   const MisuseDetector& d = detector(15);
   ASSERT_GE(d.cluster_count(), 3u);
-  const Coverage coverage = expect_matches_eager(d, Precision::kDefault, MonitorConfig{});
+  const Coverage coverage = expect_matches_eager(d, MonitorConfig{});
   EXPECT_GT(coverage.late_lanes, 0u) << "no vote switched to a fresh cluster inside the window";
   EXPECT_GT(coverage.alarms, 0u);
-  const Coverage trend = expect_matches_eager(d, Precision::kDefault, short_trend());
+  const Coverage trend = expect_matches_eager(d, short_trend());
   EXPECT_GT(trend.trend_alarms, 0u);
 }
 
 TEST(MonitorLanes, MatchesEagerReferenceWhenVoteNeverSeals) {
   // vote_actions 0: the vote follows the argmax for the whole session,
   // so lanes keep catching up past step 15.
-  const Coverage coverage = expect_matches_eager(detector(0), Precision::kDefault, short_trend());
+  const Coverage coverage = expect_matches_eager(detector(0), short_trend());
   EXPECT_GT(coverage.late_lanes, 0u);
 }
 
 TEST(MonitorLanes, MatchesEagerReferenceWhenVoteSealsOnFirstAction) {
-  const Coverage coverage = expect_matches_eager(detector(1), Precision::kDefault, short_trend());
+  const Coverage coverage = expect_matches_eager(detector(1), short_trend());
   EXPECT_EQ(coverage.late_lanes, 0u) << "a vote sealed at step 1 can never switch";
   EXPECT_GT(coverage.steps, 0u);
 }
@@ -346,15 +308,8 @@ TEST(MonitorLanes, MatchesEagerReferenceWhenVoteSealsOnFirstAction) {
 TEST(MonitorLanes, MatchesEagerReferenceWithDegradedCluster) {
   const MisuseDetector* d = degraded_detector();
   ASSERT_NE(d, nullptr) << "no single-byte flip degraded exactly one cluster";
-  const Coverage coverage = expect_matches_eager(*d, Precision::kDefault, MonitorConfig{});
+  const Coverage coverage = expect_matches_eager(*d, MonitorConfig{});
   EXPECT_GT(coverage.degraded, 0u) << "no verdict read the Markov-fallback cluster";
-}
-
-TEST(MonitorLanes, MatchesEagerReferenceOnQuantizedArchiveAtBothPrecisions) {
-  const MisuseDetector& d = quantized_detector();
-  for (std::size_t c = 0; c < d.cluster_count(); ++c) ASSERT_TRUE(d.cluster_quantized(c));
-  EXPECT_GT(expect_matches_eager(d, Precision::kDefault, MonitorConfig{}).steps, 0u);
-  EXPECT_GT(expect_matches_eager(d, Precision::kFloat, MonitorConfig{}).steps, 0u);
 }
 
 TEST(MonitorLanes, ResetMidSessionStartsAFreshSession) {
@@ -371,7 +326,7 @@ TEST(MonitorLanes, ResetMidSessionStartsAFreshSession) {
       }
       lazy.reset();
       EXPECT_EQ(lazy.steps(), 0u);
-      EagerMonitor eager(d, MonitorConfig{}, Precision::kDefault);
+      EagerMonitor eager(d, MonitorConfig{});
       for (const int action : sessions[s + 1]) {
         ASSERT_TRUE(same_step(lazy.observe(action), eager.observe(action)))
             << "cut " << cut << ", session " << s + 1;
@@ -381,15 +336,12 @@ TEST(MonitorLanes, ResetMidSessionStartsAFreshSession) {
   }
 }
 
-using StepCheck = ::testing::AssertionResult (*)(const StepResult&, const StepResult&);
-
 /// Steps `sessions` through observe_batch in rounds: each round batches
 /// the next action of every session still running, in a rotating order,
 /// so batches mix steps before, at and after the seal and rows voting for
-/// different clusters. Each row must pass `check` against a per-monitor
-/// observe(), which must match the eager reference exactly.
-void expect_batch_matches_observe(const MisuseDetector& d, Precision precision,
-                                  StepCheck check = same_step) {
+/// different clusters. Each row must match a per-monitor observe(), and
+/// that the eager reference, exactly.
+void expect_batch_matches_observe(const MisuseDetector& d) {
   const auto all = sessions_for(d);
   std::vector<std::vector<int>> sessions;
   for (std::size_t s = 0; s < all.size(); s += 7) sessions.push_back(all[s]);
@@ -397,9 +349,9 @@ void expect_batch_matches_observe(const MisuseDetector& d, Precision precision,
   std::vector<std::unique_ptr<OnlineMonitor>> batched, single;
   std::vector<std::unique_ptr<EagerMonitor>> eager;
   for (std::size_t s = 0; s < sessions.size(); ++s) {
-    batched.push_back(std::make_unique<OnlineMonitor>(d, config, precision));
-    single.push_back(std::make_unique<OnlineMonitor>(d, config, precision));
-    eager.push_back(std::make_unique<EagerMonitor>(d, config, precision));
+    batched.push_back(std::make_unique<OnlineMonitor>(d, config));
+    single.push_back(std::make_unique<OnlineMonitor>(d, config));
+    eager.push_back(std::make_unique<EagerMonitor>(d, config));
   }
   std::vector<std::size_t> cursor(sessions.size(), 0);
   std::size_t mixed_batches = 0;
@@ -426,7 +378,7 @@ void expect_batch_matches_observe(const MisuseDetector& d, Precision precision,
       const StepResult want = eager[s]->observe(actions[r]);
       const StepResult alone = single[s]->observe(actions[r]);
       ASSERT_TRUE(same_step(alone, want)) << "session " << s;
-      ASSERT_TRUE(check(results[r], alone)) << "session " << s;
+      ASSERT_TRUE(same_step(results[r], alone)) << "session " << s;
       ++cursor[s];
       if (want.step >= 2) clusters.insert(want.cluster_voted);
     }
@@ -436,25 +388,25 @@ void expect_batch_matches_observe(const MisuseDetector& d, Precision precision,
 }
 
 TEST(MonitorLanes, ObserveBatchMatchesPerMonitorObserveOnMixedClusterBatches) {
-  expect_batch_matches_observe(detector(15), Precision::kDefault);
-  expect_batch_matches_observe(detector(0), Precision::kDefault);
+  expect_batch_matches_observe(detector(15));
+  expect_batch_matches_observe(detector(0));
   ASSERT_NE(degraded_detector(), nullptr);
-  expect_batch_matches_observe(*degraded_detector(), Precision::kDefault);
-  expect_batch_matches_observe(quantized_detector(), Precision::kDefault);
-  expect_batch_matches_observe(quantized_detector(), Precision::kFloat);
+  expect_batch_matches_observe(*degraded_detector());
 }
 
 TEST(MonitorLanes, ObserveBatchStaysCloseToObserveOnFusedAvx2Tiles) {
   // The scalar kernels never fuse rows, so only this mode runs the
-  // deferred-head tile path that observe_batch's grouping feeds.
+  // deferred-head tile path that observe_batch's grouping feeds. The
+  // tiles give every row the one-row kernels' FMA chains, so "close" is
+  // exact here too.
   if (!nn::infer::avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
   struct ModeGuard {
     nn::infer::InferMode mode = nn::infer::infer_mode();
     ~ModeGuard() { nn::infer::set_infer_mode(mode); }
   } guard;
   nn::infer::set_infer_mode(nn::infer::InferMode::kAvx2);
-  expect_batch_matches_observe(detector(15), Precision::kDefault, close_step);
-  expect_batch_matches_observe(detector(0), Precision::kDefault, close_step);
+  expect_batch_matches_observe(detector(15));
+  expect_batch_matches_observe(detector(0));
 }
 
 }  // namespace

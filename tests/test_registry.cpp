@@ -6,8 +6,10 @@
 #include "registry/registry.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -181,6 +183,36 @@ TEST_F(RegistryFixture, PublishRejectsCorruptArchive) {
         << "error should carry the file path: " << e.what();
   }
   EXPECT_TRUE(registry.list().empty());
+}
+
+// The operator CLI rejects flags no command reads instead of ignoring
+// them: a dropped option such as --quantize must not publish anything.
+TEST_F(RegistryFixture, CliRejectsUnknownFlagsAndPublishesNothing) {
+  const std::string root = fresh_root("cli");
+  const std::string err = root + "_cli.err";
+  const auto run = [&](const std::string& args) {
+    const std::string command =
+        std::string(MISUSEDET_REGISTRY_BIN) + " " + args + " > /dev/null 2> " + err;
+    const int status = std::system(command.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  const auto stderr_text = [&] {
+    std::ifstream in(err);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(run("publish --root=" + root + " " + archive() + " --quantize=int8"), 2);
+  EXPECT_NE(stderr_text().find("unknown flag --quantize"), std::string::npos) << stderr_text();
+  EXPECT_EQ(run("list --root=" + root + " --no-verbose"), 2);
+  EXPECT_NE(stderr_text().find("unknown flag --verbose"), std::string::npos) << stderr_text();
+  EXPECT_TRUE(ModelRegistry(root).list().empty());
+
+  EXPECT_EQ(run("publish --root=" + root + " " + archive() + " --note=cli"), 0) << stderr_text();
+  EXPECT_EQ(run("list --root=" + root + " --no-json"), 0) << stderr_text();
+  EXPECT_EQ(run("--help"), 0) << stderr_text();
+  ASSERT_EQ(ModelRegistry(root).list().size(), 1u);
+  EXPECT_EQ(ModelRegistry(root).list().front().note, "cli");
 }
 
 TEST_F(RegistryFixture, LifecyclePromoteRollback) {

@@ -433,12 +433,12 @@ TEST_F(ServeProcessFixture, Kill9RecoveryMatchesBaseline) {
 
 // CliArgs folds "--no-X" into key "X" with value "false", so main must
 // read negative flags through their positive name; a consumption bug
-// once left --no-steps and --no-quant silently inert. Pin both through
-// the real binary: --no-steps suppresses per-step verdicts (reports
-// still drain), and --no-quant flips the quant gate before model load
-// (visible in the kernel-selection log line).
+// once left --no-steps silently inert. Pin it through the real binary:
+// --no-steps suppresses per-step verdicts (reports still drain). A flag
+// the server does not read, negated or not, must stop it before it
+// serves: exit 2, naming the flag.
 TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
-  ServeProcess proc({"--model=" + *model_path_, "--batch=4", "--no-steps", "--no-quant"});
+  ServeProcess proc({"--model=" + *model_path_, "--batch=4", "--no-steps"});
   int status = 0;
   const auto lines = feed_and_drain(proc, *trace_, status);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
@@ -446,12 +446,22 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
     EXPECT_EQ(line.find("\"type\":\"step\""), std::string::npos) << line;
   }
   EXPECT_EQ(session_reports(lines).size(), 6u) << "one report per drained session";
-  const auto logs = drain(proc.err());
-  EXPECT_TRUE(std::any_of(logs.begin(), logs.end(),
-                          [](const std::string& l) {
-                            return l.find("quantized sections off") != std::string::npos;
-                          }))
-      << "--no-quant did not reach the quant gate";
+
+  for (const std::string flag : {"--no-quant", "--quantize=int8"}) {
+    ServeProcess unknown({"--model=" + *model_path_, flag});
+    unknown.close_stdin();
+    const auto output = drain(unknown.out());
+    const int unknown_status = unknown.wait();
+    EXPECT_TRUE(WIFEXITED(unknown_status) && WEXITSTATUS(unknown_status) == 2) << flag;
+    EXPECT_TRUE(output.empty()) << flag << " wrote to stdout";
+    const auto logs = drain(unknown.err());
+    const std::string key = flag == "--no-quant" ? "--quant" : "--quantize";
+    EXPECT_TRUE(std::any_of(logs.begin(), logs.end(),
+                            [&](const std::string& l) {
+                              return l.find("unknown flag " + key) != std::string::npos;
+                            }))
+        << flag << " was not named";
+  }
 }
 
 // EOF drain without --metrics-out: the final metrics snapshot must still
