@@ -570,9 +570,9 @@ int run_cluster_bench(const CliArgs& args, const core::MisuseDetector& detector,
       for (std::size_t n = 0; n < node_count; ++n) {
         const std::string err =
             (work_dir / ("node" + std::to_string(n) + ".err")).string();
-        children.push_back(spawn_child({MISUSEDET_SERVE_BIN, "--model=" + model_path,
-                                        "--listen=0", "--io=epoll", "--idle-ttl=3600"},
-                                       err));
+        children.push_back(spawn_child(
+            {MISUSEDET_SERVE_BIN, "--model=" + model_path, "--listen=0", "--idle-ttl=3600"},
+            err));
         const std::uint16_t port = scrape_port(err);
         if (port == 0) {
           up = false;
@@ -644,7 +644,7 @@ int run_cluster_bench(const CliArgs& args, const core::MisuseDetector& detector,
   json.member("speedup_target", 2.5);
   json.member("note",
               "Horizontal scaling through misusedet_router: N misusedet_serve processes "
-              "(--io=epoll) plus the router, spawned for real; the interleaved trace streams "
+              "(--listen) plus the router, spawned for real; the interleaved trace streams "
               "through the router over TCP from client_connections concurrent connections "
               "(whole sessions per connection) and every per-event verdict is awaited "
               "(best-of wall clock). Acceptance: speedup_3_nodes >= speedup_target on hosts "

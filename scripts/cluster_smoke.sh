@@ -67,7 +67,7 @@ echo "== starting 3 nodes + router"
 node_pids=()
 node_specs=""
 for i in 1 2 3; do
-  "$serve" --model="$work/detector.bin" --listen=0 --io=epoll --idle-ttl=3600 \
+  "$serve" --model="$work/detector.bin" --listen=0 --idle-ttl=3600 \
     >"$work/node$i.out" 2>"$work/node$i.err" &
   node_pids+=($!)
   pids+=($!)

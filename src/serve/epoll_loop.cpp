@@ -75,10 +75,13 @@ bool EpollLoop::post(std::uint64_t conn, std::string data) {
 }
 
 void EpollLoop::update_interest(std::uint64_t id, Conn& conn, bool want_write) {
-  if (conn.want_write == want_write) return;
-  conn.want_write = want_write;
+  // A half-closed peer leaves its fd EPOLLIN-ready (EOF) for good, so
+  // from then on only writability may wake the loop for it.
+  const std::uint32_t interest = (conn.peer_eof ? 0u : EPOLLIN) | (want_write ? EPOLLOUT : 0u);
+  if (conn.interest == interest) return;
+  conn.interest = interest;
   epoll_event ev{};
-  ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+  ev.events = interest;
   ev.data.u64 = id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
@@ -115,6 +118,7 @@ void EpollLoop::accept_ready() {
     const std::uint64_t id = next_id_++;
     Conn& conn = conns_[id];
     conn.fd = fd;
+    conn.interest = EPOLLIN;
     {
       std::lock_guard<std::mutex> lock(posted_mutex_);
       live_ids_.insert(id);
@@ -150,11 +154,32 @@ bool EpollLoop::consume_lines(std::uint64_t id, Conn& conn) {
 }
 
 void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
+  // One read per readiness report, answered before the loop reads again.
+  // Level-triggered epoll re-reports a socket that still holds data once
+  // the other ready connections, posted output and on_tick have had
+  // their turn. Reading to EAGAIN first would hold back every reply to a
+  // backlog (the peer waits while this side scores it all), and a
+  // producer that keeps the socket readable would starve on_tick.
   char buf[kReadChunk];
-  while (true) {
-    std::size_t n = 0;
-    const IoStatus status = read_some(conn.fd, buf, sizeof(buf), n);
-    if (status == IoStatus::kOk) {
+  std::size_t n = 0;
+  switch (read_some(conn.fd, buf, sizeof(buf), n)) {
+    case IoStatus::kWouldBlock:
+      return;  // nothing arrived (or an injected EAGAIN); epoll re-reports
+    case IoStatus::kError:
+      retire(id, conn);  // peer reset
+      return;
+    case IoStatus::kEof:
+      // Half-close: deliver a final unterminated line (LineReader
+      // parity), flush what we owe, then retire.
+      conn.peer_eof = true;
+      if (!conn.in.empty()) {
+        std::string line = std::move(conn.in);
+        conn.in.clear();
+        if (line.back() == '\r') line.pop_back();
+        handlers_.on_line(id, line, conn.out);
+      }
+      break;
+    case IoStatus::kOk:
       conn.in.append(buf, n);
       if (!consume_lines(id, conn)) {
         retire(id, conn);
@@ -168,26 +193,9 @@ void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
         retire(id, conn);
         return;
       }
-      continue;  // level-triggered, but draining now saves a wakeup
-    }
-    if (status == IoStatus::kWouldBlock) break;
-    if (status == IoStatus::kEof) {
-      // Half-close: deliver a final unterminated line (LineReader
-      // parity), flush what we owe, then retire.
-      conn.peer_eof = true;
-      if (!conn.in.empty()) {
-        std::string line = std::move(conn.in);
-        conn.in.clear();
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        handlers_.on_line(id, line, conn.out);
-      }
       break;
-    }
-    retire(id, conn);  // kError: peer reset
-    return;
   }
-  if (!flush_conn(id, conn)) return;
-  if (conn.peer_eof && conn.out_off == conn.out.size()) retire(id, conn);
+  flush_conn(id, conn);
 }
 
 bool EpollLoop::flush_conn(std::uint64_t id, Conn& conn) {
@@ -205,6 +213,10 @@ bool EpollLoop::flush_conn(std::uint64_t id, Conn& conn) {
       return true;
     }
     retire(id, conn);  // kError: EPIPE/ECONNRESET under SIGPIPE-ignored
+    return false;
+  }
+  if (conn.peer_eof) {
+    retire(id, conn);  // half-closed and owed nothing more
     return false;
   }
   conn.out.clear();
@@ -233,10 +245,7 @@ void EpollLoop::drain_posted() {
       retire(id, conn);
       continue;
     }
-    if (!flush_conn(id, conn)) continue;
-    if (conn.peer_eof && conn.out_off == conn.out.size()) {
-      retire(id, conn);
-    }
+    flush_conn(id, conn);
   }
 }
 
@@ -272,13 +281,7 @@ void EpollLoop::run() {
         retire(id, conn);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) {
-        if (!flush_conn(id, conn)) continue;
-        if (conn.peer_eof && conn.out_off == conn.out.size()) {
-          retire(id, conn);
-          continue;
-        }
-      }
+      if ((events[i].events & EPOLLOUT) != 0 && !flush_conn(id, conn)) continue;
       if ((events[i].events & EPOLLIN) != 0) conn_readable(id, conn);
     }
     drain_posted();
@@ -296,9 +299,7 @@ void EpollLoop::run() {
   for (const std::uint64_t id : ids) {
     const auto it = conns_.find(id);
     if (it == conns_.end()) continue;
-    if (!flush_conn(id, it->second)) continue;
-    const auto again = conns_.find(id);
-    if (again != conns_.end()) retire(id, again->second);
+    if (flush_conn(id, it->second)) retire(id, it->second);
   }
   listener_.close();
 }

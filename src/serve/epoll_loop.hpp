@@ -1,9 +1,15 @@
 // Nonblocking NDJSON front end for the serving layer: one thread, one
-// level-triggered epoll set, any number of connections. Replaces the
-// thread-per-connection TCP loop for deployments with many concurrent
-// producers (the millions-of-sessions topology needs the router +
-// node cluster in src/router, and each node needs to hold thousands of
-// sockets without a thread each).
+// level-triggered epoll set, any number of connections. It is the TCP
+// front end of both misusedet_serve (--listen) and misusedet_router, so
+// a node or a router holds thousands of sockets without a thread each.
+//
+// Cadence: each readiness report gets one read of at most 16 KiB; the
+// complete lines in it go to on_line, and their replies are flushed
+// before the loop returns to epoll_wait. A socket that still holds data
+// is reported again once the other ready connections, posted output
+// and on_tick have had their turn, so a peer sees the answer to each
+// read while it sends the next, and a producer that never lets its
+// socket drain cannot starve the tick.
 //
 // Framing and hardening:
 //   * per-connection input buffer accumulates partial reads until a
@@ -15,18 +21,19 @@
 //     parks the connection on EPOLLOUT instead of busy-spinning, and a
 //     consumer that stops reading past the buffer cap is disconnected;
 //   * half-close (read EOF with a final unterminated line) delivers the
-//     last line, flushes pending replies, then closes;
+//     last line, flushes pending replies, then closes; from the EOF on
+//     the connection waits on EPOLLOUT only, because its fd stays
+//     readable (at EOF) and would otherwise wake the loop in a spin;
 //   * lines above max_line_bytes poison the connection (an unbounded
 //     line is a protocol violation or an attack, same contract as
 //     LineReader).
 //
 // The loop owns no scoring state: the on_line handler decides what a
-// line means (misusedet_serve calls ScoringServer::submit_sync — the
-// same call the thread-per-connection path makes, so scored output is
-// byte-identical per connection; misusedet_router forwards the line to
-// a cluster node). Cross-thread writers (the router's upstream reply
-// readers) inject output via post(), which wakes the loop through an
-// eventfd. See DESIGN.md "Cluster serving".
+// line means (misusedet_serve calls ScoringServer::submit_sync;
+// misusedet_router forwards the line to a cluster node). Cross-thread
+// writers (the router's upstream reply readers) inject output via
+// post(), which wakes the loop through an eventfd. See DESIGN.md "TCP
+// front end" and "Cluster serving".
 #pragma once
 
 #include <atomic>
@@ -110,17 +117,20 @@ class EpollLoop {
     std::string in;          // unconsumed partial frame
     std::string out;         // unflushed replies
     std::size_t out_off = 0; // flushed prefix of `out`
-    bool want_write = false; // EPOLLOUT armed
+    std::uint32_t interest = 0;  // epoll events registered for fd
     bool peer_eof = false;   // half-closed: no more input, flush then close
   };
 
   void accept_ready();
+  /// One read, its lines through on_line, then flush_conn.
   void conn_readable(std::uint64_t id, Conn& conn);
   /// Flushes conn.out; arms/disarms EPOLLOUT. Returns false when the
-  /// connection died (already retired).
+  /// connection was retired: it died, or it was half-closed and is now
+  /// owed nothing.
   bool flush_conn(std::uint64_t id, Conn& conn);
   void retire(std::uint64_t id, Conn& conn);
   void drain_posted();
+  /// Registers EPOLLIN (until peer EOF) plus EPOLLOUT when want_write.
   void update_interest(std::uint64_t id, Conn& conn, bool want_write);
   /// Splits complete lines out of conn.in and runs on_line for each.
   /// Returns false when the connection was poisoned (line cap).

@@ -7,10 +7,10 @@
 //
 // Modes:
 //   * default: events on stdin, verdicts on stdout (pipe-friendly);
-//   * --listen=PORT: accept TCP connections, one NDJSON stream each;
-//     verdicts return on the originating connection, while eviction /
-//     shutdown session reports go to stdout (sessions outlive
-//     connections).
+//   * --listen=PORT: accept TCP connections on one epoll loop, one
+//     NDJSON stream each; verdicts return on the originating connection,
+//     while eviction / shutdown session reports go to stdout (sessions
+//     outlive connections).
 //
 // Graceful shutdown: EOF on stdin, or SIGINT/SIGTERM in either mode,
 // drains the queued backlog and emits a session_report for every open
@@ -25,12 +25,12 @@
 //       [--admin-port=PORT] [--trace-sample=N]
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -49,7 +49,6 @@
 #include "util/fsio.hpp"
 #include "util/line_io.hpp"
 #include "util/logging.hpp"
-#include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -58,8 +57,21 @@ namespace {
 
 std::atomic<bool> g_stop{false};
 std::atomic<bool> g_reload{false};
+/// The TCP front end's loop while it runs. The SIGINT/SIGTERM handler
+/// stops it directly: request_stop() is an atomic store and an eventfd
+/// write, both async-signal-safe. g_handlers_running lets the loop's
+/// owner wait out a handler that read the pointer before it was cleared.
+std::atomic<EpollLoop*> g_loop{nullptr};
+std::atomic<int> g_handlers_running{0};
 
-void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
+void handle_signal(int) {
+  const int saved_errno = errno;
+  g_handlers_running.fetch_add(1);
+  g_stop.store(true, std::memory_order_relaxed);
+  if (EpollLoop* loop = g_loop.load()) loop->request_stop();
+  g_handlers_running.fetch_sub(1);
+  errno = saved_errno;
+}
 void handle_reload(int) { g_reload.store(true, std::memory_order_relaxed); }
 
 void install_signal_handlers() {
@@ -69,8 +81,8 @@ void install_signal_handlers() {
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
   // SIGHUP = "re-check the registry now" (hot-swap fast path). SA_RESTART
-  // keeps the blocking stdin/socket read alive: without it the signal
-  // fails std::cin with EINTR and the server mistakes that for EOF.
+  // keeps the blocking stdin read alive: without it the signal fails
+  // std::cin with EINTR and the server mistakes that for EOF.
   struct sigaction reload {};
   reload.sa_handler = handle_reload;
   reload.sa_flags = SA_RESTART;
@@ -104,7 +116,7 @@ class ModelReloader {
   }
 
   /// Version names for /statusz; readable from the admin thread while
-  /// the reloader runs on the sweeper/pipe thread.
+  /// the reloader runs on the main (pipe or loop) thread.
   std::string active_version() const {
     const std::uint64_t v = active_.load(std::memory_order_relaxed);
     return v == 0 ? std::string{} : registry::version_name(v);
@@ -114,7 +126,7 @@ class ModelReloader {
     return v == 0 ? std::string{} : registry::version_name(v);
   }
 
-  /// Called at batch boundaries (pipe mode) / sweeper ticks (TCP mode).
+  /// Called at batch boundaries (pipe mode) / loop ticks (TCP mode).
   void maybe_reload(std::vector<OutputRecord>& out) {
     const bool forced = g_reload.exchange(false, std::memory_order_relaxed);
     const auto now = std::chrono::steady_clock::now();
@@ -189,10 +201,6 @@ void print_usage(const std::string& program) {
       << "  --canary-fraction=X     fraction of sessions the shadow scores (default 1.0)\n"
       << "  --drift                 track served-action drift against the training mix\n"
       << "  --listen=PORT           serve NDJSON over TCP instead of stdin/stdout\n"
-      << "  --io=MODE               TCP front end: threads (one blocking reader per\n"
-      << "                          connection, default) | epoll (one nonblocking event\n"
-      << "                          loop for all connections — the cluster-node mode;\n"
-      << "                          scored output is byte-identical either way)\n"
       << "  --shards=N              session-table shards (default 4)\n"
       << "  --queue-capacity=N      per-shard event queue bound (default 1024)\n"
       << "  --backpressure=POLICY   block | drop_oldest (default block)\n"
@@ -218,16 +226,10 @@ void print_usage(const std::string& program) {
       << "  --resume-replay         after recovery, dedup producers that resend from origin\n";
 }
 
-void flush_records(std::vector<OutputRecord>& records, std::ostream& out, std::mutex* mutex) {
+void flush_records(std::vector<OutputRecord>& records, std::ostream& out) {
   if (records.empty()) return;
-  if (mutex != nullptr) {
-    std::lock_guard<std::mutex> lock(*mutex);
-    for (const auto& r : records) out << r.line << '\n';
-    out.flush();
-  } else {
-    for (const auto& r : records) out << r.line << '\n';
-    out.flush();
-  }
+  for (const auto& r : records) out << r.line << '\n';
+  out.flush();
   records.clear();
 }
 
@@ -249,14 +251,14 @@ int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reload
     }
     while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
       server.pump(out);
-      flush_records(out, std::cout, nullptr);
+      flush_records(out, std::cout);
     }
     if (++batched >= batch_max) {
       server.pump(out);
       server.sweep(out);
       server.maybe_checkpoint(out);
       if (reloader != nullptr) reloader->maybe_reload(out);
-      flush_records(out, std::cout, nullptr);
+      flush_records(out, std::cout);
       batched = 0;
     }
   }
@@ -264,95 +266,14 @@ int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reload
     log_warn() << "input line exceeded the size cap; draining and shutting down";
   }
   server.shutdown(out);
-  flush_records(out, std::cout, nullptr);
+  flush_records(out, std::cout);
   return 0;
 }
 
-/// TCP mode: one blocking reader thread per connection, verdicts written
-/// back on the same connection; session reports (evictions, shutdown
-/// drain) go to stdout under a shared mutex.
-int run_tcp(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
-  TcpListener listener = TcpListener::bind(port);
-  log_info() << "listening on port " << listener.port();
-  std::mutex stdout_mutex;
-
-  std::vector<std::thread> connections;
-  std::vector<std::weak_ptr<TcpStream>> open_streams;
-  std::mutex connections_mutex;
-
-  // Periodic TTL sweeps: event-time driven, checked on a coarse wall tick.
-  // The same tick drives registry hot-swaps; connection threads blocked in
-  // submit_sync simply observe the new model once the barrier releases.
-  std::thread sweeper([&server, &stdout_mutex, reloader] {
-    std::vector<OutputRecord> out;
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(500));
-      server.sweep(out);
-      server.maybe_checkpoint(out);
-      if (reloader != nullptr) reloader->maybe_reload(out);
-      flush_records(out, std::cout, &stdout_mutex);
-    }
-  });
-
-  // Watches for the signal flag, then closes the listener and half-closes
-  // every open connection so blocked accept()/read() calls return.
-  std::thread stopper([&listener, &open_streams, &connections_mutex] {
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    listener.close();
-    std::lock_guard<std::mutex> lock(connections_mutex);
-    for (const auto& weak : open_streams) {
-      if (const auto stream = weak.lock()) stream->shutdown_read();
-    }
-  });
-
-  while (auto conn = listener.accept()) {
-    auto stream = std::make_shared<TcpStream>(std::move(*conn));
-    std::lock_guard<std::mutex> lock(connections_mutex);
-    open_streams.push_back(stream);
-    connections.emplace_back([stream = std::move(stream), &server] {
-          LineReader reader(stream->io());
-          std::string line;
-          std::string error;
-          std::vector<OutputRecord> out;
-          while (!g_stop.load(std::memory_order_relaxed) && reader.next(line)) {
-            if (line.empty()) continue;
-            Event event;
-            if (!parse_event(line, event, error)) {
-              serve_metrics().parse_errors.inc();
-              stream->io() << render_error_record(error, line) << '\n';
-              stream->io().flush();
-              continue;
-            }
-            server.submit_sync(event, out);
-            for (const auto& r : out) stream->io() << r.line << '\n';
-            stream->io().flush();
-            out.clear();
-          }
-          stream->shutdown_write();
-        });
-  }
-
-  g_stop.store(true, std::memory_order_relaxed);
-  stopper.join();
-  sweeper.join();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex);
-    for (auto& t : connections) t.join();
-  }
-  std::vector<OutputRecord> out;
-  server.shutdown(out);
-  flush_records(out, std::cout, &stdout_mutex);
-  return 0;
-}
-
-/// Epoll TCP mode: every connection multiplexed onto one nonblocking
-/// event loop. Each complete line goes through the same submit_sync call
-/// the thread-per-connection path makes, so per-connection scored output
-/// is byte-identical to --io=threads; TTL sweeps, checkpoints, and
-/// registry reloads ride the loop's tick (no sweeper thread), with
-/// session reports on stdout as before.
+/// TCP mode: every connection multiplexed onto one nonblocking event
+/// loop, each line scored through submit_sync and its verdict written
+/// back on the same connection. TTL sweeps, checkpoints and registry
+/// reloads ride the loop's tick, with session reports on stdout.
 int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
   EpollConfig config;
   config.port = port;
@@ -381,27 +302,20 @@ int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader
     server.sweep(out);
     server.maybe_checkpoint(out);
     if (reloader != nullptr) reloader->maybe_reload(out);
-    flush_records(out, std::cout, nullptr);
+    flush_records(out, std::cout);
   };
   EpollLoop loop(config, handlers);
-  log_info() << "listening on port " << loop.port() << " (epoll)";
+  log_info() << "listening on port " << loop.port();
 
-  // The loop wakes at least every tick, so a signal turns into
-  // request_stop within one tick; the watcher thread just narrows that
-  // window the same way the threads-mode stopper does.
-  std::thread stopper([&loop] {
-    while (!g_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    loop.request_stop();
-  });
+  g_loop.store(&loop);
+  if (g_stop.load()) loop.request_stop();  // a signal that came before the pointer
   loop.run();
-  g_stop.store(true, std::memory_order_relaxed);
-  stopper.join();
+  g_loop.store(nullptr);
+  while (g_handlers_running.load() != 0) std::this_thread::yield();
 
   std::vector<OutputRecord> out;
   server.shutdown(out);
-  flush_records(out, std::cout, nullptr);
+  flush_records(out, std::cout);
   return 0;
 }
 
@@ -411,7 +325,7 @@ constexpr std::string_view kKnownFlags[] = {
     // Usage, model source and hot swap.
     "help", "model", "registry", "registry-poll", "shadow", "canary-fraction", "drift",
     // Front end and session table.
-    "listen", "io", "shards", "queue-capacity", "backpressure", "idle-ttl", "max-sessions", "batch",
+    "listen", "shards", "queue-capacity", "backpressure", "idle-ttl", "max-sessions", "batch",
     "threads",
     // Scoring and output.
     "alarm-likelihood", "trend-window", "trend-drop", "infer", "steps", "metrics-out",
@@ -530,7 +444,7 @@ int serve_main(int argc, char** argv) {
     // traffic; replayed records carry their original sequence numbers.
     std::vector<OutputRecord> recovered;
     server.recover(recovered);
-    flush_records(recovered, std::cout, nullptr);
+    flush_records(recovered, std::cout);
   }
   std::optional<ModelReloader> reloader;
   if (registry) {
@@ -578,14 +492,7 @@ int serve_main(int argc, char** argv) {
   }
 
   if (args.has("listen")) {
-    const std::uint16_t listen_port = static_cast<std::uint16_t>(args.integer("listen", 0));
-    const std::string io = args.str("io", "threads");
-    if (io == "epoll") return run_epoll(server, listen_port, reloader_ptr);
-    if (io != "threads") {
-      std::cerr << "unknown --io mode '" << io << "' (threads | epoll)\n";
-      return 2;
-    }
-    return run_tcp(server, listen_port, reloader_ptr);
+    return run_epoll(server, static_cast<std::uint16_t>(args.integer("listen", 0)), reloader_ptr);
   }
   return run_pipe(server, static_cast<std::size_t>(args.integer("batch", 256)), reloader_ptr);
 }

@@ -1,13 +1,17 @@
 // EpollLoop hardening tests: the nonblocking NDJSON front end must
 // survive adversarial producers (slow-loris drips, oversized lines,
 // half-closes, consumers that stop reading) and high connection churn
-// without leaking a connection or stalling the loop thread. Scoring
-// byte-identity between --io=epoll and --io=threads is pinned
-// separately in test_serve_process.cpp; these tests exercise the loop
-// in isolation with an echo handler.
+// without leaking a connection or stalling the loop thread, and must
+// answer each read before it reads again. Scoring byte-identity of the
+// TCP front end against pipe mode is pinned separately in
+// test_serve_process.cpp; these tests exercise the loop in isolation
+// with an echo handler.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -15,11 +19,13 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/epoll_loop.hpp"
+#include "util/failpoint.hpp"
 #include "util/line_io.hpp"
 #include "util/socket.hpp"
 
@@ -27,6 +33,36 @@ namespace misuse::serve {
 namespace {
 
 using namespace std::chrono_literals;
+
+/// Reads one line (terminator stripped) from `fd` within `limit`; false
+/// on timeout, EOF or error. Bytes past the line stay in `pending`.
+bool read_line_within(int fd, std::string& pending, std::string& line,
+                      std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (true) {
+    const std::size_t nl = pending.find('\n');
+    if (nl != std::string::npos) {
+      line = pending.substr(0, nl);
+      pending.erase(0, nl + 1);
+      return true;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd ready{fd, POLLIN, 0};
+    if (::poll(&ready, 1, static_cast<int>(left.count())) <= 0) return false;
+    char buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) return false;
+    pending.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+double cpu_seconds(clockid_t clock) {
+  timespec ts{};
+  ::clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 /// Runs an EpollLoop on its own thread; the default handler echoes
 /// every line back as "ack:<line>\n".
@@ -278,6 +314,151 @@ TEST_F(EpollFixture, TwoConnectionsInterleaveIndependently) {
     ASSERT_TRUE(reader_a.next(line));
     EXPECT_EQ(line, "ack:a-" + std::to_string(round));
   }
+}
+
+TEST_F(EpollFixture, AnswersEachReadBeforeReadingTheNext) {
+  // Line 2 is written only while line 1's handler runs, so it arrives in
+  // a later read; its handler then waits until the client holds reply 1.
+  // A loop that reads to EAGAIN before it flushes runs handler 2 with
+  // reply 1 still buffered, and the client waits in vain.
+  struct Cadence {
+    std::atomic<bool> line1_running{false};
+    std::atomic<bool> line2_sent{false};
+    std::atomic<bool> reply1_held{false};
+  };
+  // Shared, not by reference: a failed assertion returns while the loop
+  // thread may still be inside a handler.
+  const auto cadence = std::make_shared<Cadence>();
+  EpollHandlers handlers;
+  handlers.on_line = [cadence](std::uint64_t, std::string_view line, std::string& replies) {
+    if (line == "one") {
+      cadence->line1_running.store(true);
+      eventually([&] { return cadence->line2_sent.load(); });
+      std::this_thread::sleep_for(20ms);  // line 2 reaches the socket buffer
+    } else {
+      eventually([&] { return cadence->reply1_held.load(); }, 3s);
+    }
+    replies.append("ack:").append(line).push_back('\n');
+  };
+  start({}, std::move(handlers));
+  TcpStream client = connect();
+  client.io() << "one\n" << std::flush;
+  ASSERT_TRUE(eventually([&] { return cadence->line1_running.load(); }));
+  client.io() << "two\n" << std::flush;
+  cadence->line2_sent.store(true);
+  std::string pending;
+  std::string line;
+  ASSERT_TRUE(read_line_within(client.fd(), pending, line, 2s))
+      << "reply 1 was held back until line 2 had been handled";
+  EXPECT_EQ(line, "ack:one");
+  cadence->reply1_held.store(true);
+  ASSERT_TRUE(read_line_within(client.fd(), pending, line, 5s));
+  EXPECT_EQ(line, "ack:two");
+}
+
+TEST_F(EpollFixture, TicksFireWhileAProducerKeepsTheSocketReadable) {
+  // The writer outpaces the handler, so the socket holds data from the
+  // first line to the last. on_tick must still run meanwhile: it is
+  // where misusedet_serve sweeps idle sessions.
+  constexpr int kLines = 4000;
+  struct Progress {
+    std::atomic<int> lines{0};
+    std::atomic<int> ticks_between{0};  // ticks after the first line, before the last
+  };
+  const auto progress = std::make_shared<Progress>();
+  EpollConfig config;
+  config.tick_seconds = 0.05;
+  EpollHandlers handlers;
+  handlers.on_line = [progress](std::uint64_t, std::string_view, std::string&) {
+    std::this_thread::sleep_for(100us);
+    progress->lines.fetch_add(1);
+  };
+  handlers.on_tick = [progress] {
+    const int seen = progress->lines.load();
+    if (seen > 0 && seen < kLines) progress->ticks_between.fetch_add(1);
+  };
+  start(config, std::move(handlers));
+  TcpStream client = connect();
+  std::thread writer([&client] {
+    const std::string line = std::string(63, 'w') + "\n";
+    for (int i = 0; i < kLines; ++i) client.io() << line;
+    client.io().flush();
+  });
+  writer.join();
+  ASSERT_TRUE(eventually([&] { return progress->lines.load() == kLines; }, 30s));
+  // At least 0.4 s of handler time between the first and the last line.
+  EXPECT_GE(progress->ticks_between.load(), 3);
+}
+
+TEST_F(EpollFixture, HalfClosedPeerThatDoesNotReadCostsNoCpu) {
+  // The peer half-closes, then leaves a large reply unread. Its fd stays
+  // readable (at EOF) while the reply waits on writability; the loop
+  // must sleep on EPOLLOUT rather than re-read the EOF in a spin.
+  constexpr std::size_t kReply = 64u << 20;
+  EpollConfig config;
+  config.max_output_bytes = 2 * kReply;
+  EpollHandlers handlers;
+  handlers.on_line = [this](std::uint64_t, std::string_view, std::string& replies) {
+    replies.append(kReply, 'r');
+    replies.push_back('\n');
+    lines_seen_.fetch_add(1, std::memory_order_relaxed);
+  };
+  start(config, std::move(handlers));
+  TcpStream client = connect();
+  client.io() << "big\n" << std::flush;
+  client.shutdown_write();
+  ASSERT_TRUE(eventually([this] { return lines_seen_.load() == 1; }));
+  std::this_thread::sleep_for(100ms);  // the loop reads the EOF and parks
+  clockid_t clock{};
+  ASSERT_EQ(::pthread_getcpuclockid(thread_.native_handle(), &clock), 0);
+  const double before = cpu_seconds(clock);
+  std::this_thread::sleep_for(500ms);
+  EXPECT_LT(cpu_seconds(clock) - before, 0.1)
+      << "the loop thread spun while the reply waited on a half-closed peer";
+
+  std::size_t received = 0;
+  bool intact = true;
+  std::vector<char> buf(1 << 16);
+  while (true) {
+    const ssize_t n = ::read(client.fd(), buf.data(), buf.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF once the reply is flushed
+    for (ssize_t i = 0; i < n; ++i) {
+      const char want = received + static_cast<std::size_t>(i) < kReply ? 'r' : '\n';
+      intact = intact && buf[static_cast<std::size_t>(i)] == want;
+    }
+    received += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(received, kReply + 1);
+  EXPECT_TRUE(intact);
+  EXPECT_TRUE(eventually([this] { return closes_seen_.load() == 1; }));
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(closes_seen_.load(), 1u);
+}
+
+TEST_F(EpollFixture, EchoSurvivesInjectedEagainAndShortWrites) {
+  if (!failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  failpoints::configure(
+      "socket.nb.read=every:2;socket.nb.write.short=every:2;socket.nb.write.block=every:3");
+  struct ClearFailpoints {
+    ~ClearFailpoints() { failpoints::clear(); }
+  } clear_failpoints;
+  start();
+  TcpStream client = connect();
+  LineReader reader(client.io());
+  std::string line;
+  // One line per round trip, so every line is its own read and every
+  // reply its own flush: each site is evaluated about 200 times.
+  constexpr int kLines = 200;
+  for (int i = 0; i < kLines; ++i) {
+    client.io() << "line-" << i << "\n" << std::flush;
+    ASSERT_TRUE(reader.next(line)) << "reply " << i;
+    ASSERT_EQ(line, "ack:line-" + std::to_string(i));
+  }
+  EXPECT_EQ(lines_seen_.load(), static_cast<std::uint64_t>(kLines));
+  EXPECT_GT(failpoints::triggered("socket.nb.read"), 0u);
+  EXPECT_GT(failpoints::triggered("socket.nb.write.short"), 0u);
+  EXPECT_GT(failpoints::triggered("socket.nb.write.block"), 0u);
 }
 
 TEST_F(EpollFixture, StopFlushesAndClosesEverything) {

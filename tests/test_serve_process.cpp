@@ -1,7 +1,8 @@
 // End-to-end process tests of the misusedet_serve binary (path baked in
 // as MISUSEDET_SERVE_BIN): SIGTERM graceful drain with live TCP
-// connections mid-session, and kill -9 crash recovery via --wal-dir —
-// the recovered run's session reports must match an uninterrupted run's.
+// connections mid-session, the TCP front end's verdicts against pipe
+// mode's, and kill -9 crash recovery via --wal-dir — the recovered run's
+// session reports must match an uninterrupted run's.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -14,10 +15,12 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -267,14 +270,16 @@ class ServeProcessFixture : public ::testing::Test {
   }
 
   /// Reference run: the whole trace through one uninterrupted pipe-mode
-  /// process, no WAL.
-  static std::vector<std::string> baseline_reports() {
+  /// process, no WAL. Returns every stdout line.
+  static std::vector<std::string> pipe_run() {
     ServeProcess proc({"--model=" + *model_path_, "--batch=4"});
     int status = 0;
     const auto lines = feed_and_drain(proc, *trace_, status);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    return session_reports(lines);
+    return lines;
   }
+
+  static std::vector<std::string> baseline_reports() { return session_reports(pipe_run()); }
 
   static std::string* model_path_;
   static std::vector<std::string>* trace_;
@@ -339,58 +344,49 @@ TEST_F(ServeProcessFixture, SigtermDrainsOpenTcpSessions) {
   }
 }
 
-// Differential lockdown of the epoll front end: the identical trace,
-// split across two TCP connections in lockstep, must produce byte-equal
-// per-connection verdict streams and byte-equal shutdown session
-// reports under --io=threads and --io=epoll. The epoll loop feeds the
-// same ScoringServer::submit_sync the blocking path does, so any
-// divergence is a framing or routing bug in the front end.
-TEST_F(ServeProcessFixture, EpollFrontEndMatchesThreadsByteForByte) {
-  struct TcpRun {
-    std::vector<std::vector<std::string>> per_connection;
-    std::vector<std::string> reports;
-  };
-  const auto run_mode = [&](const std::string& io_mode) {
-    TcpRun result;
-    ServeProcess proc({"--model=" + *model_path_, "--listen=0", "--io=" + io_mode});
-    const std::uint16_t port = proc.wait_for_port();
-    EXPECT_GT(port, 0);
-    std::vector<TcpStream> clients;
-    clients.push_back(tcp_connect("127.0.0.1", port));
-    clients.push_back(tcp_connect("127.0.0.1", port));
-    std::vector<std::unique_ptr<LineReader>> readers;
-    for (auto& client : clients) readers.push_back(std::make_unique<LineReader>(client.io()));
-    result.per_connection.resize(clients.size());
-    // Lockstep (send one event, read its verdict) pins the server-side
-    // arrival order, so both io modes score the exact same sequence.
-    for (std::size_t i = 0; i < trace_->size(); ++i) {
-      const std::size_t c = i % clients.size();
-      clients[c].io() << (*trace_)[i] << "\n";
-      clients[c].io().flush();
-      std::string verdict;
-      if (!readers[c]->next(verdict)) {
-        ADD_FAILURE() << io_mode << ": no verdict for event " << i;
-        break;
-      }
-      result.per_connection[c].push_back(verdict);
-    }
-    for (auto& client : clients) client.shutdown_write();
-    proc.signal(SIGTERM);
-    const auto lines = drain(proc.out());
-    const int status = proc.wait();
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << io_mode;
-    result.reports = session_reports(lines);
-    return result;
-  };
+// Differential lockdown of the TCP front end against pipe mode, the
+// reference path: the trace, split across two TCP connections in
+// lockstep, must produce pipe mode's step lines in the same order, and
+// byte-equal shutdown session reports. The loop feeds each line to
+// ScoringServer::submit_sync, so any divergence is a framing or routing
+// bug in the front end.
+TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
+  const auto pipe_lines = pipe_run();
+  std::vector<std::string> pipe_steps;
+  std::copy_if(pipe_lines.begin(), pipe_lines.end(), std::back_inserter(pipe_steps),
+               [](const std::string& line) {
+                 return line.find("\"type\":\"step\"") != std::string::npos;
+               });
+  ASSERT_EQ(pipe_steps.size(), trace_->size()) << "one step verdict per event";
 
-  const TcpRun threads = run_mode("threads");
-  const TcpRun epoll = run_mode("epoll");
-  ASSERT_EQ(threads.per_connection.size(), epoll.per_connection.size());
-  for (std::size_t c = 0; c < threads.per_connection.size(); ++c) {
-    EXPECT_EQ(threads.per_connection[c], epoll.per_connection[c]) << "connection " << c;
+  ServeProcess proc({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t port = proc.wait_for_port();
+  ASSERT_GT(port, 0);
+  std::vector<TcpStream> clients;
+  clients.push_back(tcp_connect("127.0.0.1", port));
+  clients.push_back(tcp_connect("127.0.0.1", port));
+  std::vector<std::unique_ptr<LineReader>> readers;
+  for (auto& client : clients) readers.push_back(std::make_unique<LineReader>(client.io()));
+  // Lockstep (send one event, read its verdict) pins the server-side
+  // arrival order to the trace order pipe mode scores.
+  std::vector<std::string> tcp_steps;
+  for (std::size_t i = 0; i < trace_->size(); ++i) {
+    const std::size_t c = i % clients.size();
+    clients[c].io() << (*trace_)[i] << "\n";
+    clients[c].io().flush();
+    std::string verdict;
+    ASSERT_TRUE(readers[c]->next(verdict)) << "no verdict for event " << i;
+    tcp_steps.push_back(verdict);
   }
-  ASSERT_EQ(epoll.reports.size(), 6u) << "one shutdown report per session";
-  EXPECT_EQ(threads.reports, epoll.reports);
+  for (auto& client : clients) client.shutdown_write();
+  proc.signal(SIGTERM);
+  const auto lines = drain(proc.out());
+  const int status = proc.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(tcp_steps, pipe_steps);
+  const auto reports = session_reports(lines);
+  ASSERT_EQ(reports.size(), 6u) << "one shutdown report per session";
+  EXPECT_EQ(reports, session_reports(pipe_lines));
 }
 
 // kill -9 mid-replay, restart on the same --wal-dir with --resume-replay,
@@ -447,7 +443,14 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
   }
   EXPECT_EQ(session_reports(lines).size(), 6u) << "one report per drained session";
 
-  for (const std::string flag : {"--no-quant", "--quantize=int8"}) {
+  // Each flag with the name the server must report.
+  const std::pair<std::string, std::string> unknown_flags[] = {
+      {"--no-quant", "--quant"},
+      {"--quantize=int8", "--quantize"},
+      {"--io=threads", "--io"},
+      {"--io=epoll", "--io"},
+  };
+  for (const auto& [flag, key] : unknown_flags) {
     ServeProcess unknown({"--model=" + *model_path_, flag});
     unknown.close_stdin();
     const auto output = drain(unknown.out());
@@ -455,7 +458,6 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
     EXPECT_TRUE(WIFEXITED(unknown_status) && WEXITSTATUS(unknown_status) == 2) << flag;
     EXPECT_TRUE(output.empty()) << flag << " wrote to stdout";
     const auto logs = drain(unknown.err());
-    const std::string key = flag == "--no-quant" ? "--quant" : "--quantize";
     EXPECT_TRUE(std::any_of(logs.begin(), logs.end(),
                             [&](const std::string& l) {
                               return l.find("unknown flag " + key) != std::string::npos;
