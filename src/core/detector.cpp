@@ -275,38 +275,27 @@ void MisuseDetector::step_cluster_into(std::size_t c, ClusterState& state, int a
 
 void MisuseDetector::step_cluster_batch(std::size_t c, std::span<ClusterState* const> states,
                                         std::span<const int> actions,
-                                        std::span<std::vector<float>* const> out,
-                                        std::span<std::uint8_t> dist_ready) const {
+                                        std::span<std::vector<float>* const> out) const {
   assert(states.size() == actions.size() && states.size() == out.size());
-  assert(dist_ready.empty() || dist_ready.size() == states.size());
-  const bool may_defer = !dist_ready.empty();
-  if (may_defer) std::fill(dist_ready.begin(), dist_ready.end(), std::uint8_t{1});
-  // Engine rows go through step_batch as one fused call; rows are
-  // independent in every kernel, so the result stays bit-identical to
-  // stepping each row alone. Degraded and model-path rows step
-  // individually.
+  // Engine rows go through step_batch as one call; rows are independent
+  // in every kernel, so the result stays bit-identical to stepping each
+  // row alone. Degraded and model-path rows step individually.
   thread_local nn::infer::EngineScratch scratch;
   std::vector<nn::infer::EngineState*> eng_states;
   std::vector<int> eng_actions;
   std::vector<std::vector<float>*> eng_out;
-  std::vector<std::size_t> eng_rows;
   for (std::size_t i = 0; i < states.size(); ++i) {
     ClusterState& state = *states[i];
-    if (cluster_degraded(c) || !state.use_engine) continue;
+    if (cluster_degraded(c) || !state.use_engine) {
+      step_cluster_into(c, state, actions[i], *out[i]);
+      continue;
+    }
     state.last_action = actions[i];
     eng_states.push_back(&state.eng);
     eng_actions.push_back(actions[i]);
     eng_out.push_back(out[i]);
-    eng_rows.push_back(i);
   }
-  if (!eng_states.empty() &&
-      engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch, may_defer)) {
-    for (const std::size_t i : eng_rows) dist_ready[i] = 0;
-  }
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    if (!cluster_degraded(c) && states[i]->use_engine) continue;
-    step_cluster_into(c, *states[i], actions[i], *out[i]);
-  }
+  if (!eng_states.empty()) engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch);
 }
 
 void MisuseDetector::materialize_cluster_dist(std::size_t c, const ClusterState& state,

@@ -184,19 +184,15 @@ class MisuseDetector {
   void step_cluster_into(std::size_t c, ClusterState& state, int action,
                          std::vector<float>& out) const;
   /// Batched steps for one cluster: states[i] advances on actions[i] into
-  /// *out[i]. Bit-identical to step_cluster_into row by row, in order.
-  ///
-  /// When dist_ready is non-empty (size == states.size()), the engine may
-  /// defer each row's head + softmax: dist_ready[i] records whether
-  /// *out[i] was filled (rows outside the fused engine path always are).
-  /// Recover a deferred row's distribution — unchanged, from the row's
-  /// advanced state — with materialize_cluster_dist.
+  /// *out[i]. Engine rows run as one batch through the inference engine
+  /// (each weight row read once for all of them); the result is
+  /// bit-identical to step_cluster_into row by row, in order.
   void step_cluster_batch(std::size_t c, std::span<ClusterState* const> states,
-                          std::span<const int> actions, std::span<std::vector<float>* const> out,
-                          std::span<std::uint8_t> dist_ready = {}) const;
+                          std::span<const int> actions,
+                          std::span<std::vector<float>* const> out) const;
   /// Fills `out` with the next-action distribution implied by the state's
-  /// last advance (the tail step_cluster_batch deferred). Only valid for
-  /// rows a batched step left with dist_ready[i] == 0.
+  /// last advance (the engine's head + softmax alone, bit-identical to
+  /// what that advance wrote). Engine states only.
   void materialize_cluster_dist(std::size_t c, const ClusterState& state,
                                 std::vector<float>& out) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <numeric>
 
 #include "core/observability.hpp"
@@ -157,13 +156,11 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
     assert(&monitors[i]->detector_ == &detector);
     voted[i] = monitors[i]->begin_step(actions[i], results[i]);
   }
-  // Then each row's final lane advance, as one fused step per cluster.
-  // Heads are deferred so the engine's fused path skips its batched head;
-  // each row's distribution is then finished alone, as observe() does.
+  // Then each row's final lane advance, as one batched step per cluster
+  // (gates and head alike: every verdict reads its row's distribution).
   std::vector<MisuseDetector::ClusterState*> states;
   std::vector<int> previous;
   std::vector<std::vector<float>*> outs;
-  std::vector<std::uint8_t> ready;
   for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
     states.clear();
     previous.clear();
@@ -175,12 +172,7 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
       outs.push_back(&monitors[i]->dist_);
       ++voted[i]->consumed;
     }
-    if (states.empty()) continue;
-    ready.resize(states.size());
-    detector.step_cluster_batch(c, states, previous, outs, ready);
-    for (std::size_t j = 0; j < states.size(); ++j) {
-      if (ready[j] == 0) detector.materialize_cluster_dist(c, *states[j], *outs[j]);
-    }
+    if (!states.empty()) detector.step_cluster_batch(c, states, previous, outs);
   }
   for (std::size_t i = 0; i < monitors.size(); ++i) {
     monitors[i]->finish_step(actions[i], results[i]);

@@ -101,10 +101,11 @@ class OnlineMonitor {
   /// A monitor may appear at most once. Lanes catching up after a vote
   /// switch replay per row; each row's final advance, on its previous
   /// action, runs as one batched forward per cluster across all monitors
-  /// (the inference engine's step_batch). Under either kernel mode this
-  /// is bit-identical to calling monitors[i]->observe(actions[i]) in
-  /// order — sessions only share read-only weights, and the fused AVX2
-  /// tiles compute each row exactly as the one-row kernels do.
+  /// (the inference engine's step_batch, head included). Under either
+  /// kernel mode this is bit-identical to calling
+  /// monitors[i]->observe(actions[i]) in order — sessions only share
+  /// read-only weights, and the batch kernels compute each row exactly
+  /// as a one-row step does.
   static void observe_batch(const MisuseDetector& detector,
                             std::span<OnlineMonitor* const> monitors,
                             std::span<const int> actions, std::span<StepResult> results);

@@ -29,21 +29,34 @@ namespace {
 // compiler makes the same contraction choice for both, whatever the
 // flags. The nonlinearities/cell update are the same inline helpers
 // (nn/gate_math.hpp) the reference compiles.
+//
+// Batching: p runs outer, the batch row in the middle, j inner. Every
+// output element still sees its own row's seed and then h[i][p] * w(p, j)
+// for p ascending (with that row's own zero skip), so row i's bits do not
+// depend on the batch it rides in; only the weight row w(p, ·) is shared,
+// read once per batch while it is hot in L1.
 
-void scalar_gates(const LstmWeights& w, const float* h, int token, float* gates) {
+void scalar_gates_batch(const LstmWeights& w, const float* const* h, const int* tokens,
+                        float* const* gates, std::size_t n) {
   const std::size_t hidden = w.hidden;
   const std::size_t g4 = 4 * hidden;
-  for (std::size_t j = 0; j < g4; ++j) gates[j] = w.bias[j];
-  if (token != kPadToken) {
-    assert(token >= 0 && static_cast<std::size_t>(token) < w.vocab);
-    const float* wxrow = w.wx + static_cast<std::size_t>(token) * g4;
-    for (std::size_t j = 0; j < g4; ++j) gates[j] += wxrow[j];
+  for (std::size_t i = 0; i < n; ++i) {
+    float* g = gates[i];
+    for (std::size_t j = 0; j < g4; ++j) g[j] = w.bias[j];
+    if (tokens[i] != kPadToken) {
+      assert(tokens[i] >= 0 && static_cast<std::size_t>(tokens[i]) < w.vocab);
+      const float* wxrow = w.wx + static_cast<std::size_t>(tokens[i]) * g4;
+      for (std::size_t j = 0; j < g4; ++j) g[j] += wxrow[j];
+    }
   }
   for (std::size_t p = 0; p < hidden; ++p) {
-    const float hp = h[p];
-    if (hp == 0.0f) continue;  // matches gemm_rows' zero-skip
     const float* wrow = w.wh + p * g4;
-    for (std::size_t j = 0; j < g4; ++j) gates[j] += hp * wrow[j];
+    for (std::size_t i = 0; i < n; ++i) {
+      const float hp = h[i][p];
+      if (hp == 0.0f) continue;  // matches gemm_rows' zero-skip
+      float* g = gates[i];
+      for (std::size_t j = 0; j < g4; ++j) g[j] += hp * wrow[j];
+    }
   }
 }
 
@@ -52,18 +65,26 @@ void scalar_activate_update(float* gates, std::size_t hidden, float* c, float* h
   lstm_cell_update(gates, hidden, c, h);
 }
 
-void scalar_head(const LstmWeights& w, const float* h, float* logits) {
+void scalar_head_batch(const LstmWeights& w, const float* const* h, float* const* logits,
+                       std::size_t n) {
   const std::size_t hidden = w.hidden;
-  const std::size_t n = w.head_out;
-  for (std::size_t j = 0; j < n; ++j) logits[j] = 0.0f;  // Dense::infer gemm has beta == 0
+  const std::size_t v = w.head_out;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < v; ++j) logits[i][j] = 0.0f;  // Dense::infer gemm has beta == 0
+  }
   for (std::size_t p = 0; p < hidden; ++p) {
-    const float hp = h[p];
-    if (hp == 0.0f) continue;
-    const float* wrow = w.head_w + p * n;
-    for (std::size_t j = 0; j < n; ++j) logits[j] += hp * wrow[j];
+    const float* wrow = w.head_w + p * v;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float hp = h[i][p];
+      if (hp == 0.0f) continue;
+      float* row = logits[i];
+      for (std::size_t j = 0; j < v; ++j) row[j] += hp * wrow[j];
+    }
   }
   // Bias lands AFTER the full accumulation, as add_row_broadcast does.
-  for (std::size_t j = 0; j < n; ++j) logits[j] += w.head_b[j];
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < v; ++j) logits[i][j] += w.head_b[j];
+  }
 }
 
 void scalar_softmax(const float* logits, std::size_t n, float* probs) {
@@ -81,7 +102,7 @@ const Kernels* select_kernels() {
 
 const Kernels* scalar_kernels() {
   static const Kernels kernels = {
-      &scalar_gates, &scalar_activate_update, &scalar_head, &scalar_softmax, nullptr, nullptr,
+      &scalar_gates_batch, &scalar_activate_update, &scalar_head_batch, &scalar_softmax,
   };
   return &kernels;
 }
@@ -117,32 +138,24 @@ EngineState LstmInferEngine::make_state() const {
 
 void LstmInferEngine::step(EngineState& state, int action, std::vector<float>& probs,
                            EngineScratch& scratch) const {
-  const Kernels* k = select_kernels();
-  scratch.gates.resize(4 * w_.hidden);
-  float* gates = scratch.gates.data();
-  k->gates(w_, state.h.data(), action, gates);
-  k->activate_update(gates, w_.hidden, state.c.data(), state.h.data());
-  finish_probs(state, probs);
+  EngineState* const row = &state;
+  std::vector<float>* const out = &probs;
+  step_batch({&row, 1}, {&action, 1}, {&out, 1}, scratch);
 }
 
-bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span<const int> actions,
+void LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                                  std::span<std::vector<float>* const> probs,
-                                 EngineScratch& scratch, bool defer_heads) const {
+                                 EngineScratch& scratch) const {
   assert(states.size() == actions.size() && states.size() == probs.size());
   const std::size_t n = states.size();
+  if (n == 0) return;
   const Kernels* k = select_kernels();
-  if (n < 2 || k->gates_batch == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) step(*states[i], actions[i], *probs[i], scratch);
-    return false;
-  }
-  // Fused path (avx2 only): register-blocked batch kernels that give each
-  // row the one-row kernels' exact FMA sequence. Scalar mode never takes
-  // this branch (null batch kernels), so scalar batch == sequential.
   const std::size_t hidden = w_.hidden;
   const std::size_t g4 = 4 * hidden;
   scratch.gates.resize(n * g4);
   scratch.h_rows.resize(n);
   scratch.gate_rows.resize(n);
+  scratch.logit_rows.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     scratch.h_rows[i] = states[i]->h.data();
     scratch.gate_rows[i] = scratch.gates.data() + i * g4;
@@ -150,10 +163,6 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
   k->gates_batch(w_, scratch.h_rows.data(), actions.data(), scratch.gate_rows.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     k->activate_update(scratch.gate_rows[i], hidden, states[i]->c.data(), states[i]->h.data());
-  }
-  if (defer_heads) return true;
-  scratch.logit_rows.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
     probs[i]->resize(w_.head_out);
     scratch.logit_rows[i] = probs[i]->data();
   }
@@ -162,14 +171,15 @@ bool LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
   for (std::size_t i = 0; i < n; ++i) {
     k->softmax(scratch.logit_rows[i], w_.head_out, scratch.logit_rows[i]);
   }
-  return false;
 }
 
 void LstmInferEngine::finish_probs(const EngineState& state, std::vector<float>& probs) const {
   const Kernels* k = select_kernels();
   probs.resize(w_.head_out);
-  k->head(w_, state.h.data(), probs.data());
-  k->softmax(probs.data(), w_.head_out, probs.data());
+  const float* const h = state.h.data();
+  float* const logits = probs.data();
+  k->head_batch(w_, &h, &logits, 1);
+  k->softmax(logits, w_.head_out, logits);
 }
 
 }  // namespace misuse::nn::infer

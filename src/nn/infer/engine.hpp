@@ -7,11 +7,16 @@
 // allocation-free through the kernel table selected by
 // nn/infer/dispatch.hpp.
 //
+// Every advance is a batch: step() is step_batch() of one row, and a
+// batch of n sessions of one model reads each weight row once for all n
+// (the gate and head products are the kernels' batch entries,
+// nn/infer/kernels.hpp).
+//
 // Contract: with the scalar kernels, step()/step_batch() are bit-identical
-// to NextActionModel::step_into on the same weights and state — proven by
-// tests/test_infer.cpp — so every determinism guarantee (WAL replay, hot
-// swap, server-vs-offline) survives the fast path. The avx2 kernels are
-// ULP-bounded instead.
+// to NextActionModel::step_into on the same weights and state, at any
+// batch size — proven by tests/test_infer.cpp — so every determinism
+// guarantee (WAL replay, hot swap, server-vs-offline) survives the fast
+// path. The avx2 kernels are ULP-bounded instead.
 #pragma once
 
 #include <algorithm>
@@ -51,12 +56,12 @@ struct EngineState {
   }
 };
 
-/// Reusable per-caller scratch (one fused gate row).
+/// Reusable per-caller scratch: one gate row per batch row, plus the
+/// batch's row pointers into states, the gates buffer and the callers'
+/// probability vectors.
 struct EngineScratch {
   std::vector<float> gates;
-  // Batch staging (step_batch's fused path): row pointers into states,
-  // the shared gates buffer, and the callers' probability vectors.
-  std::vector<float*> h_rows;
+  std::vector<const float*> h_rows;
   std::vector<float*> gate_rows;
   std::vector<float*> logit_rows;
 };
@@ -76,23 +81,15 @@ class LstmInferEngine {
             EngineScratch& scratch) const;
 
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
-  /// Rows are processed independently, so the result is bit-identical to
-  /// n calls of step() in order, on every kernel.
-  ///
-  /// With defer_heads, the fused path advances every state but skips the
-  /// head + softmax (most batch consumers only ever read one or two
-  /// clusters' distributions; see OnlineMonitor); the probs vectors are
-  /// then left untouched and the call returns true — recover any row
-  /// later with finish_probs. The sequential path (scalar kernels, or a
-  /// single row) ignores the flag, fills probs, and returns false.
-  bool step_batch(std::span<EngineState* const> states, std::span<const int> actions,
-                  std::span<std::vector<float>* const> probs, EngineScratch& scratch,
-                  bool defer_heads = false) const;
+  /// Each row's bits are independent of the batch it rides in, so the
+  /// result is bit-identical to n calls of step() in order, on every
+  /// kernel; the weights are streamed once per batch rather than per row.
+  void step_batch(std::span<EngineState* const> states, std::span<const int> actions,
+                  std::span<std::vector<float>* const> probs, EngineScratch& scratch) const;
 
-  /// Head + softmax only, from the state's current h (i.e. the
-  /// distribution the last step() / step_batch() advance implies). step()
-  /// ends with this call, so a deferred batch step + finish_probs equals
-  /// the eager step bit for bit.
+  /// Head + softmax only, from the state's current h: the distribution
+  /// the last step() / step_batch() advance wrote, recomputed bit for
+  /// bit (the head's one-row case).
   void finish_probs(const EngineState& state, std::vector<float>& probs) const;
 
  private:

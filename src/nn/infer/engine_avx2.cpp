@@ -12,10 +12,11 @@
 // Both matrix-vector products read the model's reference layouts in
 // place (wh: H x 4H, head_w: H x V) by broadcast-FMA: each output
 // element is one FMA chain over p ascending, seeded with its bias. The
-// one-row kernels and the fused batch tiles build every element with
-// that same chain (the tiles hand their last < 16 columns to the
-// one-row kernel's masked pass), so a fused batch step equals one-row
-// steps bit for bit.
+// batch kernels build every element with that same chain whether the
+// row lands in a multi-session tile or in the one-row pass (the tiles
+// hand their last < 16 columns to the one-row masked pass), so a batch
+// of any size equals one-row steps bit for bit; a one-row step is the
+// n = 1 case.
 #include "nn/infer/kernels.hpp"
 
 #if defined(MISUSEDET_HAVE_AVX2)
@@ -222,12 +223,7 @@ void seed_gate_row(const LstmWeights& w, int token, float* g) {
   for (; j < g4; ++j) g[j] = w.bias[j] + wxrow[j];
 }
 
-void avx2_gates(const LstmWeights& w, const float* h, int token, float* gates) {
-  seed_gate_row(w, token, gates);
-  accum_rows(w.wh, 4 * w.hidden, h, w.hidden, gates);
-}
-
-void avx2_gates_batch(const LstmWeights& w, float* const* h, const int* tokens,
+void avx2_gates_batch(const LstmWeights& w, const float* const* h, const int* tokens,
                       float* const* gates, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) seed_gate_row(w, tokens[i], gates[i]);
   accum_rows_batch(w.wh, 4 * w.hidden, h, w.hidden, gates, n);
@@ -270,12 +266,8 @@ void avx2_activate_update(float* gates, std::size_t hidden, float* c, float* h) 
 }
 
 // Logits seed with the head bias, then accumulate like the gates.
-void avx2_head(const LstmWeights& w, const float* h, float* logits) {
-  std::copy(w.head_b, w.head_b + w.head_out, logits);
-  accum_rows(w.head_w, w.head_out, h, w.hidden, logits);
-}
-
-void avx2_head_batch(const LstmWeights& w, float* const* h, float* const* logits, std::size_t n) {
+void avx2_head_batch(const LstmWeights& w, const float* const* h, float* const* logits,
+                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) std::copy(w.head_b, w.head_b + w.head_out, logits[i]);
   accum_rows_batch(w.head_w, w.head_out, h, w.hidden, logits, n);
 }
@@ -299,8 +291,7 @@ void avx2_softmax(const float* logits, std::size_t n, float* probs) {
 
 const Kernels* avx2_kernels() {
   static const Kernels kernels = {
-      &avx2_gates, &avx2_activate_update, &avx2_head,
-      &avx2_softmax, &avx2_gates_batch, &avx2_head_batch,
+      &avx2_gates_batch, &avx2_activate_update, &avx2_head_batch, &avx2_softmax,
   };
   return &kernels;
 }

@@ -1,17 +1,20 @@
 // Internal kernel table for the inference engine.
 //
+// Both matrix-vector products come as batch kernels only: row i of a
+// batch reads h[i] and writes its own output row, and a one-row step is
+// the n = 1 case. Each kernel gives every output element the exact
+// operation sequence it would get alone, so a batch of n rows equals n
+// one-row calls bit for bit, on either table, while each weight row is
+// read once per batch instead of once per row.
+//
 // The scalar table reproduces the reference forward (nn/lstm.cpp +
-// nn/dense.cpp + softmax_row) expression-for-expression and leaves the
-// *_batch entries null, so batched scalar scoring loops the one-row
-// kernels and stays bit-identical to one-at-a-time scoring — the
+// nn/dense.cpp + softmax_row) expression-for-expression — the
 // determinism contract (WAL replay, hot swap) rides on this.
 //
 // The avx2 table (nn/infer/engine_avx2.cpp, compiled with -mavx2 -mfma)
 // is ULP-close to scalar, not bit-identical (vectorized exp
-// approximation, FMA contraction). Its one-row and fused *_batch kernels
-// give every output element the same FMA sequence, so within the avx2
-// table a fused batch equals one-row stepping bit for bit
-// (tests/test_infer.cpp).
+// approximation, FMA contraction); within it, every output element is
+// the same FMA chain at any batch size (tests/test_infer.cpp).
 #pragma once
 
 #include <cstddef>
@@ -21,19 +24,16 @@ namespace misuse::nn::infer {
 struct LstmWeights;
 
 struct Kernels {
-  /// gates[0..4H) = bias + wx[token] (token != kPadToken) + Wh^T h.
-  void (*gates)(const LstmWeights& w, const float* h, int token, float* gates);
-  /// In-place gate nonlinearities + cell update (c, h advance).
-  void (*activate_update)(float* gates, std::size_t hidden, float* c, float* h);
-  /// logits[0..V) = head_w h + head_b.
-  void (*head)(const LstmWeights& w, const float* h, float* logits);
-  /// Stable softmax logits -> probs (may alias).
-  void (*softmax)(const float* logits, std::size_t n, float* probs);
-  /// Fused batch variants; nullptr = the engine loops the one-row kernel
-  /// (the scalar table, which keeps batch == sequential bitwise).
-  void (*gates_batch)(const LstmWeights& w, float* const* h, const int* tokens,
+  /// gates[i][0..4H) = bias + wx[tokens[i]] (unless kPadToken) + Wh^T h[i].
+  void (*gates_batch)(const LstmWeights& w, const float* const* h, const int* tokens,
                       float* const* gates, std::size_t n);
-  void (*head_batch)(const LstmWeights& w, float* const* h, float* const* logits, std::size_t n);
+  /// In-place gate nonlinearities + cell update (c, h advance) of one row.
+  void (*activate_update)(float* gates, std::size_t hidden, float* c, float* h);
+  /// logits[i][0..V) = head_w h[i] + head_b.
+  void (*head_batch)(const LstmWeights& w, const float* const* h, float* const* logits,
+                     std::size_t n);
+  /// Stable softmax logits -> probs (may alias) of one row.
+  void (*softmax)(const float* logits, std::size_t n, float* probs);
 };
 
 const Kernels* scalar_kernels();

@@ -11,6 +11,7 @@
 //       [--vnodes=N] [--quota-rate=X] [--quota-burst=X]
 //       [--health-interval=SECONDS] [--health-failures=N]
 //       [--session-ttl=SECONDS] [--node-ttl=SECONDS] [--metrics-out=PATH]
+#include <cerrno>
 #include <csignal>
 #include <iostream>
 #include <sstream>
@@ -25,7 +26,21 @@ namespace misuse::router {
 namespace {
 
 std::atomic<bool> g_stop{false};
-void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
+/// The router while it serves. The SIGINT/SIGTERM handler stops it
+/// directly: request_stop() is an atomic store and an eventfd write, both
+/// async-signal-safe. g_handlers_running lets the router's owner wait out
+/// a handler that read the pointer before it was cleared.
+std::atomic<Router*> g_router{nullptr};
+std::atomic<int> g_handlers_running{0};
+
+void handle_signal(int) {
+  const int saved_errno = errno;
+  g_handlers_running.fetch_add(1);
+  g_stop.store(true, std::memory_order_relaxed);
+  if (Router* router = g_router.load()) router->request_stop();
+  g_handlers_running.fetch_sub(1);
+  errno = saved_errno;
+}
 
 void usage(std::ostream& out) {
   out << "usage: misusedet_router --nodes=HOST:PORT[:ADMIN],... [options]\n"
@@ -97,15 +112,18 @@ int router_main(int argc, char** argv) {
     // Same stderr handshake as misusedet_serve: drivers scrape the port.
     log_info() << "listening on port " << router.port() << " (router, "
                << router.live_nodes() << " nodes)";
-    std::thread stopper([&router] {
-      while (!g_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Unpublished before `router` is destroyed, on every exit path.
+    struct Published {
+      explicit Published(Router& router) {
+        g_router.store(&router);
+        if (g_stop.load()) router.request_stop();  // a signal that came before the pointer
       }
-      router.request_stop();
-    });
+      ~Published() {
+        g_router.store(nullptr);
+        while (g_handlers_running.load() != 0) std::this_thread::yield();
+      }
+    } published(router);
     router.run();
-    g_stop.store(true, std::memory_order_relaxed);
-    stopper.join();
   } catch (const std::exception& e) {
     std::cerr << "misusedet_router: " << e.what() << "\n";
     return 1;

@@ -108,8 +108,9 @@ Router::Router(RouterConfig config)
   loop_config.host = config_.listen_host;
   loop_config.tick_seconds = config_.tick_seconds;
   serve::EpollHandlers handlers;
-  handlers.on_line = [this](std::uint64_t conn, std::string_view line, std::string& replies) {
-    on_client_line(conn, line, replies);
+  handlers.on_lines = [this](std::uint64_t conn, std::span<const std::string_view> lines,
+                             std::string& replies) {
+    for (const std::string_view line : lines) on_client_line(conn, line, replies);
   };
   handlers.on_close = [this](std::uint64_t conn) {
     // The client is gone; detach its sessions so replies stop, but keep

@@ -26,7 +26,7 @@ EpollLoop::EpollLoop(EpollConfig config, EpollHandlers handlers)
     : config_(std::move(config)),
       handlers_(std::move(handlers)),
       listener_(TcpListener::bind(config_.port, config_.host)) {
-  if (!handlers_.on_line) throw std::runtime_error("EpollLoop needs an on_line handler");
+  if (!handlers_.on_lines) throw std::runtime_error("EpollLoop needs an on_lines handler");
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) {
     throw std::runtime_error(std::string("epoll_create1: ") + std::strerror(errno));
@@ -132,15 +132,19 @@ void EpollLoop::accept_ready() {
 }
 
 bool EpollLoop::consume_lines(std::uint64_t id, Conn& conn) {
+  lines_.clear();
   std::size_t start = 0;
   while (true) {
     const std::size_t nl = conn.in.find('\n', start);
     if (nl == std::string::npos) break;
     std::size_t end = nl;
     if (end > start && conn.in[end - 1] == '\r') --end;  // CRLF == LF
-    handlers_.on_line(id, std::string_view(conn.in).substr(start, end - start), conn.out);
+    lines_.push_back(std::string_view(conn.in).substr(start, end - start));
     start = nl + 1;
   }
+  // The views point into conn.in, which stays untouched until the
+  // handler returns.
+  if (!lines_.empty()) handlers_.on_lines(id, lines_, conn.out);
   if (start > 0) conn.in.erase(0, start);
   if (conn.in.size() > config_.max_line_bytes) {
     // Same contract as LineReader::truncated(): an unbounded line is a
@@ -176,7 +180,8 @@ void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
         std::string line = std::move(conn.in);
         conn.in.clear();
         if (line.back() == '\r') line.pop_back();
-        handlers_.on_line(id, line, conn.out);
+        const std::string_view last = line;
+        handlers_.on_lines(id, {&last, 1}, conn.out);
       }
       break;
     case IoStatus::kOk:
@@ -236,7 +241,7 @@ void EpollLoop::drain_posted() {
     if (it == conns_.end()) continue;
     Conn& conn = it->second;
     conn.out += data;
-    // Posted output obeys the same slow-consumer cap as on_line replies:
+    // Posted output obeys the same slow-consumer cap as on_lines replies:
     // in the router every verdict arrives via post(), so this is the
     // path a client that stops reading would otherwise grow unbounded.
     if (conn.out.size() - conn.out_off > config_.max_output_bytes) {

@@ -4,11 +4,11 @@
 // a node or a router holds thousands of sockets without a thread each.
 //
 // Cadence: each readiness report gets one read of at most 16 KiB; the
-// complete lines in it go to on_line, and their replies are flushed
-// before the loop returns to epoll_wait. A socket that still holds data
-// is reported again once the other ready connections, posted output
-// and on_tick have had their turn, so a peer sees the answer to each
-// read while it sends the next, and a producer that never lets its
+// complete lines in it go to on_lines in one call, and their replies
+// are flushed before the loop returns to epoll_wait. A socket that still
+// holds data is reported again once the other ready connections, posted
+// output and on_tick have had their turn, so a peer sees the answer to
+// each read while it sends the next, and a producer that never lets its
 // socket drain cannot starve the tick.
 //
 // Framing and hardening:
@@ -28,12 +28,12 @@
 //     line is a protocol violation or an attack, same contract as
 //     LineReader).
 //
-// The loop owns no scoring state: the on_line handler decides what a
-// line means (misusedet_serve calls ScoringServer::submit_sync;
-// misusedet_router forwards the line to a cluster node). Cross-thread
-// writers (the router's upstream reply readers) inject output via
-// post(), which wakes the loop through an eventfd. See DESIGN.md "TCP
-// front end" and "Cluster serving".
+// The loop owns no scoring state: the on_lines handler decides what the
+// lines of a read mean (misusedet_serve scores them as one
+// ScoringServer::submit_batch; misusedet_router forwards each line to a
+// cluster node). Cross-thread writers (the router's upstream reply
+// readers) inject output via post(), which wakes the loop through an
+// eventfd. See DESIGN.md "TCP front end" and "Cluster serving".
 #pragma once
 
 #include <atomic>
@@ -41,6 +41,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -66,10 +67,12 @@ struct EpollConfig {
 };
 
 struct EpollHandlers {
-  /// One complete line (terminator stripped). Append '\n'-terminated
-  /// reply lines to `replies`; they return on the same connection in
-  /// call order. Required.
-  std::function<void(std::uint64_t conn, std::string_view line, std::string& replies)> on_line;
+  /// (conn, lines, replies): the complete lines of one read, in order
+  /// (terminators stripped; empty lines included). At peer EOF a final
+  /// unterminated line arrives as a call of its own. Append
+  /// '\n'-terminated reply lines to `replies`; they return on the same
+  /// connection in call order. Required.
+  std::function<void(std::uint64_t, std::span<const std::string_view>, std::string&)> on_lines;
   /// Periodic callback on the loop thread (TTL sweeps, checkpoints,
   /// registry reloads). Optional.
   std::function<void()> on_tick;
@@ -122,7 +125,7 @@ class EpollLoop {
   };
 
   void accept_ready();
-  /// One read, its lines through on_line, then flush_conn.
+  /// One read, its lines through on_lines, then flush_conn.
   void conn_readable(std::uint64_t id, Conn& conn);
   /// Flushes conn.out; arms/disarms EPOLLOUT. Returns false when the
   /// connection was retired: it died, or it was half-closed and is now
@@ -132,8 +135,9 @@ class EpollLoop {
   void drain_posted();
   /// Registers EPOLLIN (until peer EOF) plus EPOLLOUT when want_write.
   void update_interest(std::uint64_t id, Conn& conn, bool want_write);
-  /// Splits complete lines out of conn.in and runs on_line for each.
-  /// Returns false when the connection was poisoned (line cap).
+  /// Splits the complete lines out of conn.in and hands them to on_lines
+  /// in one call. Returns false when the connection was poisoned (line
+  /// cap).
   bool consume_lines(std::uint64_t id, Conn& conn);
 
   EpollConfig config_;
@@ -146,6 +150,7 @@ class EpollLoop {
   std::atomic<std::uint64_t> overflowed_{0};
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Conn> conns_;  // loop thread only
+  std::vector<std::string_view> lines_;  // consume_lines' batch (loop thread only)
 
   std::mutex posted_mutex_;
   std::vector<std::pair<std::uint64_t, std::string>> posted_;

@@ -32,6 +32,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -271,31 +272,43 @@ int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reload
 }
 
 /// TCP mode: every connection multiplexed onto one nonblocking event
-/// loop, each line scored through submit_sync and its verdict written
-/// back on the same connection. TTL sweeps, checkpoints and registry
-/// reloads ride the loop's tick, with session reports on stdout.
+/// loop. The lines of each socket read are scored as one submit_batch,
+/// and their verdicts go back on the same connection in line order. TTL
+/// sweeps, checkpoints and registry reloads ride the loop's tick, with
+/// session reports on stdout.
 int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
   EpollConfig config;
   config.port = port;
   EpollHandlers handlers;
-  std::vector<OutputRecord> records;  // reused across lines (loop thread only)
+  // Reused across reads (loop thread only).
+  std::vector<Event> events;
+  std::vector<OutputRecord> records;
   std::string error;
-  handlers.on_line = [&server, &records, &error](std::uint64_t, std::string_view line,
-                                                 std::string& replies) {
-    if (line.empty()) return;
-    Event event;
-    if (!parse_event(line, event, error)) {
-      serve_metrics().parse_errors.inc();
-      replies += render_error_record(error, line);
-      replies += '\n';
-      return;
+  handlers.on_lines = [&](std::uint64_t, std::span<const std::string_view> lines,
+                          std::string& replies) {
+    const auto score = [&] {
+      server.submit_batch(events, records);
+      for (const auto& r : records) {
+        replies += r.line;
+        replies += '\n';
+      }
+      records.clear();
+      events.clear();
+    };
+    for (const std::string_view line : lines) {
+      if (line.empty()) continue;
+      Event& event = events.emplace_back();
+      if (!parse_event(line, event, error)) {
+        // A malformed line ends the batch so far: its error record keeps
+        // its place between the verdicts before and after it.
+        events.pop_back();
+        score();
+        serve_metrics().parse_errors.inc();
+        replies += render_error_record(error, line);
+        replies += '\n';
+      }
     }
-    server.submit_sync(event, records);
-    for (const auto& r : records) {
-      replies += r.line;
-      replies += '\n';
-    }
-    records.clear();
+    score();
   };
   handlers.on_tick = [&server, reloader] {
     std::vector<OutputRecord> out;

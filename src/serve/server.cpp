@@ -42,6 +42,16 @@ std::string enqueue_trace_args(const Event& event, std::size_t shard, std::uint6
   const std::string s = os.str();
   return s.substr(1, s.size() - 2);  // TraceEvent::args is the braceless body
 }
+
+/// Restores arrival order over out[base, end): records sort by input
+/// sequence number. The merge is stable because seqs are not unique: a
+/// capacity-eviction report carries the seq of the event whose session
+/// open evicted it, and its shard emits it before that event's step. An
+/// unstable sort would order the pair by batch size and shard layout.
+void merge_by_seq(std::vector<OutputRecord>& out, std::size_t base) {
+  std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
+                   [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
+}
 }  // namespace
 
 ScoringServer::ScoringServer(const core::MisuseDetector& detector, const ServeConfig& config)
@@ -230,9 +240,7 @@ void ScoringServer::pump(std::vector<OutputRecord>& out) {
   for (auto& records : shard_out) {
     for (auto& r : records) out.push_back(std::move(r));
   }
-  // Unique seq tags restore the global arrival order across shards.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-            [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
+  merge_by_seq(out, base);
   record_queue_depth();
 }
 
@@ -351,10 +359,10 @@ std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
   }
   // Replayed records keep their original seqs: a consumer that saw the
   // pre-crash stream dedups on seq and the tail continues seamlessly.
-  std::sort(replayed_out.begin(), replayed_out.end(),
-            [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
-  out.reserve(out.size() + replayed_out.size());
+  const std::size_t base = out.size();
+  out.reserve(base + replayed_out.size());
   for (auto& r : replayed_out) out.push_back(std::move(r));
+  merge_by_seq(out, base);
 
   std::uint64_t seq = seq_.load(std::memory_order_relaxed);
   while (seq < max_seq + 1 &&
@@ -418,26 +426,42 @@ bool ScoringServer::maybe_checkpoint(std::vector<OutputRecord>& out) {
   return true;
 }
 
-bool ScoringServer::submit_sync(const Event& event, std::vector<OutputRecord>& out) {
+std::size_t ScoringServer::submit_batch(std::span<const Event> events,
+                                        std::vector<OutputRecord>& out) {
+  if (events.empty()) return 0;
   const ModelHandle resolver = current_model();
-  const int action = resolve_action_id(resolver.detector->vocab(), event.action);
-  if (action < 0) {
-    serve_metrics().parse_errors.inc();
-    out.push_back({seq_.fetch_add(1, std::memory_order_relaxed),
-                   render_error_record("unknown action", event.action)});
-    return false;
+  const core::MisuseDetector* detector = resolver.detector.get();
+  const std::size_t base = out.size();
+  // One seq per event in arrival order, rejected ones included.
+  const std::uint64_t first = seq_.fetch_add(events.size(), std::memory_order_relaxed);
+  std::vector<std::vector<SessionShard::PendingEvent>> by_shard(shards_.size());
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& event = events[i];
+    const int action = resolve_action_id(detector->vocab(), event.action);
+    if (action < 0) {
+      serve_metrics().parse_errors.inc();
+      out.push_back({first + i, render_error_record("unknown action", event.action)});
+      continue;
+    }
+    if (event.has_timestamp) advance_clock(event.timestamp);
+    by_shard[shard_of(event)].push_back({&event, action, detector, first + i});
+    ++accepted;
   }
-  if (event.has_timestamp) advance_clock(event.timestamp);
-  Shard& shard = *shards_[shard_of(event)];
-  {
+  // Serial on the caller's thread, shard by shard: running the shards on
+  // the pool (as pump does) grew node RSS and was slower on small models
+  // (DESIGN.md "TCP front end").
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (by_shard[s].empty()) continue;
+    Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table->process(event, action, resolver.detector.get(),
-                         seq_.fetch_add(1, std::memory_order_relaxed), out);
-    const std::size_t s = shard_of(event);
+    shard.table->process_batch(by_shard[s], out);
+    // Group commit before any of these verdicts leaves the process.
     if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->flush();
   }
-  events_since_checkpoint_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  events_since_checkpoint_.fetch_add(accepted, std::memory_order_relaxed);
+  merge_by_seq(out, base);
+  return accepted;
 }
 
 std::size_t ScoringServer::active_sessions() const {
@@ -527,7 +551,7 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
   {
     // The barrier: every shard locked (always in index order, so two
     // concurrent swaps cannot deadlock) — no event is scored while the
-    // model pointer moves. An in-flight submit_sync lands either before
+    // model pointer moves. An in-flight submit_batch lands either before
     // the barrier (scored under the old model, which its session pins)
     // or after (re-resolved / reopened under the new one).
     std::vector<std::unique_lock<std::mutex>> locks;

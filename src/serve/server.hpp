@@ -13,13 +13,17 @@
 //     never share sessions, each session's events stay in one FIFO, and
 //     OnlineMonitor is deterministic, so every per-session score stream
 //     is bit-identical to the offline monitor regardless of shard count
-//     or thread count. Outputs are merged by input sequence number, so
-//     the emitted NDJSON order equals arrival order.
+//     or thread count. Outputs are merged by input sequence number (a
+//     stable merge: an eviction report shares its seq with the step that
+//     caused it and keeps its place before it), so the emitted NDJSON
+//     order equals arrival order at any batch size.
 //   * sweep(): retires idle sessions by *event time* TTL.
 //   * shutdown(): graceful drain — pumps the backlog, then emits an
 //     end-of-session report for every open session.
-//   * submit_sync(): latency-mode entry (TCP connections) that scores
-//     under the shard lock immediately, bypassing the batch queue.
+//   * submit_batch(): the TCP entry. Scores one socket read's events at
+//     once on the calling thread, bypassing the queues: one process_batch
+//     and one WAL flush per shard, records back in arrival order.
+//     submit_sync() is its one-event case.
 #pragma once
 
 #include <atomic>
@@ -28,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -134,9 +139,21 @@ class ScoringServer {
 
   bool wal_enabled() const { return !config_.wal_dir.empty(); }
 
-  /// Scores one event immediately under its shard's lock (TCP path).
-  /// Returns false (with an error record) when the action is invalid.
-  bool submit_sync(const Event& event, std::vector<OutputRecord>& out);
+  /// Scores `events` immediately, in order, on the calling thread (the
+  /// TCP path: one socket read at a time). Every action resolves under
+  /// one current_model(); sequence numbers follow arrival order; each
+  /// shard with events runs one process_batch and one WAL flush under its
+  /// lock, so sessions of one cluster share one batched model step. The
+  /// records are appended to `out` merged by sequence number — each
+  /// event's record(s) in arrival order. An unknown action gets an error
+  /// record under its own sequence number. Returns the events accepted.
+  std::size_t submit_batch(std::span<const Event> events, std::vector<OutputRecord>& out);
+
+  /// submit_batch() of one event: false (with an error record) when the
+  /// action is invalid.
+  bool submit_sync(const Event& event, std::vector<OutputRecord>& out) {
+    return submit_batch({&event, 1}, out) == 1;
+  }
 
   std::size_t shard_of(const Event& event) const {
     return session_shard_hash(session_key(event)) % shards_.size();
@@ -237,7 +254,7 @@ class ScoringServer {
   void write_checkpoint();
 
   /// The model resolving actions for *new* traffic; swapped under
-  /// model_mutex_ (readers take it shared — enqueue/submit_sync resolve
+  /// model_mutex_ (readers take it shared — enqueue/submit_batch resolve
   /// against a stable handle without blocking each other).
   ModelHandle model_;
   mutable std::shared_mutex model_mutex_;

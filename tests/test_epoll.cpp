@@ -1,8 +1,9 @@
 // EpollLoop hardening tests: the nonblocking NDJSON front end must
 // survive adversarial producers (slow-loris drips, oversized lines,
 // half-closes, consumers that stop reading) and high connection churn
-// without leaking a connection or stalling the loop thread, and must
-// answer each read before it reads again. Scoring byte-identity of the
+// without leaking a connection or stalling the loop thread, must hand
+// each read's lines to the handler in one call, and must answer each
+// read before it reads again. Scoring byte-identity of the
 // TCP front end against pipe mode is pinned separately in
 // test_serve_process.cpp; these tests exercise the loop in isolation
 // with an echo handler.
@@ -20,6 +21,8 @@
 #include <csignal>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,13 +75,16 @@ class EpollFixture : public ::testing::Test {
 
   void start(EpollConfig config = {}, EpollHandlers handlers = {}) {
     config.host = "127.0.0.1";
-    if (!handlers.on_line) {
-      handlers.on_line = [this](std::uint64_t conn, std::string_view line, std::string& replies) {
+    if (!handlers.on_lines) {
+      handlers.on_lines = [this](std::uint64_t conn, std::span<const std::string_view> lines,
+                                 std::string& replies) {
         last_conn_.store(conn, std::memory_order_relaxed);
-        lines_seen_.fetch_add(1, std::memory_order_relaxed);
-        replies.append("ack:");
-        replies.append(line);
-        replies.push_back('\n');
+        for (const std::string_view line : lines) {
+          lines_seen_.fetch_add(1, std::memory_order_relaxed);
+          replies.append("ack:");
+          replies.append(line);
+          replies.push_back('\n');
+        }
       };
     }
     if (!handlers.on_close) {
@@ -159,6 +165,43 @@ TEST_F(EpollFixture, HalfCloseDeliversFinalUnterminatedLine) {
   EXPECT_TRUE(eventually([this] { return closes_seen_.load() == 1; }));
 }
 
+TEST_F(EpollFixture, OneReadReachesTheHandlerAsOneCall) {
+  // misusedet_serve scores a read's lines as one batch, so the loop hands
+  // them over together: three lines in one write are one call, and a
+  // final unterminated line at EOF is a call of its own.
+  struct Calls {
+    std::mutex mutex;
+    std::vector<std::vector<std::string>> lines;
+  };
+  const auto calls = std::make_shared<Calls>();
+  EpollHandlers handlers;
+  handlers.on_lines = [calls](std::uint64_t, std::span<const std::string_view> lines,
+                              std::string& replies) {
+    std::vector<std::string> copy(lines.begin(), lines.end());
+    for (const std::string& line : copy) replies.append("ack:").append(line).push_back('\n');
+    std::lock_guard<std::mutex> lock(calls->mutex);
+    calls->lines.push_back(std::move(copy));
+  };
+  start({}, std::move(handlers));
+  TcpStream client = connect();
+  const std::string burst = "one\ntwo\r\nthree\n";
+  ASSERT_EQ(::write(client.fd(), burst.data(), burst.size()), static_cast<ssize_t>(burst.size()));
+  LineReader reader(client.io());
+  std::string line;
+  for (const char* want : {"ack:one", "ack:two", "ack:three"}) {
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, want);
+  }
+  ASSERT_EQ(::write(client.fd(), "tail", 4), 4);
+  client.shutdown_write();
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "ack:tail");
+  EXPECT_FALSE(reader.next(line));  // closed once the final reply flushed
+  const std::vector<std::vector<std::string>> want = {{"one", "two", "three"}, {"tail"}};
+  std::lock_guard<std::mutex> lock(calls->mutex);
+  EXPECT_EQ(calls->lines, want);
+}
+
 TEST_F(EpollFixture, OversizedLinePoisonsConnection) {
   EpollConfig config;
   config.max_line_bytes = 64;
@@ -181,9 +224,12 @@ TEST_F(EpollFixture, SlowConsumerPastOutputCapIsDisconnected) {
   const std::string big_reply(64 << 10, 'y');
   // By value: the loop thread outlives this scope (TearDown joins it),
   // so a by-reference capture would race the local's destruction.
-  handlers.on_line = [big_reply](std::uint64_t, std::string_view, std::string& replies) {
-    replies.append(big_reply);
-    replies.push_back('\n');
+  handlers.on_lines = [big_reply](std::uint64_t, std::span<const std::string_view> lines,
+                                  std::string& replies) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      replies.append(big_reply);
+      replies.push_back('\n');
+    }
   };
   start(config, std::move(handlers));
   TcpStream client = connect();
@@ -200,7 +246,7 @@ TEST_F(EpollFixture, SlowConsumerPastOutputCapIsDisconnected) {
 }
 
 TEST_F(EpollFixture, PostedBacklogPastOutputCapIsDisconnected) {
-  // Same slow-consumer contract as on_line replies, but through post():
+  // Same slow-consumer contract as on_lines replies, but through post():
   // in the router every verdict reaches the client via post, so a
   // client that stops reading must still hit the cap.
   EpollConfig config;
@@ -330,15 +376,18 @@ TEST_F(EpollFixture, AnswersEachReadBeforeReadingTheNext) {
   // thread may still be inside a handler.
   const auto cadence = std::make_shared<Cadence>();
   EpollHandlers handlers;
-  handlers.on_line = [cadence](std::uint64_t, std::string_view line, std::string& replies) {
-    if (line == "one") {
-      cadence->line1_running.store(true);
-      eventually([&] { return cadence->line2_sent.load(); });
-      std::this_thread::sleep_for(20ms);  // line 2 reaches the socket buffer
-    } else {
-      eventually([&] { return cadence->reply1_held.load(); }, 3s);
+  handlers.on_lines = [cadence](std::uint64_t, std::span<const std::string_view> lines,
+                                std::string& replies) {
+    for (const std::string_view line : lines) {
+      if (line == "one") {
+        cadence->line1_running.store(true);
+        eventually([&] { return cadence->line2_sent.load(); });
+        std::this_thread::sleep_for(20ms);  // line 2 reaches the socket buffer
+      } else {
+        eventually([&] { return cadence->reply1_held.load(); }, 3s);
+      }
+      replies.append("ack:").append(line).push_back('\n');
     }
-    replies.append("ack:").append(line).push_back('\n');
   };
   start({}, std::move(handlers));
   TcpStream client = connect();
@@ -369,9 +418,12 @@ TEST_F(EpollFixture, TicksFireWhileAProducerKeepsTheSocketReadable) {
   EpollConfig config;
   config.tick_seconds = 0.05;
   EpollHandlers handlers;
-  handlers.on_line = [progress](std::uint64_t, std::string_view, std::string&) {
-    std::this_thread::sleep_for(100us);
-    progress->lines.fetch_add(1);
+  handlers.on_lines = [progress](std::uint64_t, std::span<const std::string_view> lines,
+                                 std::string&) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      std::this_thread::sleep_for(100us);
+      progress->lines.fetch_add(1);
+    }
   };
   handlers.on_tick = [progress] {
     const int seen = progress->lines.load();
@@ -398,10 +450,13 @@ TEST_F(EpollFixture, HalfClosedPeerThatDoesNotReadCostsNoCpu) {
   EpollConfig config;
   config.max_output_bytes = 2 * kReply;
   EpollHandlers handlers;
-  handlers.on_line = [this](std::uint64_t, std::string_view, std::string& replies) {
-    replies.append(kReply, 'r');
-    replies.push_back('\n');
-    lines_seen_.fetch_add(1, std::memory_order_relaxed);
+  handlers.on_lines = [this](std::uint64_t, std::span<const std::string_view> lines,
+                             std::string& replies) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      replies.append(kReply, 'r');
+      replies.push_back('\n');
+      lines_seen_.fetch_add(1, std::memory_order_relaxed);
+    }
   };
   start(config, std::move(handlers));
   TcpStream client = connect();

@@ -2,15 +2,18 @@
 //
 // The engine's contracts, in decreasing strictness:
 //   * scalar kernels — BIT-identical to the training-grade reference
-//     forward (NextActionModel::step_into), one-row and batched alike
-//     (the scalar table has no fused batch kernels, so batching loops
-//     the one-row kernels). Every determinism guarantee in the repo
-//     (WAL replay, hot swap, server-vs-offline) leans on this.
+//     forward (NextActionModel::step_into), one-row and batched alike:
+//     the scalar table's gate and head products are batch kernels that
+//     give every output element its one-row operation sequence, so a
+//     row's bits do not depend on the batch it rides in. Every
+//     determinism guarantee in the repo (WAL replay, hot swap,
+//     server-vs-offline) leans on this.
 //   * avx2 kernels — ULP-bounded against scalar per step (vectorized
-//     exp approximation, FMA contraction), and the fused batch kernels
-//     BIT-identical to the avx2 one-row kernels (every output element
-//     is the same FMA chain), across shapes whose 4H and V are not
-//     multiples of the 8-lane vector or the 64-column pass.
+//     exp approximation, FMA contraction), and batches BIT-identical to
+//     avx2 one-row steps (every output element is the same FMA chain).
+// Both are checked across shapes whose 4H and V are not multiples of the
+// 8-lane vector or the 64-column pass, and over batches of 13 rows down
+// to 1.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -18,12 +21,15 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include "nn/infer/dispatch.hpp"
 #include "nn/infer/engine.hpp"
+#include "nn/lstm.hpp"
 #include "nn/next_action_model.hpp"
+#include "nn/parameter.hpp"
 #include "util/rng.hpp"
 
 namespace misuse::nn::infer {
@@ -47,10 +53,16 @@ NextActionModel make_model(std::size_t vocab, std::size_t hidden, std::uint64_t 
   config.vocab = vocab;
   config.hidden = hidden;
   Rng rng(seed);
-  return NextActionModel(config, rng);
+  NextActionModel model(config, rng);
+  // A fresh model's biases start at zero or constant; perturb every
+  // parameter so where a bias enters the accumulation shows in the bits.
+  for (Parameter* param : model.params()) {
+    for (float& v : param->value.flat()) v += static_cast<float>(rng.uniform(-0.1, 0.1));
+  }
+  return model;
 }
 
-bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+bool bit_equal(std::span<const float> a, std::span<const float> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
@@ -72,6 +84,21 @@ std::int64_t ulp_distance(float a, float b) {
 // maxima (tens of ULPs) without masking real kernel bugs, which show up
 // orders of magnitude larger.
 constexpr std::int64_t kAvx2UlpBound = 2048;
+
+// (vocab, hidden) pairs whose gate width 4H and head width V cover every
+// column path of the avx2 kernels: whole 64-column passes, a tail of each
+// length from one to eight vectors, last vectors from one lane to full,
+// and widths below one vector (hidden 5 gives 4H = 20; vocab 7 and 65
+// leave 7 and 1 columns; vocab 60 is eight vectors, the last half full).
+// (300, 256) is the paper's shape.
+struct Shape {
+  std::size_t vocab, hidden;
+  std::uint64_t seed;
+};
+constexpr Shape kShapes[] = {
+    {7, 5, 41}, {65, 20, 42}, {30, 8, 44}, {33, 9, 45},
+    {60, 14, 46}, {50, 96, 29}, {44, 80, 31}, {300, 256, 43},
+};
 
 // --- scalar: bit-identity with the reference forward -------------------
 
@@ -125,61 +152,70 @@ TEST(InferScalar, AutoModeResolvesToBitIdenticalKernels) {
 TEST(InferScalar, BatchBitIdenticalToSequential) {
   ModeGuard guard;
   set_infer_mode(InferMode::kScalar);
-  const NextActionModel model = make_model(31, 40, 17);
-  const auto engine = LstmInferEngine::build(model);
-  ASSERT_NE(engine, nullptr);
-
-  constexpr std::size_t kSessions = 7;  // odd on purpose — no tile alignment
-  constexpr std::size_t kSteps = 40;
-  std::vector<std::vector<int>> streams;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    streams.push_back(random_actions(kSteps, 31, 500 + i));
-  }
-
-  std::vector<EngineState> seq(kSessions, engine->make_state());
-  std::vector<EngineState> bat(kSessions, engine->make_state());
-  EngineScratch scratch;
-  std::vector<float> seq_probs;
-  std::vector<std::vector<float>> bat_probs(kSessions);
-  std::vector<EngineState*> state_ptrs(kSessions);
-  std::vector<std::vector<float>*> prob_ptrs(kSessions);
-  std::vector<int> actions(kSessions);
-  for (std::size_t t = 0; t < kSteps; ++t) {
+  constexpr std::size_t kSessions = 13;
+  constexpr std::size_t kSteps = 30;
+  for (const Shape& shape : kShapes) {
+    const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
+    const auto engine = LstmInferEngine::build(model);
+    ASSERT_NE(engine, nullptr);
+    std::vector<std::vector<int>> streams;
     for (std::size_t i = 0; i < kSessions; ++i) {
-      actions[i] = streams[i][t];
-      state_ptrs[i] = &bat[i];
-      prob_ptrs[i] = &bat_probs[i];
+      streams.push_back(random_actions(kSteps, shape.vocab, 700 + i));
     }
-    engine->step_batch(state_ptrs, actions, prob_ptrs, scratch);
-    for (std::size_t i = 0; i < kSessions; ++i) {
-      engine->step(seq[i], actions[i], seq_probs, scratch);
-      ASSERT_TRUE(bit_equal(seq_probs, bat_probs[i])) << "step " << t << " session " << i;
-      ASSERT_TRUE(bit_equal(seq[i].h, bat[i].h));
-      ASSERT_TRUE(bit_equal(seq[i].c, bat[i].c));
+    // Three trajectories per session: batched, one-row engine steps, and
+    // the reference forward.
+    std::vector<EngineState> bat(kSessions, engine->make_state());
+    std::vector<EngineState> row(kSessions, engine->make_state());
+    std::vector<ModelState> ref;
+    for (std::size_t i = 0; i < kSessions; ++i) ref.push_back(model.make_state());
+    EngineScratch scratch;
+    std::vector<float> row_probs, ref_probs;
+    std::vector<std::vector<float>> bat_probs(kSessions);
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      // Sessions restart on a staggered schedule, so most batches mix
+      // rows at the zero state (every h[p] skipped) with rows
+      // mid-trajectory.
+      for (std::size_t i = 0; i < kSessions; ++i) {
+        if ((t + i) % 7 != 0) continue;
+        bat[i].reset();
+        row[i].reset();
+        ref[i].reset();
+      }
+      const std::size_t n = kSessions - t % kSessions;  // 13 rows down to 1
+      std::vector<EngineState*> state_ptrs(n);
+      std::vector<std::vector<float>*> prob_ptrs(n);
+      std::vector<int> actions(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        actions[i] = streams[i][t];
+        state_ptrs[i] = &bat[i];
+        prob_ptrs[i] = &bat_probs[i];
+      }
+      engine->step_batch(state_ptrs, actions, prob_ptrs, scratch);
+      for (std::size_t i = 0; i < n; ++i) {
+        engine->step(row[i], actions[i], row_probs, scratch);
+        model.step_into(ref[i], actions[i], ref_probs);
+        const LstmState& ref_cell = ref[i].layers.at(0);
+        ASSERT_TRUE(bit_equal(row_probs, bat_probs[i]))
+            << "vocab=" << shape.vocab << " hidden=" << shape.hidden << " step " << t
+            << " row " << i << " of " << n;
+        ASSERT_TRUE(bit_equal(row[i].h, bat[i].h));
+        ASSERT_TRUE(bit_equal(row[i].c, bat[i].c));
+        ASSERT_TRUE(bit_equal(ref_probs, bat_probs[i]))
+            << "vocab=" << shape.vocab << " hidden=" << shape.hidden << " step " << t
+            << " row " << i << " of " << n;
+        ASSERT_TRUE(bit_equal(ref_cell.h.flat(), bat[i].h));
+        ASSERT_TRUE(bit_equal(ref_cell.c.flat(), bat[i].c));
+      }
     }
   }
 }
 
-// --- avx2: ULP envelope against scalar, fused batch == one-row --------
-
-// (vocab, hidden) pairs whose gate width 4H and head width V cover every
-// column path of the avx2 kernels: whole 64-column passes, a tail of each
-// length from one to eight vectors, last vectors from one lane to full,
-// and widths below one vector (hidden 5 gives 4H = 20; vocab 7 and 65
-// leave 7 and 1 columns; vocab 60 is eight vectors, the last half full).
-struct Shape {
-  std::size_t vocab, hidden;
-  std::uint64_t seed;
-};
-constexpr Shape kAvx2Shapes[] = {
-    {7, 5, 41}, {65, 20, 42}, {30, 8, 44}, {33, 9, 45},
-    {60, 14, 46}, {50, 96, 29}, {44, 80, 31}, {300, 256, 43},
-};
+// --- avx2: ULP envelope against scalar, batch == one-row ----------------
 
 TEST(InferAvx2, OneRowStepWithinUlpOfScalar) {
   if (!avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
   ModeGuard guard;
-  for (const Shape& shape : kAvx2Shapes) {
+  for (const Shape& shape : kShapes) {
     const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
     const auto engine = LstmInferEngine::build(model);
     ASSERT_NE(engine, nullptr);
@@ -211,10 +247,11 @@ TEST(InferAvx2, FusedBatchWithinUlpOfScalar) {
   if (!avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
   ModeGuard guard;
   // 13 sessions: two full 6-session tiles plus a single-row remainder;
-  // shrinking batches below walk the 4- and 2-session tiles too.
+  // shrinking batches below walk the 4- and 2-session tiles and the
+  // one-row pass too.
   constexpr std::size_t kSessions = 13;
   constexpr std::size_t kSteps = 30;
-  for (const Shape& shape : kAvx2Shapes) {
+  for (const Shape& shape : kShapes) {
     const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
     const auto engine = LstmInferEngine::build(model);
     ASSERT_NE(engine, nullptr);
@@ -229,7 +266,7 @@ TEST(InferAvx2, FusedBatchWithinUlpOfScalar) {
     std::vector<std::vector<float>> batch_probs(kSessions);
     std::int64_t worst = 0;
     for (std::size_t t = 0; t < kSteps; ++t) {
-      const std::size_t n = kSessions - t % 8;  // 13 down to 6 rows
+      const std::size_t n = kSessions - t % kSessions;  // 13 rows down to 1
       // Fresh copies of the scalar trajectory states for both avx2 paths.
       std::vector<EngineState> batch_states(scalar_states.begin(), scalar_states.begin() + n);
       std::vector<EngineState> row_states(batch_states);

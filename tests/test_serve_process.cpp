@@ -1,8 +1,10 @@
 // End-to-end process tests of the misusedet_serve binary (path baked in
 // as MISUSEDET_SERVE_BIN): SIGTERM graceful drain with live TCP
 // connections mid-session, the TCP front end's verdicts against pipe
-// mode's, and kill -9 crash recovery via --wal-dir — the recovered run's
-// session reports must match an uninterrupted run's.
+// mode's (lockstep and batched reads), output order independent of
+// --batch, kill -9 crash recovery via --wal-dir — the recovered run's
+// session reports must match an uninterrupted run's — and
+// misusedet_router's (MISUSEDET_ROUTER_BIN) prompt exit on SIGTERM.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -11,6 +13,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -46,10 +49,12 @@ std::string scratch_dir(const std::string& name) {
   return dir;
 }
 
-/// A spawned misusedet_serve with its three standard streams piped.
+/// A spawned misusedet_serve (or another binary) with its three standard
+/// streams piped.
 class ServeProcess {
  public:
-  explicit ServeProcess(const std::vector<std::string>& extra_args) {
+  explicit ServeProcess(const std::vector<std::string>& extra_args,
+                        const std::string& binary = MISUSEDET_SERVE_BIN) {
     int in_pipe[2];
     int out_pipe[2];
     int err_pipe[2];
@@ -65,7 +70,7 @@ class ServeProcess {
            {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1], err_pipe[0], err_pipe[1]}) {
         ::close(fd);
       }
-      std::vector<std::string> args = {MISUSEDET_SERVE_BIN};
+      std::vector<std::string> args = {binary};
       args.insert(args.end(), extra_args.begin(), extra_args.end());
       std::vector<char*> argv;
       for (auto& a : args) argv.push_back(a.data());
@@ -147,6 +152,19 @@ class ServeProcess {
     ::waitpid(pid_, &status, 0);
     pid_ = -1;
     return status;
+  }
+
+  /// Reaps the child if it exits within `limit`; false while it still runs.
+  bool wait_for(std::chrono::milliseconds limit, int& status) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (true) {
+      if (::waitpid(pid_, &status, WNOHANG) == pid_) {
+        pid_ = -1;
+        return true;
+      }
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
 
  private:
@@ -242,6 +260,15 @@ class ServeProcessFixture : public ::testing::Test {
     }
     std::sort(reports.begin(), reports.end());
     return reports;
+  }
+
+  static std::vector<std::string> step_lines(const std::vector<std::string>& lines) {
+    std::vector<std::string> steps;
+    std::copy_if(lines.begin(), lines.end(), std::back_inserter(steps),
+                 [](const std::string& line) {
+                   return line.find("\"type\":\"step\"") != std::string::npos;
+                 });
+    return steps;
   }
 
   static std::vector<std::string> drain(std::istream& in) {
@@ -347,16 +374,12 @@ TEST_F(ServeProcessFixture, SigtermDrainsOpenTcpSessions) {
 // Differential lockdown of the TCP front end against pipe mode, the
 // reference path: the trace, split across two TCP connections in
 // lockstep, must produce pipe mode's step lines in the same order, and
-// byte-equal shutdown session reports. The loop feeds each line to
-// ScoringServer::submit_sync, so any divergence is a framing or routing
-// bug in the front end.
+// byte-equal shutdown session reports. Each line is its own read and so
+// its own one-event ScoringServer::submit_batch, so any divergence is a
+// framing or routing bug in the front end.
 TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
   const auto pipe_lines = pipe_run();
-  std::vector<std::string> pipe_steps;
-  std::copy_if(pipe_lines.begin(), pipe_lines.end(), std::back_inserter(pipe_steps),
-               [](const std::string& line) {
-                 return line.find("\"type\":\"step\"") != std::string::npos;
-               });
+  const auto pipe_steps = step_lines(pipe_lines);
   ASSERT_EQ(pipe_steps.size(), trace_->size()) << "one step verdict per event";
 
   ServeProcess proc({"--model=" + *model_path_, "--listen=0"});
@@ -387,6 +410,117 @@ TEST_F(ServeProcessFixture, TcpFrontEndMatchesPipeModeByteForByte) {
   const auto reports = session_reports(lines);
   ASSERT_EQ(reports.size(), 6u) << "one shutdown report per session";
   EXPECT_EQ(reports, session_reports(pipe_lines));
+}
+
+/// Sends `lines` on a fresh connection to `port` in one write, half-closes,
+/// and returns every reply up to the server's close.
+std::vector<std::string> burst_replies(std::uint16_t port, const std::vector<std::string>& lines) {
+  TcpStream client = tcp_connect("127.0.0.1", port);
+  std::string burst;
+  for (const auto& line : lines) burst += line + "\n";
+  client.io() << burst << std::flush;
+  client.shutdown_write();
+  std::vector<std::string> replies;
+  LineReader reader(client.io());
+  std::string reply;
+  while (reader.next(reply)) replies.push_back(reply);
+  return replies;
+}
+
+// The TCP front end scores each read as one batch. The whole trace in
+// one burst on one connection, then a half-close, must come back as pipe
+// mode's step lines in order — several events of one session inside one
+// batch included.
+TEST_F(ServeProcessFixture, TcpBurstMatchesPipeModeStepOrder) {
+  const auto pipe_steps = step_lines(pipe_run());
+  ASSERT_EQ(pipe_steps.size(), trace_->size());
+  ServeProcess proc({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t port = proc.wait_for_port();
+  ASSERT_GT(port, 0);
+  EXPECT_EQ(burst_replies(port, *trace_), pipe_steps);
+  proc.signal(SIGTERM);
+  (void)drain(proc.out());
+  const int status = proc.wait();
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+// One read that mixes every reply kind — a step, an unknown action, a
+// malformed line, a step, and a second action of the first session —
+// gets its replies in line order, equal to what the same lines get one
+// read at a time.
+TEST_F(ServeProcessFixture, MixedBatchRepliesInLineOrder) {
+  const std::vector<std::string> lines = {
+      event_line("mix", "a", (*actions_)[0], 1.0),
+      event_line("mix", "b", "no-such-action", 2.0),
+      R"({"user_id":"mix","session_id":)",
+      event_line("mix", "c", (*actions_)[1], 3.0),
+      event_line("mix", "a", (*actions_)[2], 4.0),
+  };
+  std::vector<std::string> lockstep;
+  {
+    ServeProcess proc({"--model=" + *model_path_, "--listen=0"});
+    const std::uint16_t port = proc.wait_for_port();
+    ASSERT_GT(port, 0);
+    TcpStream client = tcp_connect("127.0.0.1", port);
+    LineReader reader(client.io());
+    for (const auto& line : lines) {
+      client.io() << line << "\n" << std::flush;
+      std::string reply;
+      ASSERT_TRUE(reader.next(reply)) << "no reply to " << line;
+      lockstep.push_back(reply);
+    }
+  }
+  ASSERT_EQ(lockstep.size(), lines.size());
+  const char* kinds[] = {"step", "error", "error", "step", "step"};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(lockstep[i].find(std::string("\"type\":\"") + kinds[i] + "\""), std::string::npos)
+        << lockstep[i];
+  }
+  ServeProcess proc({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t port = proc.wait_for_port();
+  ASSERT_GT(port, 0);
+  EXPECT_EQ(burst_replies(port, lines), lockstep);
+}
+
+// A capacity-eviction report shares its sequence number with the step of
+// the event whose session open evicted it; the merge by sequence number
+// must keep the shard's order (report first) however the stream is cut
+// into batches. 300 round-robin sessions through an 8-session table
+// evict on almost every event.
+TEST_F(ServeProcessFixture, EvictionOrderDoesNotDependOnBatchSize) {
+  constexpr int kSessions = 300;
+  std::vector<std::string> trace;
+  std::vector<int> cursor(kSessions, 0);
+  double t = 1000.0;
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (int s = 0; s < kSessions; ++s) {
+      if (cursor[s] >= 2 + (s * 7) % 4) continue;  // 2-5 actions each
+      const int action = (s * 13 + cursor[s] * 5) % 40;
+      trace.push_back(event_line("u" + std::to_string(s), "s" + std::to_string(s),
+                                 std::to_string(action), t));
+      t += 1.0;
+      ++cursor[s];
+      progressed = true;
+    }
+  }
+  const auto run = [&trace](const std::string& batch) {
+    ServeProcess proc({std::string("--model=") + MISUSEDET_GOLDEN_DIR + "/detector.bin",
+                       "--max-sessions=8", "--batch=" + batch});
+    int status = 0;
+    const auto lines = feed_and_drain(proc, trace, status);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "--batch=" << batch;
+    return lines;
+  };
+  const auto one = run("1");
+  const auto many = run("256");
+  EXPECT_EQ(step_lines(one).size(), trace.size());
+  EXPECT_GT(std::count_if(one.begin(), one.end(),
+                          [](const std::string& line) {
+                            return line.find("capacity_eviction") != std::string::npos;
+                          }),
+            100);
+  EXPECT_TRUE(one == many) << "output order depends on --batch";
 }
 
 // kill -9 mid-replay, restart on the same --wal-dir with --resume-replay,
@@ -481,6 +615,35 @@ TEST_F(ServeProcessFixture, DrainLogsFinalMetricsSnapshotWithoutMetricsOut) {
   ASSERT_NE(snapshot, logs.end()) << "no final snapshot logged on EOF drain";
   EXPECT_NE(snapshot->find("\"serve.steps\""), std::string::npos) << *snapshot;
   EXPECT_NE(snapshot->find("\"serve.sessions_finished\""), std::string::npos) << *snapshot;
+}
+
+// misusedet_router stops from its signal handler: with one node behind
+// it, SIGTERM ends it with exit 0 within 2 s — while it serves, and when
+// the signal lands right after its "listening on port" line, before it
+// has begun serving.
+TEST_F(ServeProcessFixture, RouterExitsPromptlyOnSigterm) {
+  ServeProcess node({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t node_port = node.wait_for_port();
+  ASSERT_GT(node_port, 0);
+  for (const bool serving : {false, true}) {
+    ServeProcess router({"--nodes=127.0.0.1:" + std::to_string(node_port), "--listen=0"},
+                        MISUSEDET_ROUTER_BIN);
+    const std::uint16_t port = router.wait_for_port();
+    ASSERT_GT(port, 0);
+    if (serving) {
+      TcpStream client = tcp_connect("127.0.0.1", port);
+      client.io() << (*trace_)[0] << "\n" << std::flush;
+      LineReader reader(client.io());
+      std::string verdict;
+      ASSERT_TRUE(reader.next(verdict));
+      EXPECT_NE(verdict.find("\"type\":\"step\""), std::string::npos) << verdict;
+    }
+    router.signal(SIGTERM);
+    int status = 0;
+    ASSERT_TRUE(router.wait_for(std::chrono::seconds(2), status))
+        << "router still running 2 s after SIGTERM (serving=" << serving << ")";
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "serving=" << serving;
+  }
 }
 
 }  // namespace
