@@ -12,6 +12,11 @@
 # The client reads every reply, so the check also proves no verdict was
 # lost or duplicated across the handoff (one step record per event).
 #
+# A second leg, on a node and router of its own, runs the README cluster
+# quickstart's step 3: serve_replay --connect writes the whole trace,
+# half-closes, then reads. The router must keep the half-closed client
+# until the node has answered every event.
+#
 # usage: scripts/cluster_smoke.sh [BUILD_DIR]
 set -euo pipefail
 
@@ -140,4 +145,27 @@ if ! cmp -s "$work/single.reports" "$work/cluster.reports"; then
   exit 1
 fi
 sessions=$(wc -l <"$work/cluster.reports")
-echo "cluster smoke: OK ($sessions sessions byte-identical across a node kill)"
+
+echo "== README step 3: serve_replay --connect through a fresh node + router"
+"$serve" --model="$work/detector.bin" --listen=0 \
+  >"$work/step3_node.out" 2>"$work/step3_node.err" &
+step3_node=$!
+pids+=($step3_node)
+step3_node_port=$(scrape_port "$work/step3_node.err")
+"$router" --nodes="127.0.0.1:$step3_node_port" --listen=0 --host=127.0.0.1 \
+  >"$work/step3_router.out" 2>"$work/step3_router.err" &
+step3_router=$!
+pids+=($step3_router)
+step3_port=$(scrape_port "$work/step3_router.err")
+"$replay" --connect="127.0.0.1:$step3_port" --sessions=24 >"$work/step3.out"
+verdicts=$(sed -n 's/^=> \([0-9]*\) verdicts.*/\1/p' "$work/step3.out")
+if [ "$verdicts" != "$total" ]; then
+  echo "serve_replay --connect through the router: ${verdicts:-no} verdicts for $total events" >&2
+  tail -3 "$work/step3_router.err" >&2
+  exit 1
+fi
+kill "$step3_router" "$step3_node"
+wait "$step3_router" "$step3_node" 2>/dev/null || true
+
+echo "cluster smoke: OK ($sessions sessions byte-identical across a node kill;" \
+  "$verdicts of $total verdicts to a half-closed client)"

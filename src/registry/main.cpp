@@ -13,7 +13,6 @@
 // (message on stderr), 2 on a flag no command reads. See README "Model
 // lifecycle" for the publish -> canary -> promote -> rollback
 // walkthrough.
-#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <exception>
@@ -79,11 +78,9 @@ void print_version(const VersionMetadata& meta, std::uint64_t current, std::uint
 
 int run(int argc, char** argv) {
   const misuse::CliArgs args(argc, argv);
-  for (const std::string& key : args.keys()) {
-    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) == std::end(kKnownFlags)) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-      return 2;
-    }
+  if (const auto unknown = args.unknown_flag(kKnownFlags)) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+    return 2;
   }
   if (args.flag("help")) usage(argv[0], 0);
   const auto& positional = args.positional();

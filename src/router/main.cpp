@@ -15,6 +15,7 @@
 #include <csignal>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "core/observability.hpp"
@@ -63,8 +64,21 @@ void usage(std::ostream& out) {
       << "  --metrics-out=PATH      write the metrics/trace snapshot on exit\n";
 }
 
+/// Every flag router_main reads.
+constexpr std::string_view kKnownFlags[] = {
+    // Nodes and the client listener.
+    "help", "nodes", "listen", "host", "vnodes",
+    // Quotas, health probes, journal TTL and metrics.
+    "quota-rate", "quota-burst", "health-interval", "health-failures", "session-ttl", "node-ttl",
+    "metrics-out",
+};
+
 int router_main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  const CliArgs args(argc, argv);
+  if (const auto unknown = args.unknown_flag(kKnownFlags)) {
+    std::cerr << "misusedet_router: unknown flag --" << *unknown << " (see --help)\n";
+    return 2;
+  }
   if (args.flag("help")) {
     usage(std::cout);
     return 0;

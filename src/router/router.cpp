@@ -7,6 +7,7 @@
 #include "serve/event.hpp"
 #include "util/line_io.hpp"
 #include "util/logging.hpp"
+#include "util/socket.hpp"
 
 namespace misuse::router {
 
@@ -83,26 +84,6 @@ Router::Router(RouterConfig config)
     }
   }
 
-  for (const NodeEndpoint& endpoint : config_.nodes) {
-    auto up = std::make_unique<Upstream>();
-    up->endpoint = endpoint;
-    const std::string name = endpoint.name();
-    if (upstreams_.count(name) > 0) throw std::runtime_error("router: duplicate node " + name);
-    try {
-      up->stream.emplace(tcp_connect(endpoint.host, endpoint.port));
-      up->stream->set_write_timeout(config_.upstream_write_timeout_seconds);
-      up->read_buf = std::make_unique<FdStreamBuf>(up->stream->fd());
-      up->read_stream = std::make_unique<std::istream>(up->read_buf.get());
-      up->up = true;
-      ring_.add_node(name);
-    } catch (const std::runtime_error& e) {
-      log_warn() << "router: node " << name << " unreachable at startup: " << e.what();
-    }
-    upstreams_.emplace(name, std::move(up));
-  }
-  if (ring_.node_count() == 0) throw std::runtime_error("router: no upstream node reachable");
-  router_metrics().nodes_up.set(static_cast<std::int64_t>(ring_.node_count()));
-
   serve::EpollConfig loop_config;
   loop_config.port = config_.listen_port;
   loop_config.host = config_.listen_host;
@@ -110,83 +91,74 @@ Router::Router(RouterConfig config)
   serve::EpollHandlers handlers;
   handlers.on_lines = [this](std::uint64_t conn, std::span<const std::string_view> lines,
                              std::string& replies) {
-    for (const std::string_view line : lines) on_client_line(conn, line, replies);
+    if (Upstream* node = upstream_of(conn)) {
+      on_node_lines(*node, lines);
+    } else {
+      for (const std::string_view line : lines) on_client_line(conn, line, replies);
+    }
+    active_sessions_.store(sessions_.size());
   };
   handlers.on_close = [this](std::uint64_t conn) {
-    // The client is gone; detach its sessions so replies stop, but keep
-    // the journals — the node-side state still finishes to the node's
-    // stdout report stream, and a node failure after the client left
-    // must still hand that state off for the final report to be exact.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    for (auto& [key, session] : sessions_) {
-      if (session.client == conn) session.client = 0;
-    }
+    // A client's sessions keep their journals: a node failure after the
+    // client left must still hand that state off for the node's final
+    // report to be exact. Verdicts sent to the gone client are dropped.
+    Upstream* node = upstream_of(conn);
+    if (node != nullptr && node->up && !loop_->stopping()) node_down(*node, "connection closed");
   };
-  handlers.on_tick = [this] {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    const double now = wall_seconds();
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (now - it->second.last_active_seconds > config_.session_ttl_seconds) {
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    router_metrics().sessions_active.set(static_cast<std::int64_t>(sessions_.size()));
-  };
+  handlers.on_tick = [this] { on_tick(); };
   loop_ = std::make_unique<serve::EpollLoop>(loop_config, std::move(handlers));
 
-  // Reader threads start only after `loop_` exists: they post() replies
-  // through it.
-  for (auto& [name, up] : upstreams_) {
-    if (!up->up) continue;
-    up->reader = std::thread([this, node = name] { reader_loop(node); });
+  for (const NodeEndpoint& endpoint : config_.nodes) {
+    auto node = std::make_unique<Upstream>();
+    node->endpoint = endpoint;
+    node->name = endpoint.name();
+    if (upstreams_.count(node->name) > 0) {
+      throw std::runtime_error("router: duplicate node " + node->name);
+    }
+    try {
+      node->conn = loop_->connect(endpoint.host, endpoint.port);
+      node->up = true;
+      ring_.add_node(node->name);
+    } catch (const std::runtime_error& e) {
+      log_warn() << "router: node " << node->name << " unreachable at startup: " << e.what();
+    }
+    upstreams_.emplace(node->name, std::move(node));
   }
+  if (ring_.node_count() == 0) throw std::runtime_error("router: no upstream node reachable");
+  live_nodes_.store(ring_.node_count());
+  router_metrics().nodes_up.set(static_cast<std::int64_t>(ring_.node_count()));
 }
 
 Router::~Router() {
   request_stop();
-  if (health_thread_.joinable()) health_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    for (auto& [name, up] : upstreams_) {
-      if (up->stream) {
-        up->stream->shutdown_read();  // unblocks the reader's blocking read
-        up->stream->shutdown_write();
-      }
-    }
-  }
-  for (auto& [name, up] : upstreams_) {
-    if (up->reader.joinable()) up->reader.join();
-  }
+  if (prober_.joinable()) prober_.join();
 }
 
 void Router::run() {
-  health_thread_ = std::thread([this] { health_loop(); });
+  for (const auto& [name, node] : upstreams_) {
+    if (node->endpoint.admin_port != 0) {
+      prober_ = std::thread([this] { health_loop(); });
+      break;
+    }
+  }
   loop_->run();
+  if (prober_.joinable()) prober_.join();
 }
 
-void Router::request_stop() {
-  stop_.store(true, std::memory_order_release);
-  loop_->request_stop();
+void Router::request_stop() { loop_->request_stop(); }
+
+Router::Upstream* Router::upstream_of(std::uint64_t conn) {
+  for (auto& [name, node] : upstreams_) {
+    if (node->conn == conn) return node.get();
+  }
+  return nullptr;
 }
 
-std::size_t Router::live_nodes() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return ring_.node_count();
-}
-
-std::size_t Router::active_sessions() const {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  return sessions_.size();
-}
-
-bool Router::send_upstream(Upstream& node, const std::string& framed) {
-  if (!node.up || !node.stream) return false;
-  std::iostream& io = node.stream->io();
-  io.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  io.flush();
-  return io.good();
+void Router::forward(Upstream& node, Inflight entry, std::string_view line) {
+  // A verdict the client will get: a half-closed client stays open for it.
+  if (!entry.replayed) loop_->hold(entry.client);
+  node.inflight.push_back(std::move(entry));
+  loop_->send(node.conn, line);
 }
 
 void Router::on_client_line(std::uint64_t conn, std::string_view line, std::string& replies) {
@@ -200,129 +172,112 @@ void Router::on_client_line(std::uint64_t conn, std::string_view line, std::stri
     return;
   }
 
-  std::string down_node;  // node to declare dead once the lock is dropped
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    // Quota refill clock: producer event time when stamped (so replayed
-    // traces throttle deterministically), wall clock otherwise. The
-    // bucket keeps a per-tenant baseline per domain — epoch timestamps
-    // and seconds-since-boot are never compared to each other.
-    const bool stamped = event.has_timestamp;
-    const double now = stamped ? event.timestamp : wall_seconds();
-    const QuotaClock clock = stamped ? QuotaClock::kEvent : QuotaClock::kWall;
-    if (!quotas_.admit(event.user_id, now, clock)) {
-      rm.quota_rejected.inc();
-      replies += serve::render_error_record("tenant quota exceeded: " + event.user_id, line);
+  // Quota refill clock: producer event time when stamped (so replayed
+  // traces throttle deterministically), wall clock otherwise. The bucket
+  // keeps a per-tenant baseline per domain — epoch timestamps and
+  // seconds-since-boot are never compared to each other.
+  const bool stamped = event.has_timestamp;
+  const double now = stamped ? event.timestamp : wall_seconds();
+  const QuotaClock clock = stamped ? QuotaClock::kEvent : QuotaClock::kWall;
+  if (!quotas_.admit(event.user_id, now, clock)) {
+    rm.quota_rejected.inc();
+    replies += serve::render_error_record("tenant quota exceeded: " + event.user_id, line);
+    replies += '\n';
+    return;
+  }
+
+  std::string key = serve::session_key(event);
+  auto [it, inserted] = sessions_.try_emplace(key);
+  SessionState& session = it->second;
+  if (inserted) {
+    const std::string* owner = ring_.owner_of(key);
+    if (owner == nullptr) {
+      sessions_.erase(it);
+      replies += serve::render_error_record("no upstream nodes available", line);
       replies += '\n';
       return;
     }
-
-    const std::string key = serve::session_key(event);
-    auto [it, inserted] = sessions_.try_emplace(key);
-    SessionState& session = it->second;
-    if (inserted) {
-      const std::string* owner = ring_.owner_of(key);
-      if (owner == nullptr) {
-        sessions_.erase(it);
-        replies += serve::render_error_record("no upstream nodes available", line);
-        replies += '\n';
-        return;
-      }
-      session.owner = *owner;
-    }
-    session.client = conn;
-    session.last_active_seconds = wall_seconds();
-
-    std::string framed(line);
-    framed += '\n';
-    session.journal.push_back(framed);
-
-    Upstream& node = *upstreams_.at(session.owner);
-    node.inflight.push_back(Inflight{key, false});
-    if (!send_upstream(node, framed)) {
-      // The journal already holds this event; handoff replays it to the
-      // new owner, whose reply reaches the client (it is unconfirmed).
-      down_node = session.owner;
-    }
-    rm.events.inc();
+    session.owner = upstreams_.at(*owner).get();
   }
-  if (!down_node.empty()) node_down(down_node, "forward failed");
+  session.client = conn;
+  session.last_active_seconds = wall_seconds();
+  // The journal already holds the event when it is sent: if the node
+  // fails before it answers, handoff replays it to the new owner, whose
+  // reply reaches the client (it is unconfirmed).
+  session.journal.emplace_back(line);
+  forward(*session.owner, Inflight{std::move(key), conn, false}, line);
+  rm.events.inc();
 }
 
-void Router::reader_loop(const std::string& node_name) {
+void Router::on_node_lines(Upstream& node, std::span<const std::string_view> lines) {
   RouterMetrics& rm = router_metrics();
-  std::istream* in = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    Upstream& node = *upstreams_.at(node_name);
-    if (!node.read_stream) return;
-    in = node.read_stream.get();
-  }
-  // The blocking read below runs without the lock; node_down() wakes it
-  // with shutdown_read() rather than destroying the stream (the Upstream
-  // object and its TcpStream live until ~Router). It reads through the
-  // node's dedicated read_stream, never stream->io(): send_upstream
-  // writes that iostream under state_mutex_, and two threads sharing
-  // one stream's state flags would be a data race even though the
-  // streambuf get/put areas are distinct.
-  LineReader reader(*in);
-  std::string line;
-  while (reader.next(line)) {
-    std::vector<JsonField> fields;
-    std::string parse_error;
-    std::string type;
-    if (parse_flat_json(line, fields, parse_error)) {
-      type = get_string(fields, "type").value_or("");
-    }
-
-    std::uint64_t deliver_to = 0;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      Upstream& node = *upstreams_.at(node_name);
-      if (type == "session_report") {
-        // Reports self-identify (capacity/swap evictions ride the
-        // upstream connection out of order with step replies) — route by
-        // content, never the FIFO.
-        const std::string user = get_string(fields, "user_id").value_or("");
-        const std::string sess = get_string(fields, "session_id").value_or("");
-        const auto it = sessions_.find(serve::session_key(user, sess));
+  for (const std::string_view line : lines) {
+    if (serve::is_report_record(line)) {
+      // Reports self-identify (capacity/swap evictions ride the upstream
+      // connection out of order with step replies) — route by content,
+      // never the FIFO.
+      std::vector<JsonField> fields;
+      std::string parse_error;
+      if (parse_flat_json(line, fields, parse_error)) {
+        const auto it = sessions_.find(
+            serve::session_key(get_string(fields, "user_id").value_or(""),
+                               get_string(fields, "session_id").value_or("")));
         if (it != sessions_.end()) {
-          deliver_to = it->second.client;
+          if (loop_->send(it->second.client, line)) rm.replies.inc();
           sessions_.erase(it);
         }
-        rm.sessions_finished.inc();
-      } else if (!node.inflight.empty()) {
-        // step / error verdicts answer forwarded events in FIFO order.
-        const Inflight entry = node.inflight.front();
-        node.inflight.pop_front();
-        const auto it = sessions_.find(entry.session_key);
-        if (it != sessions_.end() && !entry.replayed) {
-          // `confirmed` is the client-visible verdict prefix. A replayed
-          // (suppressed) reply answers a verdict already inside that
-          // prefix — counting it again would inflate `confirmed` past
-          // what the client has seen, and a second failure mid-replay
-          // would then suppress verdicts that were never delivered.
-          it->second.confirmed += 1;
-          deliver_to = it->second.client;
-        }
-        if (entry.replayed) rm.replay_suppressed.inc();
-      } else {
-        log_warn() << "router: unattributed reply from " << node_name << ": " << line;
       }
+      rm.sessions_finished.inc();
+      continue;
     }
-    if (deliver_to != 0) {
-      loop_->post(deliver_to, line + "\n");
-      rm.replies.inc();
+    if (node.inflight.empty()) {
+      log_warn() << "router: unattributed reply from " << node.name << ": " << line;
+      continue;
+    }
+    // step / error verdicts answer forwarded events in FIFO order.
+    const Inflight entry = std::move(node.inflight.front());
+    node.inflight.pop_front();
+    if (entry.replayed) {
+      rm.replay_suppressed.inc();
+      continue;
+    }
+    const auto it = sessions_.find(entry.session_key);
+    if (it != sessions_.end()) {
+      // `confirmed` is the client-visible verdict prefix. A replayed
+      // (suppressed) reply answers a verdict already inside that prefix —
+      // counting it again would inflate `confirmed` past what the client
+      // has seen, and a second failure mid-replay would then suppress
+      // verdicts that were never delivered.
+      it->second.confirmed += 1;
+      if (loop_->send(entry.client, line)) rm.replies.inc();
+    }
+    loop_->release(entry.client);
+  }
+}
+
+void Router::on_tick() {
+  for (auto& [name, node] : upstreams_) {
+    if (node->up && node->endpoint.admin_port != 0 &&
+        node->failed_probes.load() >= config_.health_failures_down) {
+      node_down(*node, "healthz failing");
     }
   }
-  if (!stop_.load(std::memory_order_acquire)) node_down(node_name, "reply stream closed");
+  const double now = wall_seconds();
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (now - it->second.last_active_seconds > config_.session_ttl_seconds) {
+      it = sessions_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  active_sessions_.store(sessions_.size());
+  router_metrics().sessions_active.set(static_cast<std::int64_t>(sessions_.size()));
 }
 
 bool Router::probe_health(const NodeEndpoint& endpoint) {
   try {
     TcpStream probe = tcp_connect(endpoint.host, endpoint.admin_port);
-    probe.set_read_timeout(2.0);
-    probe.set_write_timeout(2.0);
+    probe.set_read_timeout(2.0);  // the request is too small to block its write
     probe.io() << "GET /healthz HTTP/1.1\r\nHost: " << endpoint.host
                << "\r\nConnection: close\r\n\r\n";
     probe.io().flush();
@@ -336,118 +291,72 @@ bool Router::probe_health(const NodeEndpoint& endpoint) {
 }
 
 void Router::health_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::vector<std::pair<std::string, NodeEndpoint>> targets;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      for (const auto& [name, up] : upstreams_) {
-        if (up->up && up->endpoint.admin_port != 0) targets.emplace_back(name, up->endpoint);
-      }
-    }
-    for (const auto& [name, endpoint] : targets) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      const bool healthy = probe_health(endpoint);
-      bool declare_down = false;
-      {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        const auto it = upstreams_.find(name);
-        if (it == upstreams_.end() || !it->second->up) continue;
-        Upstream& node = *it->second;
-        node.health_fails = healthy ? 0 : node.health_fails + 1;
-        declare_down = node.health_fails >= config_.health_failures_down;
-      }
-      if (declare_down) node_down(name, "healthz failing");
+  // on_tick turns the counts into node_down calls on the loop thread.
+  while (!loop_->stopping()) {
+    for (auto& [name, node] : upstreams_) {
+      if (node->endpoint.admin_port == 0) continue;
+      if (loop_->stopping()) return;
+      const std::size_t failed = node->failed_probes.load();
+      node->failed_probes.store(probe_health(node->endpoint) ? 0 : failed + 1);
     }
     // Sleep in small slices so stop latency stays well under a probe
     // interval even when the interval is long.
     const auto interval = std::chrono::duration<double>(config_.health_interval_seconds);
     const auto deadline = std::chrono::steady_clock::now() + interval;
-    while (!stop_.load(std::memory_order_acquire) &&
-           std::chrono::steady_clock::now() < deadline) {
+    while (!loop_->stopping() && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
 }
 
-void Router::node_down(const std::string& name, const std::string& why) {
+void Router::node_down(Upstream& dead, std::string_view why) {
   RouterMetrics& rm = router_metrics();
-  // Nodes that fail *during* a handoff replay queue up behind the first:
-  // the loop drains them one at a time, so a cascading failure (replay
-  // target dies mid-replay) terminates with either every session on a
-  // survivor or an error record to the client when the ring empties.
-  std::vector<std::string> downed{name};
-  std::vector<std::string> reasons{why};
-  while (!downed.empty()) {
-    const std::string target = std::move(downed.back());
-    const std::string reason = std::move(reasons.back());
-    downed.pop_back();
-    reasons.pop_back();
-
-    std::vector<std::pair<std::uint64_t, std::string>> client_errors;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      const auto up_it = upstreams_.find(target);
-      if (up_it == upstreams_.end() || !up_it->second->up) continue;  // already down
-      Upstream& dead = *up_it->second;
-      dead.up = false;
-      dead.inflight.clear();
-      if (dead.stream) {
-        dead.stream->shutdown_read();  // unblock the reader thread
-        dead.stream->shutdown_write();
-      }
-      ring_.remove_node(target);
-      rm.nodes_lost.inc();
-      rm.handoffs.inc();
-      rm.nodes_up.set(static_cast<std::int64_t>(ring_.node_count()));
-      log_warn() << "router: node " << target << " down (" << reason << "), "
-                 << ring_.node_count() << " node(s) remain";
-
-      // Replay every session the dead node owned to its new owner.
-      // Scoring is deterministic, so the replayed journal reconstructs
-      // the node-local state byte-exactly; verdicts the client already
-      // saw (`confirmed`) are marked for suppression.
-      std::string failed_target;
-      for (auto it = sessions_.begin(); it != sessions_.end();) {
-        SessionState& session = it->second;
-        if (session.owner != target) {
-          ++it;
-          continue;
-        }
-        const std::string* new_owner = ring_.owner_of(it->first);
-        if (new_owner == nullptr) {
-          if (session.client != 0) {
-            client_errors.emplace_back(
-                session.client,
-                serve::render_error_record("all upstream nodes lost", it->first) + "\n");
-          }
-          it = sessions_.erase(it);
-          continue;
-        }
-        session.owner = *new_owner;
-        Upstream& successor = *upstreams_.at(*new_owner);
-        rm.sessions_migrated.inc();
-        bool sent_all = true;
-        for (std::size_t i = 0; i < session.journal.size(); ++i) {
-          successor.inflight.push_back(Inflight{it->first, i < session.confirmed});
-          rm.replay_events.inc();
-          if (!send_upstream(successor, session.journal[i])) {
-            sent_all = false;
-            break;
-          }
-        }
-        if (!sent_all && failed_target.empty()) failed_target = *new_owner;
-        // `confirmed` stays as-is: it counts client deliveries, and a
-        // re-handoff after a cascading failure must suppress the same
-        // prefix again.
-        ++it;
-      }
-      if (!failed_target.empty()) {
-        downed.push_back(failed_target);
-        reasons.emplace_back("forward failed during handoff");
-      }
-    }
-    for (auto& [conn, record] : client_errors) loop_->post(conn, std::move(record));
+  dead.up = false;
+  // Unanswered events are replayed below, and their holds with them.
+  for (const Inflight& entry : dead.inflight) {
+    if (!entry.replayed) loop_->release(entry.client);
   }
+  dead.inflight.clear();
+  loop_->close(dead.conn);  // on_close sees the node down already
+  ring_.remove_node(dead.name);
+  rm.nodes_lost.inc();
+  rm.handoffs.inc();
+  rm.nodes_up.set(static_cast<std::int64_t>(ring_.node_count()));
+  live_nodes_.store(ring_.node_count());
+  log_warn() << "router: node " << dead.name << " down (" << why << "), " << ring_.node_count()
+             << " node(s) remain";
+
+  // Replay every session the dead node owned to its new owner. Scoring
+  // is deterministic, so the replayed journal reconstructs the node-local
+  // state byte-exactly; verdicts the client already saw (`confirmed`)
+  // are marked for suppression. A new owner that dies mid-replay gets
+  // its own node_down, which replays the same journals again.
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    SessionState& session = it->second;
+    if (session.owner != &dead) {
+      ++it;
+      continue;
+    }
+    const std::string* new_owner = ring_.owner_of(it->first);
+    if (new_owner == nullptr) {
+      loop_->send(session.client, serve::render_error_record("all upstream nodes lost", it->first));
+      it = sessions_.erase(it);
+      continue;
+    }
+    Upstream& successor = *upstreams_.at(*new_owner);
+    session.owner = &successor;
+    rm.sessions_migrated.inc();
+    for (std::size_t i = 0; i < session.journal.size(); ++i) {
+      forward(successor, Inflight{it->first, session.client, i < session.confirmed},
+              session.journal[i]);
+      rm.replay_events.inc();
+    }
+    // `confirmed` stays as-is: it counts client deliveries, and a
+    // re-handoff after a cascading failure must suppress the same prefix
+    // again.
+    ++it;
+  }
+  active_sessions_.store(sessions_.size());
 }
 
 }  // namespace misuse::router

@@ -12,9 +12,10 @@
 //   * in-order replies — one upstream connection per node, verdicts
 //     return in submission order, attributed to sessions via an
 //     in-flight FIFO (session reports self-identify and pass through);
-//   * failure handoff — a node that dies (reply stream breaks, forward
-//     fails, or /healthz goes unhealthy for `health_failures_down`
-//     consecutive probes) is removed from the ring and each of its live
+//   * failure handoff — a node that dies (its connection closes or
+//     breaks, it stops draining past the loop's backlog cap, or /healthz
+//     fails `health_failures_down` consecutive probes) is removed from
+//     the ring and each of its live
 //     sessions is replayed, from the router's per-session journal, to
 //     the session's new owner. Scoring is deterministic, so the replay
 //     reproduces the node-local state byte-exactly (the WAL-recovery
@@ -25,15 +26,20 @@
 //   * per-tenant quotas — token-bucket admission per user_id at the
 //     router (router/quota.hpp), rejected events answered with an
 //     "error" record, layered on the nodes' own backpressure modes.
+//
+// One thread owns all of it: client and node sockets share the router's
+// EpollLoop, so nothing is locked. Only the /healthz prober runs beside
+// it, and it publishes just an atomic count of failed probes per node.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -42,7 +48,6 @@
 #include "router/quota.hpp"
 #include "serve/epoll_loop.hpp"
 #include "util/metrics.hpp"
-#include "util/socket.hpp"
 
 namespace misuse::router {
 
@@ -66,9 +71,6 @@ struct RouterConfig {
   double health_interval_seconds = 1.0;
   /// Consecutive failed /healthz probes before a node is declared down.
   std::size_t health_failures_down = 3;
-  /// SO_SNDTIMEO on upstream connections: a forward blocked this long
-  /// fails and downs the node instead of wedging the router.
-  double upstream_write_timeout_seconds = 5.0;
   /// Router-side journal TTL. Idle-evicted sessions report on the
   /// owning node's *stdout* (the operator plane), not the upstream
   /// connection, so the router cannot see them finish — it prunes its
@@ -116,74 +118,68 @@ class Router {
 
   std::uint16_t port() const { return loop_->port(); }
 
-  /// Serves until request_stop(); call from one thread.
+  /// Serves until request_stop(); call from one thread. Runs the /healthz
+  /// prober on a second thread while it serves, when some node has an
+  /// admin port.
   void run();
-  /// Thread-safe shutdown trigger.
+  /// Thread-safe (and async-signal-safe) shutdown trigger.
   void request_stop();
 
-  /// Nodes currently in the ring (health view; thread-safe).
-  std::size_t live_nodes() const;
-  /// Sessions with a journal entry (live, unfinished sessions).
-  std::size_t active_sessions() const;
+  /// Nodes in the ring, and sessions with a journal (live, unfinished);
+  /// both thread-safe.
+  std::size_t live_nodes() const { return live_nodes_.load(); }
+  std::size_t active_sessions() const { return active_sessions_.load(); }
 
  private:
   struct Inflight {
     std::string session_key;
+    std::uint64_t client = 0;  // connection the verdict goes back to
     bool replayed = false;  // suppress the verdict — the client saw it already
   };
 
   struct Upstream {
     NodeEndpoint endpoint;
-    std::optional<TcpStream> stream;  // write side; send_upstream only
-    /// Read-side view of the same fd. The reader thread's blocking
-    /// reads run without state_mutex_ while send_upstream writes under
-    /// it; sharing one std::iostream would race on the stream-state
-    /// flags (sentry/good() vs. flush), so each direction gets its own
-    /// stream object over the shared descriptor.
-    std::unique_ptr<FdStreamBuf> read_buf;
-    std::unique_ptr<std::istream> read_stream;
-    std::thread reader;
+    std::string name;
+    std::uint64_t conn = 0;  // EpollLoop connection id; 0 if never connected
     bool up = false;
-    std::size_t health_fails = 0;
-    /// FIFO of events sent but not yet answered; one upstream
-    /// connection + sequential per-connection scoring on the node means
-    /// verdicts return in exactly this order.
+    /// Events sent but not yet answered: the node replies in line order.
     std::deque<Inflight> inflight;
+    /// Consecutive failed /healthz probes, written by the prober thread.
+    std::atomic<std::size_t> failed_probes{0};
   };
 
   struct SessionState {
-    std::string owner;          // node name
-    std::uint64_t client = 0;   // EpollLoop connection id (may be gone)
+    Upstream* owner = nullptr;
+    std::uint64_t client = 0;  // connection of the session's last event (may be gone)
     std::vector<std::string> journal;  // every forwarded event line, in order
     std::size_t confirmed = 0;  // verdicts already delivered to the client
     double last_active_seconds = 0.0;  // wall clock; journal TTL pruning
   };
 
   void on_client_line(std::uint64_t conn, std::string_view line, std::string& replies);
-  void reader_loop(const std::string& node_name);
+  /// A node's verdicts: reports route by content, the rest pop its FIFO.
+  void on_node_lines(Upstream& node, std::span<const std::string_view> lines);
+  /// Sends one journaled line to `node` and records what answers it.
+  void forward(Upstream& node, Inflight entry, std::string_view line);
+  void on_tick();
+  /// Declares `node` down and hands its sessions off to their new owners.
+  void node_down(Upstream& node, std::string_view why);
+  Upstream* upstream_of(std::uint64_t conn);
   void health_loop();
-  /// Declares `name` down and hands its sessions off. Caller must NOT
-  /// hold state_mutex_. Safe to call repeatedly / concurrently.
-  void node_down(const std::string& name, const std::string& why);
-  /// state_mutex_ held: forwards one framed line to `node`, returns
-  /// false (and leaves the node to be downed by the caller) on failure.
-  bool send_upstream(Upstream& node, const std::string& framed);
   bool probe_health(const NodeEndpoint& endpoint);
 
   RouterConfig config_;
   std::unique_ptr<serve::EpollLoop> loop_;
-  std::atomic<bool> stop_{false};
-
-  /// One mutex over ring + sessions + upstream inflight/up state: the
-  /// router's control plane is correctness-critical and low-rate
-  /// relative to node-side scoring, so simplicity wins over sharding.
-  mutable std::mutex state_mutex_;
+  // Loop thread only; the prober reads Upstream::endpoint and writes
+  // Upstream::failed_probes, nothing else.
   HashRing ring_;
   std::unordered_map<std::string, std::unique_ptr<Upstream>> upstreams_;
   std::unordered_map<std::string, SessionState> sessions_;
   TenantQuotas quotas_;
 
-  std::thread health_thread_;
+  std::atomic<std::size_t> live_nodes_{0};
+  std::atomic<std::size_t> active_sessions_{0};
+  std::thread prober_;
 };
 
 }  // namespace misuse::router

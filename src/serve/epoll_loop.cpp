@@ -1,14 +1,17 @@
 #include "serve/epoll_loop.hpp"
 
+#include <linux/sockios.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 
@@ -49,9 +52,7 @@ EpollLoop::EpollLoop(EpollConfig config, EpollHandlers handlers)
 }
 
 EpollLoop::~EpollLoop() {
-  for (auto& [id, conn] : conns_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
+  for (auto& [id, conn] : conns_) ::close(conn.fd);
   conns_.clear();
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
@@ -63,15 +64,36 @@ void EpollLoop::request_stop() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
-bool EpollLoop::post(std::uint64_t conn, std::string data) {
-  {
-    std::lock_guard<std::mutex> lock(posted_mutex_);
-    if (live_ids_.count(conn) == 0) return false;  // unknown or retired
-    posted_.emplace_back(conn, std::move(data));
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+std::uint64_t EpollLoop::connect(const std::string& host, std::uint16_t port) {
+  const int fd = tcp_connect(host, port).release();
+  set_nonblocking(fd);
+  return add(fd);
+}
+
+bool EpollLoop::send(std::uint64_t id, std::string_view line) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return false;  // unknown or retired
+  it->second.out.append(line);
+  it->second.out.push_back('\n');
+  queue_flush(id, it->second);
   return true;
+}
+
+void EpollLoop::hold(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it != conns_.end()) ++it->second.holds;
+}
+
+void EpollLoop::release(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end() || it->second.holds == 0) return;
+  // A half-closed peer's last hold: flush_queued retires it once written.
+  if (--it->second.holds == 0 && it->second.peer_eof) queue_flush(id, it->second);
+}
+
+void EpollLoop::close(std::uint64_t id) {
+  const auto it = conns_.find(id);
+  if (it != conns_.end()) retire(id, it->second);
 }
 
 void EpollLoop::update_interest(std::uint64_t id, Conn& conn, bool want_write) {
@@ -87,15 +109,24 @@ void EpollLoop::update_interest(std::uint64_t id, Conn& conn, bool want_write) {
 }
 
 void EpollLoop::retire(std::uint64_t id, Conn& conn) {
-  if (conn.fd >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-    ::close(conn.fd);
-    conn.fd = -1;
-  }
-  if (handlers_.on_close) handlers_.on_close(id);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+  ::close(conn.fd);
+  // Gone before on_close runs, so a handler that send()s, close()s or
+  // release()s from there sees the connection as retired.
   conns_.erase(id);
-  std::lock_guard<std::mutex> lock(posted_mutex_);
-  live_ids_.erase(id);
+  if (handlers_.on_close) handlers_.on_close(id);
+}
+
+std::uint64_t EpollLoop::add(int fd) {
+  const std::uint64_t id = next_id_++;
+  Conn& conn = conns_[id];
+  conn.fd = fd;
+  conn.interest = EPOLLIN;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = id;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  return id;
 }
 
 void EpollLoop::accept_ready() {
@@ -115,18 +146,7 @@ void EpollLoop::accept_ready() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const std::uint64_t id = next_id_++;
-    Conn& conn = conns_[id];
-    conn.fd = fd;
-    conn.interest = EPOLLIN;
-    {
-      std::lock_guard<std::mutex> lock(posted_mutex_);
-      live_ids_.insert(id);
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    add(fd);
     accepted_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -160,10 +180,10 @@ bool EpollLoop::consume_lines(std::uint64_t id, Conn& conn) {
 void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
   // One read per readiness report, answered before the loop reads again.
   // Level-triggered epoll re-reports a socket that still holds data once
-  // the other ready connections, posted output and on_tick have had
-  // their turn. Reading to EAGAIN first would hold back every reply to a
-  // backlog (the peer waits while this side scores it all), and a
-  // producer that keeps the socket readable would starve on_tick.
+  // the other ready connections and on_tick have had their turn. Reading
+  // to EAGAIN first would hold back every reply to a backlog (the peer
+  // waits while this side scores it all), and a producer that keeps the
+  // socket readable would starve on_tick.
   char buf[kReadChunk];
   std::size_t n = 0;
   switch (read_some(conn.fd, buf, sizeof(buf), n)) {
@@ -174,7 +194,7 @@ void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
       return;
     case IoStatus::kEof:
       // Half-close: deliver a final unterminated line (LineReader
-      // parity), flush what we owe, then retire.
+      // parity), flush what we owe, then retire (flush_conn).
       conn.peer_eof = true;
       if (!conn.in.empty()) {
         std::string line = std::move(conn.in);
@@ -190,14 +210,6 @@ void EpollLoop::conn_readable(std::uint64_t id, Conn& conn) {
         retire(id, conn);
         return;
       }
-      // A producer whose replies we cannot drain must not grow the
-      // output buffer without bound: cut the slow consumer loose.
-      if (conn.out.size() - conn.out_off > config_.max_output_bytes) {
-        overflowed_.fetch_add(1, std::memory_order_relaxed);
-        log_warn() << "connection " << id << " exceeded the output backlog cap; closing";
-        retire(id, conn);
-        return;
-      }
       break;
   }
   flush_conn(id, conn);
@@ -210,17 +222,24 @@ bool EpollLoop::flush_conn(std::uint64_t id, Conn& conn) {
         write_some(conn.fd, conn.out.data() + conn.out_off, conn.out.size() - conn.out_off, n);
     if (status == IoStatus::kOk) {
       conn.out_off += n;
+      conn.drained = true;
       continue;
     }
-    if (status == IoStatus::kWouldBlock) {
-      // The retry is epoll's job: arm EPOLLOUT and hand control back.
-      update_interest(id, conn, true);
-      return true;
+    if (status == IoStatus::kError) {
+      retire(id, conn);  // EPIPE/ECONNRESET under SIGPIPE-ignored
+      return false;
     }
-    retire(id, conn);  // kError: EPIPE/ECONNRESET under SIGPIPE-ignored
-    return false;
+    // kWouldBlock. Drop the written prefix once it outweighs the rest, so
+    // a peer that never quite catches up does not keep every byte sent.
+    if (conn.out_off >= conn.out.size() - conn.out_off) {
+      conn.out.erase(0, conn.out_off);
+      conn.out_off = 0;
+    }
+    // The retry is epoll's job: arm EPOLLOUT and hand control back.
+    update_interest(id, conn, true);
+    return true;
   }
-  if (conn.peer_eof) {
+  if (conn.peer_eof && conn.holds == 0) {
     retire(id, conn);  // half-closed and owed nothing more
     return false;
   }
@@ -230,28 +249,49 @@ bool EpollLoop::flush_conn(std::uint64_t id, Conn& conn) {
   return true;
 }
 
-void EpollLoop::drain_posted() {
-  std::vector<std::pair<std::uint64_t, std::string>> batch;
-  {
-    std::lock_guard<std::mutex> lock(posted_mutex_);
-    batch.swap(posted_);
-  }
-  for (auto& [id, data] : batch) {
-    const auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    Conn& conn = it->second;
-    conn.out += data;
-    // Posted output obeys the same slow-consumer cap as on_lines replies:
-    // in the router every verdict arrives via post(), so this is the
-    // path a client that stops reading would otherwise grow unbounded.
-    if (conn.out.size() - conn.out_off > config_.max_output_bytes) {
-      overflowed_.fetch_add(1, std::memory_order_relaxed);
-      log_warn() << "connection " << id << " exceeded the output backlog cap; closing";
-      retire(id, conn);
-      continue;
+void EpollLoop::drop_stalled() {
+  // Size alone does not tell a stalled peer from a busy one: a node that
+  // takes over a dead node's sessions gets their journals in one burst,
+  // above the cap, and drains it while it scores. Progress is a write
+  // that went through, or a shrinking kernel send queue (SIOCOUTQ): a
+  // write needs EPOLLOUT, which waits until a third of the buffer is
+  // free, and a busy peer can take longer than a tick to free that much.
+  std::vector<std::uint64_t> stalled;
+  for (auto& [id, conn] : conns_) {
+    int unsent = INT_MAX;
+    if (conn.out.size() - conn.out_off > config_.max_output_bytes &&
+        ::ioctl(conn.fd, SIOCOUTQ, &unsent) == 0 && !conn.drained && unsent >= conn.unsent) {
+      stalled.push_back(id);
     }
-    flush_conn(id, conn);
+    conn.unsent = unsent;
+    conn.drained = false;
   }
+  for (const std::uint64_t id : stalled) {
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // an earlier on_close retired it
+    overflowed_.fetch_add(1, std::memory_order_relaxed);
+    log_warn() << "connection " << id << " exceeded the output backlog cap; closing";
+    retire(id, it->second);
+  }
+}
+
+void EpollLoop::queue_flush(std::uint64_t id, Conn& conn) {
+  if (conn.queued) return;
+  conn.queued = true;
+  to_flush_.push_back(id);
+}
+
+void EpollLoop::flush_queued() {
+  // By index: a retired connection's on_close may queue more (the
+  // router's handoff to survivors).
+  for (std::size_t i = 0; i < to_flush_.size(); ++i) {
+    const std::uint64_t id = to_flush_[i];
+    const auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // retired since it was queued
+    it->second.queued = false;
+    flush_conn(id, it->second);
+  }
+  to_flush_.clear();
 }
 
 void EpollLoop::run() {
@@ -276,7 +316,6 @@ void EpollLoop::run() {
         std::uint64_t drained = 0;
         while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
         }
-        drain_posted();
         continue;
       }
       const auto it = conns_.find(id);
@@ -289,15 +328,18 @@ void EpollLoop::run() {
       if ((events[i].events & EPOLLOUT) != 0 && !flush_conn(id, conn)) continue;
       if ((events[i].events & EPOLLIN) != 0) conn_readable(id, conn);
     }
-    drain_posted();
     const auto now = std::chrono::steady_clock::now();
-    if (handlers_.on_tick &&
-        std::chrono::duration<double>(now - last_tick).count() >= config_.tick_seconds) {
+    if (std::chrono::duration<double>(now - last_tick).count() >= config_.tick_seconds) {
       last_tick = now;
-      handlers_.on_tick();
+      drop_stalled();
+      if (handlers_.on_tick) handlers_.on_tick();
     }
+    flush_queued();
   }
   // Shutdown: one best-effort flush per connection, then close them all.
+  // stop_ also covers a loop that broke on an epoll error, so on_close
+  // handlers can tell shutdown from a lost peer.
+  stop_.store(true, std::memory_order_release);
   std::vector<std::uint64_t> ids;
   ids.reserve(conns_.size());
   for (const auto& [id, conn] : conns_) ids.push_back(id);

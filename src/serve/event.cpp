@@ -169,4 +169,8 @@ std::string render_error_record(std::string_view message, std::string_view line)
   return out.str();
 }
 
+bool is_report_record(std::string_view line) {
+  return line.starts_with(R"({"type":"session_report")");
+}
+
 }  // namespace misuse::serve

@@ -10,7 +10,8 @@
 //   * timestamp: seconds as a JSON number; optional. Event time drives
 //     idle eviction so replayed traces evict deterministically.
 //
-// Output records (discriminated by "type"):
+// Output records (discriminated by "type", always the first member, so
+// every record starts with {"type":"<kind>"):
 //   * "step": the per-action verdict (OnlineMonitor::StepResult),
 //   * "session_report": end-of-session summary with an eviction reason,
 //   * "error": a rejected input line with the parse/validation message.
@@ -76,5 +77,10 @@ std::string render_report_record(std::string_view user_id, std::string_view sess
 
 /// Renders an "error" record for a rejected input line.
 std::string render_error_record(std::string_view message, std::string_view line);
+
+/// True when `line` is a rendered "session_report" record, judged by its
+/// leading bytes alone (no parse): the router reads every verdict a node
+/// sends and parses only reports.
+bool is_report_record(std::string_view line);
 
 }  // namespace misuse::serve

@@ -23,7 +23,6 @@
 //       [--alarm-likelihood=X] [--trend-window=N] [--trend-drop=X]
 //       [--infer=auto|scalar|avx2] [--no-steps] [--metrics-out=PATH]
 //       [--admin-port=PORT] [--trace-sample=N]
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -348,13 +347,9 @@ constexpr std::string_view kKnownFlags[] = {
 
 int serve_main(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  // An unread flag would otherwise be ignored silently — a typo, or a
-  // flag this build no longer has, must not start a misconfigured server.
-  for (const std::string& key : args.keys()) {
-    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), key) == std::end(kKnownFlags)) {
-      std::cerr << "misusedet_serve: unknown flag --" << key << " (see --help)\n";
-      return 2;
-    }
+  if (const auto unknown = args.unknown_flag(kKnownFlags)) {
+    std::cerr << "misusedet_serve: unknown flag --" << *unknown << " (see --help)\n";
+    return 2;
   }
   if (args.flag("help")) {
     print_usage(args.program());

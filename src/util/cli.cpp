@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace misuse {
@@ -72,6 +73,13 @@ std::vector<std::string> CliArgs::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
+}
+
+std::optional<std::string> CliArgs::unknown_flag(std::span<const std::string_view> known) const {
+  for (const auto& [key, value] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) return key;
+  }
+  return std::nullopt;
 }
 
 }  // namespace misuse

@@ -5,7 +5,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace misuse {
@@ -31,6 +34,11 @@ class CliArgs {
 
   /// Flags present on the command line, for --help/typo reporting.
   std::vector<std::string> keys() const;
+
+  /// The first flag given that is not in `known` ("--no-X" counts as
+  /// "X"), or nullopt: the serving binaries refuse to start on a typo or
+  /// on a flag this build no longer has.
+  std::optional<std::string> unknown_flag(std::span<const std::string_view> known) const;
 
  private:
   std::string program_;

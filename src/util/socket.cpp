@@ -116,23 +116,11 @@ void TcpStream::set_read_timeout(double seconds) {
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
-void TcpStream::set_write_timeout(double seconds) {
-  if (fd_ < 0 || seconds <= 0.0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>((seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 void TcpStream::shutdown_write() {
   if (fd_ >= 0) {
     io_->flush();
     ::shutdown(fd_, SHUT_WR);
   }
-}
-
-void TcpStream::shutdown_read() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
 }
 
 void TcpStream::close() {
@@ -141,6 +129,12 @@ void TcpStream::close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+int TcpStream::release() {
+  const int fd = fd_;
+  fd_ = -1;
+  return fd;
 }
 
 TcpListener TcpListener::bind(std::uint16_t port, const std::string& host) {

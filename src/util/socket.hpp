@@ -1,9 +1,8 @@
-// Minimal POSIX TCP helpers for the serving layer: a listener bound to a
-// local port, an accepted/connected stream exposed as a std::iostream
-// (via a small fd-backed streambuf), and a loopback connect for tests
-// and the replay client. IPv4 only, blocking IO — the scoring server
-// multiplexes users per *line*, not per connection, so one thread per
-// connection with blocking reads is the simplest correct model.
+// Minimal POSIX TCP helpers for the serving layer, IPv4 only: a
+// listener, a blocking stream exposed as a std::iostream (via a small
+// fd-backed streambuf) for clients, probes and tests, and the
+// nonblocking read_some/write_some of serve/epoll_loop, the one thread
+// that runs every connection of a node or a router.
 #pragma once
 
 #include <atomic>
@@ -55,19 +54,13 @@ class TcpStream {
   /// admin plane so a stalled scraper cannot wedge its handler thread.
   void set_read_timeout(double seconds);
 
-  /// Arms SO_SNDTIMEO: a blocking write into a full socket buffer fails
-  /// after `seconds` instead of wedging the writer. The router arms this
-  /// on upstream node connections so a stuck node surfaces as a failed
-  /// forward (-> node down + handoff), never a hung router.
-  void set_write_timeout(double seconds);
-
   /// Half-closes the write side so the peer sees EOF after our last byte.
   void shutdown_write();
-  /// Shuts down the read side; unblocks a concurrent blocking read on
-  /// this fd (used by cross-thread graceful shutdown).
-  void shutdown_read();
   /// Closes the fd (subsequent io() use fails); idempotent.
   void close();
+  /// Hands the fd to the caller (serve/epoll_loop adopts dialed sockets)
+  /// and leaves this stream closed. Nothing was written through io().
+  int release();
 
  private:
   int fd_ = -1;

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/experiment.hpp"
 #include "core/observability.hpp"
@@ -101,6 +102,15 @@ TEST(Cli, NegativeNumbers) {
   const auto args = make({"--offset=-5", "--scale=-1.5"});
   EXPECT_EQ(args.integer("offset", 0), -5);
   EXPECT_DOUBLE_EQ(args.real("scale", 0.0), -1.5);
+}
+
+TEST(Cli, UnknownFlagNamesTheFirstUnlistedFlag) {
+  constexpr std::string_view kKnown[] = {"model", "steps", "listen"};
+  EXPECT_EQ(make({"--model=m.bin", "--no-steps", "--listen", "7400"}).unknown_flag(kKnown),
+            std::nullopt);  // --no-steps counts as steps
+  EXPECT_EQ(make({"--model=m.bin", "--no-quant"}).unknown_flag(kKnown), "quant");
+  EXPECT_EQ(make({"--zeta=1", "--io=epoll"}).unknown_flag(kKnown), "io");  // key order
+  EXPECT_EQ(make({"positional"}).unknown_flag(kKnown), std::nullopt);
 }
 
 // --- ExperimentConfig observability flags ------------------------------

@@ -3,7 +3,9 @@
 // half-closes, consumers that stop reading) and high connection churn
 // without leaking a connection or stalling the loop thread, must hand
 // each read's lines to the handler in one call, and must answer each
-// read before it reads again. Scoring byte-identity of the
+// read before it reads again. The loop-thread API the router runs on
+// (connect, send, hold/release) is driven from a control connection
+// whose lines are commands (start_commands). Scoring byte-identity of the
 // TCP front end against pipe mode is pinned separately in
 // test_serve_process.cpp; these tests exercise the loop in isolation
 // with an echo handler.
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -103,6 +106,73 @@ class EpollFixture : public ::testing::Test {
 
   TcpStream connect() { return tcp_connect("127.0.0.1", loop_->port()); }
 
+  /// Starts the loop with a handler that runs the loop-thread API on
+  /// command, so a test can drive it from a control connection:
+  ///   id                  -> "id:<this connection's id>"
+  ///   send:<id>:<text>    -> send(id, text): "sent" | "refused"
+  ///   flood:<id>          -> send(id, 64 KiB): "sent" | "refused"
+  ///   hold / release:<id> -> hold(this connection) / release(id)
+  ///   connect:<port>      -> "connected:<id>" | "connect-failed"
+  /// Any other line is echoed as "ack:<line>".
+  void start_commands(EpollConfig config = {}) {
+    EpollHandlers handlers;
+    handlers.on_lines = [this](std::uint64_t conn, std::span<const std::string_view> lines,
+                               std::string& replies) {
+      for (const std::string_view line : lines) {
+        const std::size_t colon = line.find(':');
+        const std::string_view verb = line.substr(0, colon);
+        const std::string_view arg = colon == std::string_view::npos ? "" : line.substr(colon + 1);
+        std::string reply;
+        if (line == "id") {
+          reply = "id:" + std::to_string(conn);
+        } else if (verb == "send") {
+          const std::size_t sep = arg.find(':');
+          const std::uint64_t target = std::stoull(std::string(arg.substr(0, sep)));
+          reply = loop_->send(target, arg.substr(sep + 1)) ? "sent" : "refused";
+        } else if (verb == "flood") {
+          const std::string chunk(64 << 10, 'z');
+          reply = loop_->send(std::stoull(std::string(arg)), chunk) ? "sent" : "refused";
+        } else if (line == "hold") {
+          loop_->hold(conn);
+          reply = "held";
+        } else if (verb == "release") {
+          loop_->release(std::stoull(std::string(arg)));
+          reply = "released";
+        } else if (verb == "connect") {
+          try {
+            const auto port = static_cast<std::uint16_t>(std::stoul(std::string(arg)));
+            reply = "connected:" + std::to_string(loop_->connect("127.0.0.1", port));
+          } catch (const std::runtime_error&) {
+            reply = "connect-failed";
+          }
+        } else {
+          last_conn_.store(conn, std::memory_order_relaxed);
+          reply = "ack:" + std::string(line);
+        }
+        replies.append(reply).push_back('\n');
+      }
+    };
+    handlers.on_close = [this](std::uint64_t conn) {
+      closed_id_.store(conn, std::memory_order_relaxed);
+      closes_seen_.fetch_add(1, std::memory_order_relaxed);
+    };
+    start(config, std::move(handlers));
+  }
+
+  /// One command on `control`, answered on the same connection.
+  static std::string command(TcpStream& control, LineReader& reader, const std::string& line) {
+    control.io() << line << "\n" << std::flush;
+    std::string reply;
+    return reader.next(reply) ? reply : "<no reply>";
+  }
+
+  /// The loop's id for `client` (start_commands' "id" command).
+  static std::uint64_t own_id(TcpStream& client) {
+    LineReader reader(client.io());
+    const std::string reply = command(client, reader, "id");
+    return reply.rfind("id:", 0) == 0 ? std::stoull(reply.substr(3)) : 0;
+  }
+
   /// Polls `pred` until true or the deadline passes.
   static bool eventually(const std::function<bool()>& pred, std::chrono::milliseconds limit = 5s) {
     const auto deadline = std::chrono::steady_clock::now() + limit;
@@ -118,6 +188,7 @@ class EpollFixture : public ::testing::Test {
   std::atomic<std::uint64_t> last_conn_{0};
   std::atomic<std::uint64_t> lines_seen_{0};
   std::atomic<std::uint64_t> closes_seen_{0};
+  std::atomic<std::uint64_t> closed_id_{0};  // start_commands: the last retired id
 };
 
 TEST_F(EpollFixture, EchoesLinesAndFoldsCrlf) {
@@ -245,66 +316,142 @@ TEST_F(EpollFixture, SlowConsumerPastOutputCapIsDisconnected) {
   EXPECT_TRUE(eventually([this] { return closes_seen_.load() >= 1; }));
 }
 
-TEST_F(EpollFixture, PostedBacklogPastOutputCapIsDisconnected) {
-  // Same slow-consumer contract as on_lines replies, but through post():
-  // in the router every verdict reaches the client via post, so a
-  // client that stops reading must still hit the cap.
+TEST_F(EpollFixture, SentBacklogPastOutputCapIsDisconnected) {
+  // Same slow-consumer contract as on_lines replies, but through send():
+  // in the router every verdict reaches its client this way, and every
+  // event its node, so a peer that stops reading must still hit the cap.
   EpollConfig config;
   config.max_output_bytes = 32 << 10;
-  start(config);
-  TcpStream client = connect();
-  client.io() << "hello\n";
-  client.io().flush();
-  LineReader reader(client.io());
-  std::string line;
-  ASSERT_TRUE(reader.next(line));  // learns the connection id
-  const std::uint64_t conn = last_conn_.load();
-  ASSERT_NE(conn, 0u);
-  // Stop reading and inject 64KB chunks from off-loop; once the kernel
-  // socket buffer is full the backlog crosses the 32KB cap.
-  const std::string chunk(64 << 10, 'z');
-  for (int i = 0; i < 256; ++i) {
-    if (!loop_->post(conn, chunk + "\n")) break;  // already retired
-    std::this_thread::sleep_for(1ms);
-    if (loop_->overflowed_total() > 0) break;
+  start_commands(config);
+  TcpStream target = connect();
+  const std::uint64_t id = own_id(target);
+  TcpStream control = connect();
+  LineReader control_reader(control.io());
+  // The target stops reading; each flood queues 64KB for it, so once the
+  // kernel socket buffer is full the backlog crosses the 32KB cap.
+  for (int i = 0; i < 256 && loop_->overflowed_total() == 0; ++i) {
+    if (command(control, control_reader, "flood:" + std::to_string(id)) != "sent") break;
   }
   EXPECT_TRUE(eventually([this] { return loop_->overflowed_total() >= 1; }));
   EXPECT_TRUE(eventually([this] { return closes_seen_.load() >= 1; }));
-  EXPECT_FALSE(loop_->post(conn, "after-retire\n"));
+  EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id) + ":after-retire"),
+            "refused");
 }
 
-TEST_F(EpollFixture, PostInjectsOutputFromAnotherThread) {
-  start();
-  TcpStream client = connect();
-  client.io() << "hello\n";
-  client.io().flush();
-  LineReader reader(client.io());
-  std::string line;
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(line, "ack:hello");
-  const std::uint64_t conn = last_conn_.load();
-  ASSERT_NE(conn, 0u);
-  EXPECT_TRUE(loop_->post(conn, "injected-1\ninjected-2\n"));
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(line, "injected-1");
-  ASSERT_TRUE(reader.next(line));
-  EXPECT_EQ(line, "injected-2");
-  EXPECT_FALSE(loop_->post(conn + 999, "nobody\n"));  // unknown connection
+TEST_F(EpollFixture, BacklogPastTheCapSurvivesWhileThePeerDrains) {
+  // A node that takes over a dead node's sessions gets their journals in
+  // one burst, far past the cap, and drains it while it scores. The cap
+  // cuts only a peer that took nothing for a whole tick: this reader
+  // takes 32 KiB every 10 ms, too little per tick for EPOLLOUT to fire
+  // (a third of the send buffer must be free), so only the shrinking
+  // kernel send queue shows that it drains.
+  EpollConfig config;
+  config.max_output_bytes = 64 << 10;
+  config.tick_seconds = 0.05;
+  start_commands(config);
+  TcpStream target = connect();
+  const std::uint64_t id = own_id(target);
+  TcpStream control = connect();
+  LineReader control_reader(control.io());
+  constexpr std::size_t kChunks = 96;  // 6 MiB
+  for (std::size_t i = 0; i < kChunks; ++i) {
+    ASSERT_EQ(command(control, control_reader, "flood:" + std::to_string(id)), "sent");
+  }
+  const std::size_t want = kChunks * ((64 << 10) + 1);
+  std::size_t received = 0;
+  std::vector<char> buf(32 << 10);
+  while (received < want) {
+    std::this_thread::sleep_for(10ms);
+    const ssize_t n = ::read(target.fd(), buf.data(), buf.size());
+    if (n <= 0) break;  // cut
+    received += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(received, want);
+  EXPECT_EQ(loop_->overflowed_total(), 0u);
+  EXPECT_EQ(closes_seen_.load(), 0u);
 }
 
-TEST_F(EpollFixture, PostToRetiredConnectionIsRejected) {
-  start();
+TEST_F(EpollFixture, SendRefusesUnknownAndRetiredConnections) {
+  start_commands();
+  TcpStream control = connect();
+  LineReader control_reader(control.io());
+  std::uint64_t id = 0;
   {
     TcpStream client = connect();
-    client.io() << "hello\n";
-    client.io().flush();
+    id = own_id(client);
     LineReader reader(client.io());
     std::string line;
+    EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id) + ":injected-1"),
+              "sent");
     ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, "injected-1");
+    EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id + 999) + ":nobody"),
+              "refused");  // unknown connection
   }  // client gone
-  const std::uint64_t conn = last_conn_.load();
   ASSERT_TRUE(eventually([this] { return closes_seen_.load() == 1; }));
-  EXPECT_FALSE(loop_->post(conn, "too-late\n"));
+  EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id) + ":too-late"),
+            "refused");
+}
+
+TEST_F(EpollFixture, ConnectedSocketDeliversLinesAndEof) {
+  // The router dials its nodes through the loop: a connected socket's
+  // lines reach on_lines under its id, send() reaches the peer, and the
+  // peer's close reaches on_close.
+  start_commands();
+  TcpListener node = TcpListener::bind(0, "127.0.0.1");
+  TcpStream control = connect();
+  LineReader control_reader(control.io());
+  const std::string reply = command(control, control_reader, "connect:" + std::to_string(node.port()));
+  ASSERT_EQ(reply.rfind("connected:", 0), 0u) << reply;
+  const std::uint64_t id = std::stoull(reply.substr(std::string("connected:").size()));
+  std::optional<TcpStream> peer = node.accept();
+  ASSERT_TRUE(peer.has_value());
+  LineReader peer_reader(peer->io());
+  std::string line;
+  EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id) + ":to-node"), "sent");
+  ASSERT_TRUE(peer_reader.next(line));
+  EXPECT_EQ(line, "to-node");
+  peer->io() << "from-node\n" << std::flush;
+  ASSERT_TRUE(peer_reader.next(line));
+  EXPECT_EQ(line, "ack:from-node");
+  EXPECT_EQ(last_conn_.load(), id);
+  peer->close();
+  ASSERT_TRUE(eventually([this, id] { return closed_id_.load() == id; }));
+  EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id) + ":gone"), "refused");
+
+  const std::uint16_t dead_port = node.port();
+  node.close();
+  EXPECT_EQ(command(control, control_reader, "connect:" + std::to_string(dead_port)),
+            "connect-failed");
+}
+
+TEST_F(EpollFixture, HeldHalfClosedConnectionWaitsForItsReplies) {
+  // The router holds a half-closed client while its verdicts are still
+  // in flight from a node; the connection closes once the last hold is
+  // released and the replies sent before it are written.
+  start_commands();
+  TcpStream client = connect();
+  client.set_read_timeout(5.0);  // a connection never closed fails, not hangs
+  const std::uint64_t id = own_id(client);
+  LineReader reader(client.io());
+  std::string line;
+  client.io() << "hold\n" << std::flush;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "held");
+  client.shutdown_write();
+  std::this_thread::sleep_for(100ms);  // the loop reads the EOF
+  EXPECT_EQ(closes_seen_.load(), 0u) << "retired with a reply still owed";
+
+  TcpStream control = connect();
+  LineReader control_reader(control.io());
+  EXPECT_EQ(command(control, control_reader, "send:" + std::to_string(id) + ":late"), "sent");
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "late");
+  EXPECT_EQ(closes_seen_.load(), 0u);
+  EXPECT_EQ(command(control, control_reader, "release:" + std::to_string(id)), "released");
+  EXPECT_TRUE(eventually([this] { return closes_seen_.load() == 1; }))
+      << "still open with nothing owed";
+  EXPECT_FALSE(reader.next(line));
 }
 
 TEST_F(EpollFixture, ConnectionChurnLeaksNothing) {

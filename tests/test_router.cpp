@@ -3,13 +3,16 @@
 // driven end-to-end against in-process fake nodes that answer each
 // forwarded event with a step record naming the node — enough to prove
 // session affinity, quota rejection at the front door, and failure
-// handoff (replay to the survivor, no verdict lost or duplicated).
+// handoff (replay to the survivor, no verdict lost or duplicated) for
+// each way a node goes down: its connection closes, its /healthz fails
+// (a fake admin port), or it stops reading past the backlog cap.
 // Byte-exactness of a real cluster against a single node is covered by
 // scripts/cluster_smoke.sh and the bench --cluster leg.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -291,6 +294,15 @@ class FakeNode {
   /// a test parks replayed journal entries in flight with no reply.
   void set_reply_limit(std::uint64_t n) { reply_limit_.store(n, std::memory_order_relaxed); }
 
+  /// Stall: stop reading altogether, with a small receive buffer, so
+  /// whatever the router forwards piles up on the router's side.
+  void stop_reading() {
+    reading_.store(false, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const int bytes = 4096;
+    for (auto& conn : conns_) ::setsockopt(conn->fd(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+  }
+
   /// Crash: refuse new connections, sever live ones mid-stream.
   void stop() {
     if (stopped_.exchange(true)) return;
@@ -311,7 +323,11 @@ class FakeNode {
   void serve(TcpStream& conn) {
     LineReader reader(conn.io());
     std::string line;
-    while (reader.next(line)) {
+    while (true) {
+      while (!reading_.load(std::memory_order_relaxed) && !stopped_.load()) {
+        std::this_thread::sleep_for(1ms);
+      }
+      if (!reader.next(line)) break;
       lines_seen_.fetch_add(1, std::memory_order_relaxed);
       std::vector<JsonField> fields;
       std::string error;
@@ -341,6 +357,45 @@ class FakeNode {
   std::atomic<std::uint64_t> lines_seen_{0};
   std::atomic<std::uint64_t> replies_sent_{0};
   std::atomic<std::uint64_t> reply_limit_{UINT64_MAX};
+  std::atomic<bool> reading_{true};
+};
+
+/// A stand-in admin port: answers every GET /healthz with 200 or, once
+/// set_healthy(false), 503, and counts the answers of each kind.
+class FakeHealthz {
+ public:
+  FakeHealthz() : listener_(TcpListener::bind(0, "127.0.0.1")) {
+    thread_ = std::thread([this] {
+      while (auto probe = listener_.accept()) {
+        // Read the whole request first: closing on unread bytes would
+        // reset the connection under the prober's read.
+        std::string header;
+        while (std::getline(probe->io(), header) && header != "\r" && !header.empty()) {
+        }
+        const bool healthy = healthy_.load();
+        probe->io() << (healthy ? "HTTP/1.1 200 OK" : "HTTP/1.1 503 Service Unavailable")
+                    << "\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+                    << std::flush;
+        (healthy ? ok_ : failed_).fetch_add(1);
+      }
+    });
+  }
+  ~FakeHealthz() {
+    listener_.close();
+    thread_.join();
+  }
+
+  std::uint16_t port() const { return listener_.port(); }
+  void set_healthy(bool healthy) { healthy_.store(healthy); }
+  std::uint64_t ok() const { return ok_.load(); }
+  std::uint64_t failed() const { return failed_.load(); }
+
+ private:
+  TcpListener listener_;
+  std::thread thread_;
+  std::atomic<bool> healthy_{true};
+  std::atomic<std::uint64_t> ok_{0};
+  std::atomic<std::uint64_t> failed_{0};
 };
 
 bool eventually(const std::function<bool()>& pred, std::chrono::milliseconds limit = 5s) {
@@ -643,6 +698,143 @@ TEST(RouterCluster, MalformedLinesAnswerWithErrorRecords) {
   ASSERT_TRUE(client.next_reply(type, dummy));
   EXPECT_EQ(type, "step");
   EXPECT_EQ(node.lines_seen(), 1u);
+}
+
+/// Opens sessions (user "<i>-u", session "s") in lockstep until both
+/// fake nodes own one, and returns user -> answering node id. Placement
+/// follows the nodes' ephemeral ports, and sequential ids hash close
+/// together on the ring, so the varying part leads the key.
+std::map<std::string, std::string> spread_sessions(RouterClient& client) {
+  std::map<std::string, std::string> owner;
+  std::set<std::string> nodes;
+  for (int i = 0; i < 256 && nodes.size() < 2; ++i) {
+    const std::string user = std::to_string(i) + "-u";
+    client.send_event(user, "s", 0.0);
+    std::string type, node;
+    if (!client.next_reply(type, node) || type != "step") return {};
+    owner[user] = node;
+    nodes.insert(node);
+  }
+  return nodes.size() == 2 ? owner : std::map<std::string, std::string>{};
+}
+
+TEST(RouterCluster, FailingHealthzDownsItsNodeAndItsSessionsMove) {
+  std::signal(SIGPIPE, SIG_IGN);
+  FakeNode node_a("A");
+  FakeNode node_b("B");
+  FakeHealthz health_a;
+  FakeHealthz health_b;
+  RouterConfig config;
+  config.listen_host = "127.0.0.1";
+  config.nodes = {NodeEndpoint{"127.0.0.1", node_a.port(), health_a.port()},
+                  NodeEndpoint{"127.0.0.1", node_b.port(), health_b.port()}};
+  config.health_interval_seconds = 0.02;
+  config.health_failures_down = 3;
+  config.tick_seconds = 0.02;
+  RouterRunner runner(std::move(config));
+  RouterClient client(runner.router.port());
+  client.set_read_timeout(5.0);
+  const auto owner = spread_sessions(client);
+  ASSERT_FALSE(owner.empty()) << "sessions did not reach both nodes";
+
+  // While both admin ports answer 200, the probes keep both nodes in.
+  ASSERT_TRUE(eventually([&] { return health_a.ok() >= 5 && health_b.ok() >= 5; }));
+  EXPECT_EQ(runner.router.live_nodes(), 2u);
+
+  health_a.set_healthy(false);
+  ASSERT_TRUE(eventually([&] { return runner.router.live_nodes() == 1; }));
+  EXPECT_GE(health_a.failed(), 3u) << "downed before health_failures_down failed probes";
+
+  // A's sessions were handed to B; every session now answers from B.
+  for (const auto& [user, node_before] : owner) {
+    client.send_event(user, "s", 1.0);
+    std::string type, node;
+    ASSERT_TRUE(client.next_reply(type, node)) << user;
+    EXPECT_EQ(type, "step");
+    EXPECT_EQ(node, "B") << user << " was on " << node_before;
+  }
+  const std::uint64_t ok_before = health_b.ok();
+  ASSERT_TRUE(eventually([&] { return health_b.ok() >= ok_before + 5; }));
+  EXPECT_EQ(runner.router.live_nodes(), 1u);
+}
+
+TEST(RouterCluster, NodeThatStopsReadingIsDownedPastTheBacklogCap) {
+  std::signal(SIGPIPE, SIG_IGN);
+  FakeNode node_a("A");
+  FakeNode node_b("B");
+  std::map<std::string, FakeNode*> nodes = {{"A", &node_a}, {"B", &node_b}};
+  RouterConfig config;
+  config.listen_host = "127.0.0.1";
+  config.nodes = {NodeEndpoint{"127.0.0.1", node_a.port(), 0},
+                  NodeEndpoint{"127.0.0.1", node_b.port(), 0}};
+  RouterRunner runner(std::move(config));  // the default 0.2 s tick
+  RouterClient watcher(runner.router.port());
+  watcher.set_read_timeout(5.0);
+  const auto owner = spread_sessions(watcher);
+  ASSERT_FALSE(owner.empty()) << "sessions did not reach both nodes";
+  const std::string stalled_user = owner.begin()->first;
+  FakeNode& stalled = *nodes.at(owner.begin()->second);
+  FakeNode& survivor = &stalled == &node_a ? node_b : node_a;
+  std::string watched_user;  // a session the survivor owns
+  for (const auto& [user, node] : owner) {
+    if (node == survivor.id()) watched_user = user;
+  }
+
+  // The stalled node reads nothing more; a second client streams 1 KiB
+  // events of one of its sessions without reading the replies. Past the
+  // router's 8 MiB backlog cap, with nothing drained for a tick, the
+  // node is declared down and the session's journal (more than the cap
+  // by then) is replayed to the survivor, which must not be cut for it.
+  stalled.stop_reading();
+  std::atomic<bool> done{false};
+  std::thread flood([&] {
+    RouterClient producer(runner.router.port());
+    const std::string pad(1000, 'x');
+    for (int i = 0; i < 40000 && !done.load() && runner.router.live_nodes() == 2; ++i) {
+      producer.send_raw(R"({"user_id":")" + stalled_user +
+                        R"(","session_id":"s","action":"login","pad":")" + pad +
+                        R"(","timestamp":1})");
+    }
+    while (!done.load()) std::this_thread::sleep_for(2ms);
+  });
+  struct Join {
+    std::atomic<bool>& done;
+    std::thread& flood;
+    ~Join() {
+      done.store(true);
+      flood.join();
+    }
+  } join{done, flood};
+
+  // Meanwhile the survivor's session keeps getting its verdicts.
+  double t = 1.0;
+  int answered = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (runner.router.live_nodes() == 2 && std::chrono::steady_clock::now() < deadline) {
+    watcher.send_event(watched_user, "s", t);
+    t += 1.0;
+    std::string type, node;
+    ASSERT_TRUE(watcher.next_reply(type, node)) << "survivor's session lost a verdict";
+    EXPECT_EQ(node, survivor.id());
+    ++answered;
+  }
+  ASSERT_EQ(runner.router.live_nodes(), 1u) << "the stalled node was never declared down";
+  EXPECT_GT(answered, 0);
+  for (int i = 0; i < 3; ++i) {
+    watcher.send_event(watched_user, "s", t);
+    t += 1.0;
+    std::string type, node;
+    ASSERT_TRUE(watcher.next_reply(type, node));
+    EXPECT_EQ(node, survivor.id());
+  }
+  // The stalled session now answers from the survivor, after its replay
+  // (about 10 MB of journal, which takes a while under sanitizers).
+  watcher.set_read_timeout(60.0);
+  watcher.send_event(stalled_user, "s", 2.0);
+  std::string type, node;
+  ASSERT_TRUE(watcher.next_reply(type, node)) << "lost a verdict after the handoff";
+  EXPECT_EQ(node, survivor.id());
+  EXPECT_EQ(runner.router.live_nodes(), 1u) << "the survivor was cut for the replay burst";
 }
 
 TEST(RouterCluster, ConstructorRequiresAReachableNode) {

@@ -66,6 +66,26 @@ TEST(ServeEvent, SessionKeySeparatesUserAndSession) {
   EXPECT_NE(session_key(a), session_key(b));
 }
 
+TEST(ServeEvent, RecordsStartWithTheirTypePrefix) {
+  // misusedet_router classifies a node's verdicts by these leading bytes
+  // (is_report_record) and parses only the reports.
+  Event event;
+  event.user_id = "u1";
+  event.session_id = "s1";
+  core::OnlineMonitor::StepResult step;
+  const std::string step_record = render_step_record(event, step);
+  const std::string report = render_report_record("u1", "s1", ReportReason::kShutdown,
+                                                  core::SessionMonitorReport{}, "v2");
+  const std::string error = render_error_record("bad line", "{");
+  EXPECT_TRUE(step_record.starts_with(R"({"type":"step")")) << step_record;
+  EXPECT_TRUE(report.starts_with(R"({"type":"session_report")")) << report;
+  EXPECT_TRUE(error.starts_with(R"({"type":"error")")) << error;
+  EXPECT_TRUE(is_report_record(report));
+  EXPECT_FALSE(is_report_record(step_record));
+  EXPECT_FALSE(is_report_record(error));
+  EXPECT_FALSE(is_report_record(R"({"type":"step","note":"session_report"})"));
+}
+
 TEST(ServeEvent, ShardHashIsStableFnv1a) {
   // Pinned FNV-1a vectors: shard routing must not drift across platforms
   // or standard libraries (std::hash would).

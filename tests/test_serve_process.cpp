@@ -3,8 +3,9 @@
 // connections mid-session, the TCP front end's verdicts against pipe
 // mode's (lockstep and batched reads), output order independent of
 // --batch, kill -9 crash recovery via --wal-dir — the recovered run's
-// session reports must match an uninterrupted run's — and
-// misusedet_router's (MISUSEDET_ROUTER_BIN) prompt exit on SIGTERM.
+// session reports must match an uninterrupted run's — and, for
+// misusedet_router (MISUSEDET_ROUTER_BIN), every verdict to a client that
+// half-closed, refusal of unknown flags and a prompt exit on SIGTERM.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -308,6 +309,22 @@ class ServeProcessFixture : public ::testing::Test {
 
   static std::vector<std::string> baseline_reports() { return session_reports(pipe_run()); }
 
+  /// `proc` was started with an unknown `flag`: it exits 2 without
+  /// writing to stdout, naming `key` on stderr.
+  static void expect_refused(ServeProcess& proc, const std::string& flag, const std::string& key) {
+    proc.close_stdin();
+    const auto output = drain(proc.out());
+    const int status = proc.wait();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2) << flag;
+    EXPECT_TRUE(output.empty()) << flag << " wrote to stdout";
+    const auto logs = drain(proc.err());
+    EXPECT_TRUE(std::any_of(logs.begin(), logs.end(),
+                            [&](const std::string& l) {
+                              return l.find("unknown flag " + key) != std::string::npos;
+                            }))
+        << flag << " was not named";
+  }
+
   static std::string* model_path_;
   static std::vector<std::string>* trace_;
   static std::vector<std::string>* actions_;
@@ -425,6 +442,30 @@ std::vector<std::string> burst_replies(std::uint16_t port, const std::vector<std
   std::string reply;
   while (reader.next(reply)) replies.push_back(reply);
   return replies;
+}
+
+// README cluster quickstart step 3: serve_replay --connect writes its
+// whole trace, half-closes and reads to EOF. Through a router it must get
+// one step verdict per event, in the order the same burst gets straight
+// from a node — the router holds a half-closed client until the node has
+// answered everything it sent.
+TEST_F(ServeProcessFixture, HalfClosedClientGetsEveryVerdictThroughTheRouter) {
+  ServeProcess direct_node({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t direct_port = direct_node.wait_for_port();
+  ASSERT_GT(direct_port, 0);
+  const auto direct = step_lines(burst_replies(direct_port, *trace_));
+  ASSERT_EQ(direct.size(), trace_->size());
+
+  ServeProcess node({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t node_port = node.wait_for_port();
+  ASSERT_GT(node_port, 0);
+  ServeProcess router({"--nodes=127.0.0.1:" + std::to_string(node_port), "--listen=0"},
+                      MISUSEDET_ROUTER_BIN);
+  const std::uint16_t port = router.wait_for_port();
+  ASSERT_GT(port, 0);
+  const auto routed = step_lines(burst_replies(port, *trace_));
+  EXPECT_EQ(routed.size(), trace_->size()) << "verdicts lost after the client half-closed";
+  EXPECT_EQ(routed, direct);
 }
 
 // The TCP front end scores each read as one batch. The whole trace in
@@ -565,8 +606,8 @@ TEST_F(ServeProcessFixture, Kill9RecoveryMatchesBaseline) {
 // read negative flags through their positive name; a consumption bug
 // once left --no-steps silently inert. Pin it through the real binary:
 // --no-steps suppresses per-step verdicts (reports still drain). A flag
-// the server does not read, negated or not, must stop it before it
-// serves: exit 2, naming the flag.
+// the server (or the router) does not read, negated or not, must stop it
+// before it serves: exit 2, naming the flag.
 TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
   ServeProcess proc({"--model=" + *model_path_, "--batch=4", "--no-steps"});
   int status = 0;
@@ -586,17 +627,17 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
   };
   for (const auto& [flag, key] : unknown_flags) {
     ServeProcess unknown({"--model=" + *model_path_, flag});
-    unknown.close_stdin();
-    const auto output = drain(unknown.out());
-    const int unknown_status = unknown.wait();
-    EXPECT_TRUE(WIFEXITED(unknown_status) && WEXITSTATUS(unknown_status) == 2) << flag;
-    EXPECT_TRUE(output.empty()) << flag << " wrote to stdout";
-    const auto logs = drain(unknown.err());
-    EXPECT_TRUE(std::any_of(logs.begin(), logs.end(),
-                            [&](const std::string& l) {
-                              return l.find("unknown flag " + key) != std::string::npos;
-                            }))
-        << flag << " was not named";
+    expect_refused(unknown, flag, key);
+  }
+  // misusedet_router refuses them the same way, before it dials a node.
+  const std::pair<std::string, std::string> unknown_router_flags[] = {
+      {"--io=epoll", "--io"},
+      {"--bogus=1", "--bogus"},
+      {"--no-quota", "--quota"},
+  };
+  for (const auto& [flag, key] : unknown_router_flags) {
+    ServeProcess unknown({"--nodes=127.0.0.1:1", "--listen=0", flag}, MISUSEDET_ROUTER_BIN);
+    expect_refused(unknown, flag, key);
   }
 }
 
