@@ -20,6 +20,7 @@
 //
 //   ./bench/bench_learn [--reduced] [--out=BENCH_learn.json]
 //       [--sessions=N] [--metrics-out=PATH]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -27,6 +28,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -131,7 +133,6 @@ double run_serve_replay(const core::MisuseDetector& detector, const Workload& wo
   fs::create_directories(wal_dir);
   serve::ServeConfig config;
   config.shards = 4;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   config.wal_dir = wal_dir;
   serve::ScoringServer server(detector, config);
@@ -170,19 +171,11 @@ double run_serve_replay(const core::MisuseDetector& detector, const Workload& wo
   std::vector<serve::OutputRecord> out;
   out.reserve(4096);
   const auto start = std::chrono::steady_clock::now();
-  std::size_t since_pump = 0;
-  for (const auto& event : workload.events) {
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      out.clear();
-    }
-    if (++since_pump >= 256) {
-      server.pump(out);
-      out.clear();
-      since_pump = 0;
-    }
+  const std::span<const serve::Event> events(workload.events);
+  for (std::size_t i = 0; i < events.size(); i += 256) {
+    server.submit_batch(events.subspan(i, std::min<std::size_t>(256, events.size() - i)), out);
+    out.clear();
   }
-  server.pump(out);
   const double seconds = seconds_since(start);
   std::vector<serve::OutputRecord> drain;
   server.shutdown(drain);

@@ -2,16 +2,15 @@
 // paper figure: this measures the serving layer (src/serve) that wraps
 // the paper's online monitoring regime (§IV-C) for live traffic.
 //
-// Two entry paths are timed over the same interleaved multi-user trace:
-//   * batch path — enqueue into the bounded shard queues and pump() on
-//     the global thread pool, swept across shard x thread combinations;
-//   * sync path  — submit_sync() per event under the shard lock, the
-//     latency-mode TCP path, single producer.
-// Scores are bit-identical across all combinations (determinism
-// contract), so only events/second changes.
+// ScoringServer::submit_batch, the node's one scoring path, is timed over
+// the same interleaved multi-user trace at two batch sizes — 256 events
+// (pipe mode's default --batch block) and 1 (a TCP read of one line) —
+// swept across shard x thread combinations. Scores are bit-identical
+// across all combinations (determinism contract), so only events/second
+// changes.
 //
 // A second record, BENCH_recovery.json, measures the crash-safety tax:
-// the same batch replay with the per-shard WAL enabled vs disabled, plus
+// the same replay with the per-shard WAL enabled vs disabled, plus
 // the wall-clock cost of recover() over the log a crashed run left
 // behind.
 //
@@ -21,7 +20,7 @@
 // pause < 250ms and zero sessions rolled (compatible vocabularies).
 //
 // A fourth record, BENCH_observe.json, measures the operations-plane
-// tax: the same batch replay with the admin endpoint live, sampled
+// tax: the same replay with the admin endpoint live, sampled
 // tracing on, and a 1 Hz scraper hitting /metrics + /statusz over real
 // HTTP. Acceptance: overhead < 2% actions/sec and byte-identical output.
 //
@@ -50,6 +49,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -116,44 +116,46 @@ Workload make_workload(const synth::Portal& portal, const SessionStore& store,
   return w;
 }
 
-double run_batch_path(const core::MisuseDetector& detector, const Workload& workload,
-                      std::size_t shards) {
-  serve::ServeConfig config;
-  config.shards = shards;
-  config.queue_capacity = 512;
-  config.emit_steps = true;
-  serve::ScoringServer server(detector, config);
+/// Scores the workload through submit_batch in blocks of `batch` events,
+/// calling `drain()` after each block.
+template <typename Drain>
+void feed(serve::ScoringServer& server, const Workload& workload, std::size_t batch,
+          const Drain& drain) {
+  const std::span<const serve::Event> events(workload.events);
   std::vector<serve::OutputRecord> out;
   out.reserve(4096);
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t since_pump = 0;
-  for (const auto& event : workload.events) {
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      out.clear();
-    }
-    if (++since_pump >= 256) {
-      server.pump(out);
-      out.clear();
-      since_pump = 0;
-    }
+  for (std::size_t i = 0; i < events.size(); i += batch) {
+    server.submit_batch(events.subspan(i, std::min(batch, events.size() - i)), out);
+    drain(out);
+    out.clear();
   }
+}
+
+void discard(const std::vector<serve::OutputRecord>&) {}
+
+double run_replay(const core::MisuseDetector& detector, const Workload& workload,
+                  std::size_t shards, std::size_t batch) {
+  serve::ServeConfig config;
+  config.shards = shards;
+  config.emit_steps = true;
+  serve::ScoringServer server(detector, config);
+  const auto start = std::chrono::steady_clock::now();
+  feed(server, workload, batch, discard);
+  std::vector<serve::OutputRecord> out;
   server.shutdown(out);
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
 }
 
 /// Steady-state replay for the WAL-overhead comparison: times the feed
-/// only (batch mode: enqueue + pump; sync mode: submit_sync per event).
-/// Startup (log creation) and shutdown (final checkpoint) are fixed
+/// only. Startup (log creation) and shutdown (final checkpoint) are fixed
 /// once-per-process costs and are kept outside the timer so the number
 /// reflects the per-event durability tax.
 double run_steady_state(const core::MisuseDetector& detector, const Workload& workload,
-                        std::size_t shards, bool sync_path, const std::string& wal_dir,
+                        std::size_t shards, std::size_t batch, const std::string& wal_dir,
                         std::size_t wal_sync_every) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   if (!wal_dir.empty()) {
     // Fresh log per repetition so every run pays the full append cost.
@@ -163,50 +165,11 @@ double run_steady_state(const core::MisuseDetector& detector, const Workload& wo
     if (wal_sync_every > 0) config.wal_sync_every = wal_sync_every;
   }
   serve::ScoringServer server(detector, config);
-  std::vector<serve::OutputRecord> out;
-  out.reserve(4096);
   const auto start = std::chrono::steady_clock::now();
-  if (sync_path) {
-    for (const auto& event : workload.events) {
-      (void)server.submit_sync(event, out);
-      out.clear();
-    }
-  } else {
-    std::size_t since_pump = 0;
-    for (const auto& event : workload.events) {
-      while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-        out.clear();
-      }
-      if (++since_pump >= 256) {
-        server.pump(out);
-        out.clear();
-        since_pump = 0;
-      }
-    }
-    server.pump(out);
-  }
+  feed(server, workload, batch, discard);
   const auto end = std::chrono::steady_clock::now();
   std::vector<serve::OutputRecord> drain;
   server.shutdown(drain);
-  return std::chrono::duration<double>(end - start).count();
-}
-
-double run_sync_path(const core::MisuseDetector& detector, const Workload& workload,
-                     std::size_t shards) {
-  serve::ServeConfig config;
-  config.shards = shards;
-  config.emit_steps = true;
-  serve::ScoringServer server(detector, config);
-  std::vector<serve::OutputRecord> out;
-  out.reserve(4096);
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto& event : workload.events) {
-    (void)server.submit_sync(event, out);
-    out.clear();
-  }
-  server.shutdown(out);
-  const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
 }
 
@@ -215,8 +178,8 @@ struct RecoveryResult {
   std::size_t replayed = 0;
 };
 
-/// Leaves behind the WAL of a crashed run (full feed, pump, no
-/// shutdown), then times a fresh server's recover() over it. This is the
+/// Leaves behind the WAL of a crashed run (full feed, no shutdown), then
+/// times a fresh server's recover() over it. This is the
 /// worst case: nothing was checkpointed, every applied event replays.
 RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Workload& workload,
                                 std::size_t shards, const std::string& wal_dir) {
@@ -224,26 +187,11 @@ RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Work
   std::filesystem::create_directories(wal_dir);
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   config.wal_dir = wal_dir;
   {
     serve::ScoringServer server(detector, config);
-    std::vector<serve::OutputRecord> out;
-    std::size_t since_pump = 0;
-    for (const auto& event : workload.events) {
-      while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-        out.clear();
-      }
-      if (++since_pump >= 256) {
-        server.pump(out);
-        out.clear();
-        since_pump = 0;
-      }
-    }
-    server.pump(out);
-    out.clear();
+    feed(server, workload, 256, discard);
     // No shutdown(): the server drops like a crash would, WAL intact.
   }
   serve::ScoringServer restarted(detector, config);
@@ -258,44 +206,34 @@ RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Work
 
 struct SwapBench {
   std::vector<double> pauses;  // all-shards-locked window per swap
-  std::vector<double> drains;  // backlog pump before the barrier
+  std::vector<double> drains;  // staged-event pump before the barrier
   std::size_t rolled = 0;      // sessions finished at a barrier (want 0)
   std::size_t swaps = 0;
 };
 
-/// Replays the workload in batch mode, hot-swapping between two
-/// vocabulary-compatible models every `interval` events — the
+/// Replays the workload in blocks of `interval` events, hot-swapping
+/// between two vocabulary-compatible models after each block (where a
+/// node swaps: at a pipe-mode block boundary or a loop tick) — the
 /// zero-downtime claim under live load.
 SwapBench run_swap_path(const core::MisuseDetector& v1, const core::MisuseDetector& v2,
                         const Workload& workload, std::size_t shards, std::size_t interval) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   serve::ScoringServer server(serve::ModelHandle::borrowed(v1), config);
-  std::vector<serve::OutputRecord> out;
-  out.reserve(4096);
   SwapBench result;
-  std::size_t since_swap = 0;
   bool on_v2 = false;
-  for (const auto& event : workload.events) {
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      out.clear();
-    }
-    if (++since_swap >= interval) {
-      since_swap = 0;
-      on_v2 = !on_v2;
-      auto next = serve::ModelHandle::borrowed(on_v2 ? v2 : v1);
-      next.version = on_v2 ? "v2" : "v1";
-      const auto stats = server.swap_model(std::move(next), out);
-      out.clear();
-      result.pauses.push_back(stats.pause_seconds);
-      result.drains.push_back(stats.drain_seconds);
-      result.rolled += stats.rolled_sessions;
-      ++result.swaps;
-    }
-  }
+  feed(server, workload, interval, [&](std::vector<serve::OutputRecord>& out) {
+    on_v2 = !on_v2;
+    auto next = serve::ModelHandle::borrowed(on_v2 ? v2 : v1);
+    next.version = on_v2 ? "v2" : "v1";
+    const auto stats = server.swap_model(std::move(next), out);
+    result.pauses.push_back(stats.pause_seconds);
+    result.drains.push_back(stats.drain_seconds);
+    result.rolled += stats.rolled_sessions;
+    ++result.swaps;
+  });
+  std::vector<serve::OutputRecord> out;
   server.shutdown(out);
   return result;
 }
@@ -306,8 +244,8 @@ struct ObserveRun {
   std::vector<std::string> lines;  // scored output, merge order
 };
 
-/// Batch replay (the workload streamed `passes` times through one
-/// server) that keeps the scored output lines. With `admin` true the
+/// Replay in blocks of 256 (the workload streamed `passes` times through
+/// one server) that keeps the scored output lines. With `admin` true the
 /// run carries the admin listener plus a scraper thread fetching
 /// /metrics + /statusz over real HTTP at ~1 Hz — the deployment shape
 /// the <2% scrape-overhead budget is for. `tracing` additionally turns
@@ -320,7 +258,6 @@ ObserveRun run_observed_path(const core::MisuseDetector& detector, const Workloa
                              std::size_t shards, std::size_t passes, bool admin, bool tracing) {
   serve::ServeConfig config;
   config.shards = shards;
-  config.queue_capacity = 512;
   config.emit_steps = true;
   serve::ScoringServer server(detector, config);
   std::optional<serve::AdminServer> admin_server;
@@ -359,29 +296,14 @@ ObserveRun run_observed_path(const core::MisuseDetector& detector, const Workloa
   }
 
   ObserveRun result;
-  std::vector<serve::OutputRecord> out;
-  out.reserve(4096);
-  const auto keep = [&result, &out] {
+  const auto keep = [&result](const std::vector<serve::OutputRecord>& out) {
     for (const auto& r : out) result.lines.push_back(r.line);
-    out.clear();
   };
   const auto start = std::chrono::steady_clock::now();
-  std::size_t since_pump = 0;
-  for (std::size_t pass = 0; pass < passes; ++pass) {
-    for (const auto& event : workload.events) {
-      while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-        keep();
-      }
-      if (++since_pump >= 256) {
-        server.pump(out);
-        keep();
-        since_pump = 0;
-      }
-    }
-  }
+  for (std::size_t pass = 0; pass < passes; ++pass) feed(server, workload, 256, keep);
+  std::vector<serve::OutputRecord> out;
   server.shutdown(out);
-  keep();
+  keep(out);
   const auto end = std::chrono::steady_clock::now();
   result.seconds = std::chrono::duration<double>(end - start).count();
   if (admin) {
@@ -715,7 +637,7 @@ int main(int argc, char** argv) {
   if (args.flag("cluster")) return run_cluster_bench(args, detector, workload, reduced);
 
   struct Row {
-    std::string path;
+    std::size_t batch = 0;
     std::size_t shards = 0;
     std::size_t threads = 0;
     double seconds = 0.0;
@@ -725,23 +647,20 @@ int main(int argc, char** argv) {
                                                         : std::vector<std::size_t>{1, 4, 8};
   const std::vector<std::size_t> thread_counts =
       reduced ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
-  for (const std::size_t shards : shard_counts) {
-    for (const std::size_t threads : thread_counts) {
-      set_global_threads(threads);
-      const double seconds =
-          best_of([&] { return run_batch_path(detector, workload, shards); });
-      rows.push_back({"batch", shards, threads, seconds});
-      std::cout << "batch shards=" << shards << " threads=" << threads << ": "
-                << static_cast<std::size_t>(workload.events.size() / seconds) << " events/s\n";
+  for (const std::size_t batch : {std::size_t{256}, std::size_t{1}}) {
+    for (const std::size_t shards : shard_counts) {
+      for (const std::size_t threads : thread_counts) {
+        set_global_threads(threads);
+        const double seconds =
+            best_of([&] { return run_replay(detector, workload, shards, batch); });
+        rows.push_back({batch, shards, threads, seconds});
+        std::cout << "batch=" << batch << " shards=" << shards << " threads=" << threads
+                  << ": " << static_cast<std::size_t>(workload.events.size() / seconds)
+                  << " events/s\n";
+      }
     }
   }
   set_global_threads(1);
-  for (const std::size_t shards : shard_counts) {
-    const double seconds = best_of([&] { return run_sync_path(detector, workload, shards); });
-    rows.push_back({"sync", shards, 1, seconds});
-    std::cout << "sync shards=" << shards << ": "
-              << static_cast<std::size_t>(workload.events.size() / seconds) << " events/s\n";
-  }
 
   std::ofstream out(out_path);
   JsonWriter json(out);
@@ -752,15 +671,16 @@ int main(int argc, char** argv) {
   json.member("reduced", reduced);
   json.member("repetitions_best_of", static_cast<std::size_t>(kRepetitions));
   json.member("note",
-              "Streaming-server replay throughput (best-of wall clock). 'batch' = bounded shard "
-              "queues drained by pump() on the thread pool (stdin/NDJSON mode); 'sync' = "
-              "submit_sync under the shard lock (TCP latency mode), single producer. Verdicts "
-              "are bit-identical across every row (determinism contract).");
+              "Streaming-server replay throughput (best-of wall clock) through "
+              "ScoringServer::submit_batch in blocks of 'batch' events: 256 is pipe mode's "
+              "default --batch block, 1 a TCP read of one line; 'threads' lanes score a "
+              "block's shards at once. Verdicts are bit-identical across every row "
+              "(determinism contract).");
   json.key("rows");
   json.begin_array();
   for (const auto& r : rows) {
     json.begin_object();
-    json.member("path", r.path);
+    json.member("batch", r.batch);
     json.member("shards", r.shards);
     json.member("threads", r.threads);
     json.member("seconds", r.seconds);
@@ -782,22 +702,19 @@ int main(int argc, char** argv) {
   const std::size_t wal_sync_every = static_cast<std::size_t>(
       args.integer("wal-sync", static_cast<long long>(serve::ServeConfig{}.wal_sync_every)));
   struct WalRow {
-    const char* path;
-    bool sync_path;
+    std::size_t batch;
     double off = 0.0;
     double on = 0.0;
     double overhead() const { return off > 0.0 ? on / off - 1.0 : 0.0; }
   };
-  WalRow wal_rows[] = {{"batch", false}, {"sync", true}};
+  WalRow wal_rows[] = {{256}, {1}};
   for (WalRow& row : wal_rows) {
-    if (row.sync_path) set_global_threads(1);
     row.off = best_of(
-        [&] { return run_steady_state(detector, workload, wal_shards, row.sync_path, {}, 0); });
+        [&] { return run_steady_state(detector, workload, wal_shards, row.batch, {}, 0); });
     row.on = best_of([&] {
-      return run_steady_state(detector, workload, wal_shards, row.sync_path, wal_dir,
-                              wal_sync_every);
+      return run_steady_state(detector, workload, wal_shards, row.batch, wal_dir, wal_sync_every);
     });
-    std::cout << row.path << " wal off: "
+    std::cout << "batch=" << row.batch << " wal off: "
               << static_cast<std::size_t>(workload.events.size() / row.off) << " events/s, wal on: "
               << static_cast<std::size_t>(workload.events.size() / row.on)
               << " events/s (overhead " << row.overhead() * 100.0 << "%)\n";
@@ -822,7 +739,7 @@ int main(int argc, char** argv) {
   rec_json.begin_array();
   for (const WalRow& row : wal_rows) {
     rec_json.begin_object();
-    rec_json.member("path", std::string(row.path));
+    rec_json.member("batch", row.batch);
     rec_json.member("wal_off_seconds", row.off);
     rec_json.member("wal_on_seconds", row.on);
     rec_json.member("wal_overhead_frac", row.overhead());
@@ -835,8 +752,8 @@ int main(int argc, char** argv) {
                   recovery.seconds > 0.0 ? recovery.replayed / recovery.seconds : 0.0);
   rec_json.member("note",
                   "Crash-safety tax: identical steady-state replay with the per-shard WAL "
-                  "enabled vs disabled (best-of wall clock; fresh log each repetition; 'sync' is "
-                  "the single-producer submit_sync path), plus worst-case recover() time over "
+                  "enabled vs disabled (best-of wall clock; fresh log each repetition; 'batch' "
+                  "events per submit_batch call), plus worst-case recover() time over "
                   "the WAL a crashed, never-checkpointed run left behind. Target: "
                   "wal_overhead_frac < 0.15 on every row.");
   rec_json.end_object();
@@ -901,9 +818,10 @@ int main(int argc, char** argv) {
                        : *std::max_element(swap_bench.drains.begin(), swap_bench.drains.end()));
   swap_json.member("sessions_rolled", swap_bench.rolled);
   swap_json.member("note",
-                   "Hot-swap latency: batch replay with a swap between two vocabulary-compatible "
-                   "models every swap_interval_events. 'pause' is the all-shards-locked window "
-                   "(traffic held), 'drain' the backlog pump before the barrier. Acceptance: "
+                   "Hot-swap latency: replay in blocks of swap_interval_events with a swap "
+                   "between two vocabulary-compatible models after each block. 'pause' is the "
+                   "all-shards-locked window (traffic held), 'drain' the pump of staged events "
+                   "before the barrier (none are staged at a block boundary). Acceptance: "
                    "pause_p99_seconds < 0.25 and sessions_rolled == 0 (compatible swaps "
                    "pin-and-continue; no session is dropped).");
   swap_json.end_object();

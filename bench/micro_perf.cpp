@@ -94,7 +94,7 @@ BENCHMARK(BM_MarkovScoreSession);
 void BM_DriftObserve(benchmark::State& state) {
   Rng rng(14);
   ActionVocab vocab;
-  for (int i = 0; i < 300; ++i) vocab.intern("A" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) vocab.intern(std::string("A").append(std::to_string(i)));
   SessionStore store(std::move(vocab));
   for (int i = 0; i < 100; ++i) {
     Session s;

@@ -216,16 +216,16 @@ int in_process_demo(std::size_t session_count) {
       });
 
   const auto trace = build_trace(portal, history, session_count);
+  std::vector<serve::Event> events;
   std::vector<serve::OutputRecord> out;
   std::string error;
   for (const auto& line : trace) {
     serve::Event event;
-    if (!serve::parse_event(render_trace_line(line), event, error)) continue;
-    while (server.enqueue(event, out) == serve::ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-    }
-    out.clear();
+    if (serve::parse_event(render_trace_line(line), event, error)) events.push_back(event);
   }
+  // The observers above collect the verdicts; the rendered records are
+  // not needed here.
+  server.submit_batch(events, out);
   server.shutdown(out);
   std::cout << "replayed " << trace.size() << " events across " << by_user.size() << " users\n";
   for (const auto& [user, stats] : by_user) {

@@ -45,7 +45,6 @@ specs=(
   'wal.fsync=always|every WAL fsync fails'
   'wal.append=every:2|every 2nd WAL append fails'
   'wal.snapshot=always|every snapshot write fails'
-  'serve.enqueue=every:50|injected backpressure every 50th enqueue'
 )
 for entry in "${specs[@]}"; do
   spec=${entry%%|*}

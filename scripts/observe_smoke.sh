@@ -86,7 +86,7 @@ grep -q '"status":"ok"' "$work/healthz.json" ||
 
 echo "== scraping /statusz"
 "$top" --port="$port" --dump=statusz >"$work/statusz.json"
-for key in shards next_seq sessions_active shard.0.queue_depth infer_kernel; do
+for key in shards next_seq sessions_active shard.0.sessions infer_kernel; do
   grep -q "\"$key\":" "$work/statusz.json" ||
     { echo "/statusz missing key $key" >&2; exit 1; }
 done

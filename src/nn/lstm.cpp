@@ -279,9 +279,6 @@ Lstm Lstm::load(BinaryReader& r) {
       lstm.wh_.value.rows() != hidden || lstm.b_.value.cols() != 4 * hidden) {
     throw SerializeError("LSTM archive shape mismatch");
   }
-  lstm.wx_.grad.resize(vocab, 4 * hidden);
-  lstm.wh_.grad.resize(hidden, 4 * hidden);
-  lstm.b_.grad.resize(1, 4 * hidden);
   return lstm;
 }
 

@@ -27,6 +27,7 @@ void Sgd::step(const ParameterList& params) {
   ensure_state(velocity_, params);
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto& p = *params[i];
+    assert(p.grad.same_shape(p.value) && "zero_grad() before the first backward");
     auto value = p.value.flat();
     auto grad = p.grad.flat();
     auto vel = velocity_[i].flat();
@@ -51,6 +52,7 @@ void Adam::step(const ParameterList& params) {
   const float alpha = lr_ * std::sqrt(bias2) / bias1;
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto& p = *params[i];
+    assert(p.grad.same_shape(p.value) && "zero_grad() before the first backward");
     auto value = p.value.flat();
     auto grad = p.grad.flat();
     auto m = m_[i].flat();
@@ -71,6 +73,7 @@ void RmsProp::step(const ParameterList& params) {
   ensure_state(cache_, params);
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto& p = *params[i];
+    assert(p.grad.same_shape(p.value) && "zero_grad() before the first backward");
     auto value = p.value.flat();
     auto grad = p.grad.flat();
     auto cache = cache_[i].flat();

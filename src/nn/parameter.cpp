@@ -1,5 +1,6 @@
 #include "nn/parameter.hpp"
 
+#include <cassert>
 #include <cmath>
 
 #include "tensor/ops.hpp"
@@ -18,7 +19,10 @@ void zero_grads(const ParameterList& params) {
 
 float clip_grad_norm(const ParameterList& params, float max_norm) {
   double total = 0.0;
-  for (const auto* p : params) total += static_cast<double>(squared_norm(p->grad.flat()));
+  for (const auto* p : params) {
+    assert(p->grad.same_shape(p->value) && "zero_grad() before the first backward");
+    total += static_cast<double>(squared_norm(p->grad.flat()));
+  }
   const auto norm = static_cast<float>(std::sqrt(total));
   if (norm > max_norm && norm > 0.0f) {
     const float factor = max_norm / norm;

@@ -63,7 +63,11 @@ std::optional<VersionState> parse_version_state(std::string_view name) {
   return std::nullopt;
 }
 
-std::string version_name(std::uint64_t version) { return "v" + std::to_string(version); }
+std::string version_name(std::uint64_t version) {
+  std::string name = "v";
+  name += std::to_string(version);
+  return name;
+}
 
 std::optional<std::uint64_t> parse_version_name(std::string_view name) {
   if (name.size() < 2 || name.size() > 21 || name[0] != 'v') return std::nullopt;

@@ -2,9 +2,9 @@
 // (user_id) owns a bucket of `burst` tokens refilled at `rate`
 // tokens/second; an event spends one token, and an empty bucket rejects
 // the event at the router — a misbehaving tenant is throttled *before*
-// its traffic can saturate a node's shard queues, layering on top of
-// the per-node backpressure modes (block / drop_oldest) rather than
-// replacing them.
+// its traffic reaches a node, whose own memory bound is the socket and
+// its loop's output backlog cap (serve/epoll_loop.hpp), which throttle
+// every tenant alike.
 //
 // Refill runs on the caller's clock, and the caller names which clock
 // it is. The router feeds event time when the producer stamps

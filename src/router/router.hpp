@@ -25,7 +25,7 @@
 //     and no verdict is duplicated;
 //   * per-tenant quotas — token-bucket admission per user_id at the
 //     router (router/quota.hpp), rejected events answered with an
-//     "error" record, layered on the nodes' own backpressure modes.
+//     "error" record, before the traffic reaches a node.
 //
 // One thread owns all of it: client and node sockets share the router's
 // EpollLoop, so nothing is locked. Only the /healthz prober runs beside

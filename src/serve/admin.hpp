@@ -3,8 +3,8 @@
 //
 //   /metrics  Prometheus text exposition of the whole registry
 //   /healthz  ok | degraded | unhealthy (flat JSON; 503 when unhealthy)
-//   /statusz  flat-JSON runtime introspection (per-shard queues and
-//             session counts, model versions, WAL lag, kernel, uptime)
+//   /statusz  flat-JSON runtime introspection (per-shard session counts
+//             and WAL watermarks, model versions, WAL lag, kernel, uptime)
 //   /tracez   sampled trace events as Chrome trace JSON
 //             (?format=ndjson for one flat JSON object per line)
 //

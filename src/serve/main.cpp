@@ -12,17 +12,21 @@
 //     while eviction / shutdown session reports go to stdout (sessions
 //     outlive connections).
 //
+// Both modes score through one function: a block of lines is parsed and
+// scored with ScoringServer::submit_batch, and a reply line per input
+// line comes back in line order.
+//
 // Graceful shutdown: EOF on stdin, or SIGINT/SIGTERM in either mode,
-// drains the queued backlog and emits a session_report for every open
+// scores what was read and emits a session_report for every open
 // session before exiting. --metrics-out writes the observability
 // snapshot (util/metrics + trace tree) on exit.
 //
 //   misusedet_serve --model=detector.bin [--listen=PORT]
-//       [--shards=N] [--queue-capacity=N] [--backpressure=block|drop_oldest]
-//       [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
+//       [--shards=N] [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
 //       [--alarm-likelihood=X] [--trend-window=N] [--trend-drop=X]
 //       [--infer=auto|scalar|avx2] [--no-steps] [--metrics-out=PATH]
 //       [--admin-port=PORT] [--trace-sample=N]
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -202,12 +206,12 @@ void print_usage(const std::string& program) {
       << "  --drift                 track served-action drift against the training mix\n"
       << "  --listen=PORT           serve NDJSON over TCP instead of stdin/stdout\n"
       << "  --shards=N              session-table shards (default 4)\n"
-      << "  --queue-capacity=N      per-shard event queue bound (default 1024)\n"
-      << "  --backpressure=POLICY   block | drop_oldest (default block)\n"
       << "  --idle-ttl=SECONDS      evict sessions idle this long in event time (default 900)\n"
       << "  --max-sessions=N        session-table capacity across shards (default 4096)\n"
-      << "  --batch=N               events per pump in stdin mode (default 256)\n"
-      << "  --threads=N             worker threads (default MISUSEDET_THREADS/hardware)\n"
+      << "  --batch=N               stdin mode: events scored per block, with a TTL sweep,\n"
+      << "                          checkpoint and registry check after each (default 256)\n"
+      << "  --threads=N             lanes that score a block's shards at once (default 1;\n"
+      << "                          0 = MISUSEDET_THREADS, else every core)\n"
       << "  --alarm-likelihood=X    immediate alarm threshold (default 0.02)\n"
       << "  --trend-window=N        trend detector window (default 8)\n"
       << "  --trend-drop=X          trend alarm relative drop (default 0.5)\n"
@@ -233,82 +237,113 @@ void flush_records(std::vector<OutputRecord>& records, std::ostream& out) {
   records.clear();
 }
 
-/// stdin/stdout pipe mode: read-batch -> pump -> sweep, repeat. Model
-/// swaps land at batch boundaries (the stream is quiescent there).
+/// The one scoring function of both front ends: parses NDJSON event lines
+/// and scores each run of well-formed ones with one submit_batch. A
+/// malformed line ends the run so far, so its error record keeps its place
+/// between the verdicts before and after it. Holds its scratch across
+/// calls; one thread at a time.
+class LineScorer {
+ public:
+  explicit LineScorer(ScoringServer& server) : server_(server) {}
+
+  /// Appends one newline-terminated reply per event and per malformed
+  /// line of `lines` (strings or string_views) to `replies`, in line
+  /// order, and returns the events parsed. Empty lines are skipped.
+  template <typename Lines>
+  std::size_t score(const Lines& lines, std::string& replies) {
+    std::size_t parsed = 0;
+    for (const std::string_view line : lines) {
+      if (line.empty()) continue;
+      Event& event = events_.emplace_back();
+      if (parse_event(line, event, error_)) {
+        ++parsed;
+        continue;
+      }
+      events_.pop_back();
+      submit(replies);
+      serve_metrics().parse_errors.inc();
+      replies += render_error_record(error_, line);
+      replies += '\n';
+    }
+    submit(replies);
+    return parsed;
+  }
+
+ private:
+  void submit(std::string& replies) {
+    server_.submit_batch(events_, records_);
+    for (const auto& r : records_) {
+      replies += r.line;
+      replies += '\n';
+    }
+    records_.clear();
+    events_.clear();
+  }
+
+  ScoringServer& server_;
+  std::vector<Event> events_;
+  std::vector<OutputRecord> records_;
+  std::string error_;
+};
+
+/// stdin/stdout pipe mode: blocks of --batch events, each scored, then a
+/// TTL sweep, checkpoint and registry check, then one write to stdout.
+/// Model swaps land at block boundaries (the stream is quiescent there).
 int run_pipe(ScoringServer& server, std::size_t batch_max, ModelReloader* reloader) {
   LineReader reader(std::cin);
+  LineScorer scorer(server);
   std::string line;
+  std::vector<std::string> block;  // read, not yet scored
+  std::string replies;
   std::vector<OutputRecord> out;
-  std::string error;
-  std::size_t batched = 0;
+  const auto score_block = [&] {
+    const std::size_t parsed = scorer.score(block, replies);
+    block.clear();
+    return parsed;
+  };
+  const auto write_replies = [&] {
+    std::cout << replies;
+    replies.clear();
+    flush_records(out, std::cout);
+    std::cout.flush();
+  };
+  const std::size_t batch = std::max<std::size_t>(1, batch_max);
+  std::size_t wanted = batch;  // events still to read before the block ends
   while (!g_stop.load(std::memory_order_relaxed) && reader.next(line)) {
     if (line.empty()) continue;
-    Event event;
-    if (!parse_event(line, event, error)) {
-      serve_metrics().parse_errors.inc();
-      out.push_back({0, render_error_record(error, line)});
-      continue;
-    }
-    while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-      flush_records(out, std::cout);
-    }
-    if (++batched >= batch_max) {
-      server.pump(out);
-      server.sweep(out);
-      server.maybe_checkpoint(out);
-      if (reloader != nullptr) reloader->maybe_reload(out);
-      flush_records(out, std::cout);
-      batched = 0;
-    }
+    block.push_back(line);
+    if (block.size() < wanted) continue;
+    // Malformed lines do not count toward --batch: read on for the events
+    // they displaced before the block ends.
+    wanted -= score_block();
+    if (wanted > 0) continue;
+    server.sweep(out);
+    server.maybe_checkpoint(out);
+    if (reloader != nullptr) reloader->maybe_reload(out);
+    write_replies();
+    wanted = batch;
   }
   if (reader.truncated()) {
     log_warn() << "input line exceeded the size cap; draining and shutting down";
   }
+  score_block();
   server.shutdown(out);
-  flush_records(out, std::cout);
+  write_replies();
   return 0;
 }
 
 /// TCP mode: every connection multiplexed onto one nonblocking event
-/// loop. The lines of each socket read are scored as one submit_batch,
-/// and their verdicts go back on the same connection in line order. TTL
-/// sweeps, checkpoints and registry reloads ride the loop's tick, with
-/// session reports on stdout.
+/// loop. The lines of each socket read are scored as one block, and their
+/// replies go back on the same connection in line order. TTL sweeps,
+/// checkpoints and registry reloads ride the loop's tick, with session
+/// reports on stdout.
 int run_epoll(ScoringServer& server, std::uint16_t port, ModelReloader* reloader) {
   EpollConfig config;
   config.port = port;
   EpollHandlers handlers;
-  // Reused across reads (loop thread only).
-  std::vector<Event> events;
-  std::vector<OutputRecord> records;
-  std::string error;
-  handlers.on_lines = [&](std::uint64_t, std::span<const std::string_view> lines,
-                          std::string& replies) {
-    const auto score = [&] {
-      server.submit_batch(events, records);
-      for (const auto& r : records) {
-        replies += r.line;
-        replies += '\n';
-      }
-      records.clear();
-      events.clear();
-    };
-    for (const std::string_view line : lines) {
-      if (line.empty()) continue;
-      Event& event = events.emplace_back();
-      if (!parse_event(line, event, error)) {
-        // A malformed line ends the batch so far: its error record keeps
-        // its place between the verdicts before and after it.
-        events.pop_back();
-        score();
-        serve_metrics().parse_errors.inc();
-        replies += render_error_record(error, line);
-        replies += '\n';
-      }
-    }
-    score();
-  };
+  LineScorer scorer(server);  // loop thread only
+  handlers.on_lines = [&scorer](std::uint64_t, std::span<const std::string_view> lines,
+                                std::string& replies) { scorer.score(lines, replies); };
   handlers.on_tick = [&server, reloader] {
     std::vector<OutputRecord> out;
     server.sweep(out);
@@ -337,8 +372,7 @@ constexpr std::string_view kKnownFlags[] = {
     // Usage, model source and hot swap.
     "help", "model", "registry", "registry-poll", "shadow", "canary-fraction", "drift",
     // Front end and session table.
-    "listen", "shards", "queue-capacity", "backpressure", "idle-ttl", "max-sessions", "batch",
-    "threads",
+    "listen", "shards", "idle-ttl", "max-sessions", "batch", "threads",
     // Scoring and output.
     "alarm-likelihood", "trend-window", "trend-drop", "infer", "steps", "metrics-out",
     // Operations plane and crash safety.
@@ -370,16 +404,6 @@ int serve_main(int argc, char** argv) {
 
   ServeConfig config;
   config.shards = static_cast<std::size_t>(args.integer("shards", 4));
-  config.queue_capacity = static_cast<std::size_t>(args.integer("queue-capacity", 1024));
-  const std::string policy = args.str("backpressure", "block");
-  if (policy == "drop_oldest") {
-    config.backpressure = BackpressurePolicy::kDropOldest;
-  } else if (policy == "block") {
-    config.backpressure = BackpressurePolicy::kBlock;
-  } else {
-    std::cerr << "unknown --backpressure policy '" << policy << "' (block | drop_oldest)\n";
-    return 2;
-  }
   config.idle_ttl_seconds = args.real("idle-ttl", 900.0);
   config.max_sessions = static_cast<std::size_t>(args.integer("max-sessions", 4096));
   // CliArgs folds "--no-X" into key "X" with value "false", so negative
@@ -393,9 +417,10 @@ int serve_main(int argc, char** argv) {
   config.snapshot_every = static_cast<std::size_t>(args.integer("snapshot-every", 4096));
   config.resume_replay = args.flag("resume-replay");
   config.drift = args.flag("drift");
-  if (args.has("threads")) {
-    set_global_threads(static_cast<std::size_t>(args.integer("threads", 0)));
-  }
+  // One lane by default: a block's shards then score in order on the
+  // thread that read it, which is the cheapest way for a node whose reads
+  // are small (DESIGN.md "TCP front end").
+  set_global_threads(static_cast<std::size_t>(args.integer("threads", 1)));
   // The kernel mode is process-global; settle it before anything scores.
   if (args.has("infer")) {
     const auto mode = nn::infer::parse_infer_mode(args.str("infer"));
@@ -462,7 +487,7 @@ int serve_main(int argc, char** argv) {
   ModelReloader* reloader_ptr = reloader ? &*reloader : nullptr;
 
   // Sampled tracing: the first N distinct sessions get their full span
-  // tree (enqueue -> monitor step -> report) recorded into a bounded
+  // tree (monitor step -> report) recorded into a bounded
   // in-memory ring, exported live via /tracez. Off by default: the data
   // path then pays one relaxed atomic load per event.
   const auto trace_sample = static_cast<std::size_t>(args.integer("trace-sample", 0));

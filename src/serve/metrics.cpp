@@ -8,12 +8,10 @@ ServeMetrics& serve_metrics() {
       metrics().counter("serve.steps"),
       metrics().counter("serve.alarms"),
       metrics().counter("serve.parse_errors"),
-      metrics().counter("serve.dropped_events"),
       metrics().counter("serve.sessions_opened"),
       metrics().counter("serve.sessions_evicted"),
       metrics().counter("serve.sessions_finished"),
       metrics().gauge("serve.sessions_active"),
-      metrics().gauge("serve.queue_depth"),
       metrics().histogram("serve.step_seconds"),
       metrics().counter("serve.wal_appends"),
       metrics().counter("serve.wal_torn_records"),

@@ -13,12 +13,10 @@ struct ServeMetrics {
   Counter& steps;              // serve.steps — scored actions
   Counter& alarms;             // serve.alarms — steps that alarmed
   Counter& parse_errors;       // serve.parse_errors — rejected lines
-  Counter& dropped_events;     // serve.dropped_events — drop-oldest backpressure
   Counter& sessions_opened;    // serve.sessions_opened
   Counter& sessions_evicted;   // serve.sessions_evicted — TTL + capacity
   Counter& sessions_finished;  // serve.sessions_finished — all report emissions
   Gauge& sessions_active;      // serve.sessions_active (+ high-water mark)
-  Gauge& queue_depth;          // serve.queue_depth — events queued across shards
   HistogramMetric& step_seconds;  // serve.step_seconds — per-event shard latency
 
   // Fault tolerance (see DESIGN.md "Fault tolerance").

@@ -4,15 +4,11 @@
 #include <cassert>
 #include <cctype>
 #include <filesystem>
-#include <sstream>
 
 #include "serve/metrics.hpp"
-#include "util/json.hpp"
-#include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace misuse::serve {
 
@@ -29,18 +25,6 @@ std::int64_t numeric_version(const std::string& version) {
     }
   }
   return any ? value : 0;
-}
-
-std::string enqueue_trace_args(const Event& event, std::size_t shard, std::uint64_t seq) {
-  std::ostringstream os;
-  JsonWriter json(os);
-  json.begin_object();
-  json.member("action", event.action);
-  json.member("shard", shard);
-  json.member("seq", seq);
-  json.end_object();
-  const std::string s = os.str();
-  return s.substr(1, s.size() - 2);  // TraceEvent::args is the braceless body
 }
 
 /// Restores arrival order over out[base, end): records sort by input
@@ -70,12 +54,10 @@ ScoringServer::ScoringServer(ModelHandle model, const ServeConfig& config)
   shard_config.track_history = !config_.wal_dir.empty() || config_.drift;
   shard_max_sessions_ = shard_config.max_sessions;
   shards_.reserve(n);
-  shard_queue_gauges_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->table = std::make_unique<SessionShard>(model_, shard_config);
     shards_.push_back(std::move(shard));
-    shard_queue_gauges_.push_back(&metrics().gauge("serve.shard.queue_depth." + std::to_string(s)));
   }
   (void)serve_metrics();  // register the panel eagerly
   serve_metrics().degraded_clusters.set(
@@ -139,109 +121,19 @@ void ScoringServer::advance_clock(double t) {
   }
 }
 
-void ScoringServer::record_queue_depth() const {
-  // The gauge tracks the incrementally maintained total: exact counting
-  // via queued_events() would take every shard lock per enqueue.
-  serve_metrics().queue_depth.set(queued_total_.load(std::memory_order_relaxed));
-}
-
 ModelHandle ScoringServer::current_model() const {
   std::shared_lock<std::shared_mutex> lock(model_mutex_);
   return model_;
 }
 
-ScoringServer::Enqueue ScoringServer::enqueue(const Event& event,
-                                              std::vector<OutputRecord>& out) {
-  const bool tracing = tracer_ != nullptr && trace_events().enabled();
-  const std::uint64_t trace_start = tracing ? trace_now_nanos() : 0;
-  ModelHandle resolver = current_model();
-  const int action = resolve_action_id(resolver.detector->vocab(), event.action);
-  if (action < 0) {
-    serve_metrics().parse_errors.inc();
-    out.push_back({seq_.fetch_add(1, std::memory_order_relaxed),
-                   render_error_record("unknown action", event.action)});
-    return Enqueue::kRejected;
-  }
-  const std::size_t s = shard_of(event);
-  Shard& shard = *shards_[s];
-  Enqueue result = Enqueue::kAccepted;
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Injected backpressure: exercises the producer's pump-and-retry path.
-    if (MISUSEDET_FAILPOINT("serve.enqueue")) return Enqueue::kQueueFull;
-    if (shard.queue.size() >= config_.queue_capacity) {
-      if (config_.backpressure == BackpressurePolicy::kBlock) return Enqueue::kQueueFull;
-      shard.queue.pop_front();
-      serve_metrics().dropped_events.inc();
-      result = Enqueue::kDroppedOldest;
-    }
-    Pending pending;
-    pending.event = event;
-    pending.action = action;
-    pending.resolved_under = std::move(resolver.detector);
-    seq = pending.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    shard.queue.push_back(std::move(pending));
-    // Gauge updates stay inside the lock so per-shard depth transitions
-    // are serialized with the queue they describe.
-    if (result == Enqueue::kAccepted) queued_total_.fetch_add(1, std::memory_order_relaxed);
-    shard_queue_gauges_[s]->set(static_cast<std::int64_t>(shard.queue.size()));
-  }
-  if (event.has_timestamp) advance_clock(event.timestamp);
-  record_queue_depth();
-  if (tracing) {
-    const std::string key = session_key(event);
-    if (tracer_->sampled(key)) {
-      trace_events().record({"serve.enqueue", key, trace_start, trace_now_nanos() - trace_start,
-                             enqueue_trace_args(event, s, seq)});
-    }
-  }
-  return result;
+ScoringServer::Enqueue ScoringServer::enqueue(const Event& event, std::vector<OutputRecord>&) {
+  staged_.push_back(event);
+  return Enqueue::kAccepted;
 }
 
 void ScoringServer::pump(std::vector<OutputRecord>& out) {
-  Span pump_span("serve.pump");
-  std::vector<std::vector<OutputRecord>> shard_out(shards_.size());
-  std::atomic<std::uint64_t> pumped{0};
-  global_pool().parallel_for(0, shards_.size(), [&](std::size_t s) {
-    Shard& shard = *shards_[s];
-    std::deque<Pending> backlog;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      backlog.swap(shard.queue);
-      queued_total_.fetch_sub(static_cast<std::int64_t>(backlog.size()),
-                              std::memory_order_relaxed);
-      shard_queue_gauges_[s]->set(0);
-    }
-    if (backlog.empty()) return;
-    pumped.fetch_add(backlog.size(), std::memory_order_relaxed);
-    Span drain_span("serve.shard_drain");
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Hand the whole drain to the shard as one batch: distinct sessions'
-    // model forwards fuse into batched inference-engine steps, while
-    // arrival order (and the output stream) stays bit-identical to the
-    // per-event path.
-    std::vector<SessionShard::PendingEvent> batch;
-    batch.reserve(backlog.size());
-    for (const Pending& p : backlog) {
-      batch.push_back({&p.event, p.action, p.resolved_under.get(), p.seq});
-    }
-    shard.table->process_batch(batch, shard_out[s]);
-    // Group commit: one write hands the whole drain's WAL records to the
-    // OS before any of its verdicts become externally visible.
-    if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->flush();
-  });
-  events_since_checkpoint_.fetch_add(pumped.load(std::memory_order_relaxed),
-                                     std::memory_order_relaxed);
-  std::size_t total = 0;
-  for (const auto& records : shard_out) total += records.size();
-  const std::size_t base = out.size();
-  out.reserve(base + total);
-  for (auto& records : shard_out) {
-    for (auto& r : records) out.push_back(std::move(r));
-  }
-  merge_by_seq(out, base);
-  record_queue_depth();
+  submit_batch(staged_, out);
+  staged_.clear();
 }
 
 void ScoringServer::append_reports(std::vector<OutputRecord>&& reports,
@@ -434,7 +326,7 @@ std::size_t ScoringServer::submit_batch(std::span<const Event> events,
   const std::size_t base = out.size();
   // One seq per event in arrival order, rejected ones included.
   const std::uint64_t first = seq_.fetch_add(events.size(), std::memory_order_relaxed);
-  std::vector<std::vector<SessionShard::PendingEvent>> by_shard(shards_.size());
+  std::vector<std::vector<SessionShard::BatchEvent>> by_shard(shards_.size());
   std::size_t accepted = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& event = events[i];
@@ -448,18 +340,22 @@ std::size_t ScoringServer::submit_batch(std::span<const Event> events,
     by_shard[shard_of(event)].push_back({&event, action, detector, first + i});
     ++accepted;
   }
-  // Serial on the caller's thread, shard by shard: running the shards on
-  // the pool (as pump does) grew node RSS and was slower on small models
-  // (DESIGN.md "TCP front end").
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
+  // One lane per shard with events. At one lane (the node's default) the
+  // shards run in index order on this thread; with more, a shard's
+  // records land in its own vector until the merge below.
+  std::vector<std::vector<OutputRecord>> shard_out(shards_.size());
+  global_pool().parallel_for(0, shards_.size(), [&](std::size_t s) {
+    if (by_shard[s].empty()) return;
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table->process_batch(by_shard[s], out);
+    shard.table->process_batch(by_shard[s], shard_out[s]);
     // Group commit before any of these verdicts leaves the process.
     if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->flush();
-  }
+  });
   events_since_checkpoint_.fetch_add(accepted, std::memory_order_relaxed);
+  for (auto& records : shard_out) {
+    for (auto& r : records) out.push_back(std::move(r));
+  }
   merge_by_seq(out, base);
   return accepted;
 }
@@ -473,15 +369,6 @@ std::size_t ScoringServer::active_sessions() const {
   return total;
 }
 
-std::size_t ScoringServer::queued_events() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->queue.size();
-  }
-  return total;
-}
-
 double ScoringServer::event_clock() const { return clock_.load(std::memory_order_relaxed); }
 
 std::vector<ScoringServer::ShardStatus> ScoringServer::shard_status() const {
@@ -490,12 +377,9 @@ std::vector<ScoringServer::ShardStatus> ScoringServer::shard_status() const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     ShardStatus status;
-    status.queue_capacity = config_.queue_capacity;
     status.max_sessions = shard_max_sessions_;
-    status.queue_high_water = shard_queue_gauges_[s]->high_water();
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      status.queue_depth = shard.queue.size();
       status.sessions = shard.table->active_sessions();
       status.last_applied_seq = shard.table->last_applied_seq();
     }
@@ -512,7 +396,6 @@ bool ScoringServer::wal_ok() const {
 }
 
 void ScoringServer::set_trace_sampler(std::shared_ptr<SessionTraceSampler> sampler) {
-  tracer_ = sampler;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->table->set_trace_sampler(sampler);
@@ -538,9 +421,8 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
   assert(next.detector != nullptr);
   SwapStats stats;
   Timer drain_timer;
-  // Drain to the barrier: queued events were resolved under the old
-  // model and score under whatever their session pinned; pumping first
-  // keeps the locked pause window free of backlog work.
+  // Score the staged events to the barrier under the old model; pumping
+  // first keeps the locked pause window free of scoring work.
   pump(out);
   stats.drain_seconds = drain_timer.seconds();
 

@@ -1,34 +1,30 @@
 // ScoringServer: the streaming core of misusedet_serve. Consumes an
 // interleaved event stream from many users, shards sessions over a set
 // of SessionShards (stable FNV-1a of user_id+session_id), and scores
-// each shard's backlog on the global thread pool.
+// each batch of events shard by shard.
 //
 // Architecture (see DESIGN.md "Serving"):
-//   * enqueue(): parse-validated events land in a *bounded* per-shard
-//     FIFO. When a queue is full the configured backpressure policy
-//     applies — kBlock reports kQueueFull so the producer drains (pump)
-//     before retrying, kDropOldest discards the queue head and admits
-//     the new event (freshness over completeness).
-//   * pump(): drains every shard concurrently via global_pool(). Shards
-//     never share sessions, each session's events stay in one FIFO, and
-//     OnlineMonitor is deterministic, so every per-session score stream
-//     is bit-identical to the offline monitor regardless of shard count
-//     or thread count. Outputs are merged by input sequence number (a
-//     stable merge: an eviction report shares its seq with the step that
-//     caused it and keeps its place before it), so the emitted NDJSON
-//     order equals arrival order at any batch size.
+//   * submit_batch(): the one scoring path. Resolves each event's action,
+//     numbers the events in arrival order, and scores each shard's share
+//     with one process_batch and one WAL flush, through
+//     global_pool().parallel_for (so shards run concurrently when the pool
+//     has more than one lane). Shards never share sessions, a session's
+//     events keep their order, and OnlineMonitor is deterministic, so every
+//     per-session score stream is bit-identical to the offline monitor at
+//     any shard or thread count. Records are merged back by sequence number
+//     (a stable merge: an eviction report shares its seq with the step that
+//     caused it and keeps its place before it), so the emitted NDJSON order
+//     equals arrival order at any batch size. submit_sync() is its
+//     one-event case.
+//   * enqueue()/pump(): stage events in one server-owned vector and hand
+//     them to submit_batch.
 //   * sweep(): retires idle sessions by *event time* TTL.
-//   * shutdown(): graceful drain — pumps the backlog, then emits an
+//   * shutdown(): graceful drain — scores what is staged, then emits an
 //     end-of-session report for every open session.
-//   * submit_batch(): the TCP entry. Scores one socket read's events at
-//     once on the calling thread, bypassing the queues: one process_batch
-//     and one WAL flush per shard, records back in arrival order.
-//     submit_sync() is its one-event case.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -39,19 +35,11 @@
 #include "core/drift.hpp"
 #include "serve/session_table.hpp"
 #include "serve/shadow.hpp"
-#include "util/metrics.hpp"
 
 namespace misuse::serve {
 
-enum class BackpressurePolicy {
-  kBlock,      // producer must pump before the event is admitted
-  kDropOldest, // discard the queue head to admit the new event
-};
-
 struct ServeConfig {
   std::size_t shards = 4;
-  std::size_t queue_capacity = 1024;  // events per shard
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   double idle_ttl_seconds = 900.0;
   std::size_t max_sessions = 4096;  // across all shards
   bool emit_steps = true;
@@ -93,26 +81,23 @@ class ScoringServer {
 
   enum class Enqueue {
     kAccepted,
-    kRejected,      // invalid action — an "error" record was appended
-    kQueueFull,     // kBlock policy: pump() and retry
-    kDroppedOldest, // admitted after discarding the queue head
+    kQueueFull,  // never returned: nothing bounds the staged events
   };
 
-  /// Validates the action against the detector vocabulary and queues the
-  /// event on its shard. Error records for rejected events are appended
-  /// to `out` immediately.
+  /// Stages a copy of `event` for the next pump(); always kAccepted, and
+  /// `out` is left alone. An unknown action gets its error record from
+  /// pump(), in its arrival place. One producer thread at a time.
   Enqueue enqueue(const Event& event, std::vector<OutputRecord>& out);
 
-  /// Drains all shard queues (concurrently when the pool has workers)
-  /// and appends the resulting records to `out` in input order.
+  /// submit_batch() of every staged event; the stage is empty afterwards.
   void pump(std::vector<OutputRecord>& out);
 
   /// TTL sweep at the stream's current event time (or an explicit time).
   void sweep(std::vector<OutputRecord>& out) { sweep_at(event_clock(), out); }
   void sweep_at(double now, std::vector<OutputRecord>& out);
 
-  /// Graceful shutdown: pump the backlog, then emit a report for every
-  /// open session. The server stays usable afterwards (tables empty).
+  /// Graceful shutdown: pump the staged events, then emit a report for
+  /// every open session. The server stays usable afterwards (tables empty).
   /// With a WAL dir, ends with an empty checkpoint so a later restart
   /// recovers nothing.
   void shutdown(std::vector<OutputRecord>& out);
@@ -139,12 +124,12 @@ class ScoringServer {
 
   bool wal_enabled() const { return !config_.wal_dir.empty(); }
 
-  /// Scores `events` immediately, in order, on the calling thread (the
-  /// TCP path: one socket read at a time). Every action resolves under
-  /// one current_model(); sequence numbers follow arrival order; each
-  /// shard with events runs one process_batch and one WAL flush under its
-  /// lock, so sessions of one cluster share one batched model step. The
-  /// records are appended to `out` merged by sequence number — each
+  /// Scores `events` in order (one socket read over TCP, one --batch block
+  /// in pipe mode). Every action resolves under one current_model();
+  /// sequence numbers follow arrival order; each shard with events runs
+  /// one process_batch and one WAL flush under its lock, on a lane of the
+  /// global pool, so sessions of one cluster share one batched model step.
+  /// The records are appended to `out` merged by sequence number — each
   /// event's record(s) in arrival order. An unknown action gets an error
   /// record under its own sequence number. Returns the events accepted.
   std::size_t submit_batch(std::span<const Event> events, std::vector<OutputRecord>& out);
@@ -160,7 +145,6 @@ class ScoringServer {
   }
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t active_sessions() const;
-  std::size_t queued_events() const;
   /// Largest event timestamp admitted so far.
   double event_clock() const;
 
@@ -168,9 +152,6 @@ class ScoringServer {
 
   /// Point-in-time view of one shard, taken under its lock.
   struct ShardStatus {
-    std::size_t queue_depth = 0;
-    std::size_t queue_capacity = 0;
-    std::int64_t queue_high_water = 0;  // since process start
     std::size_t sessions = 0;
     std::size_t max_sessions = 0;  // per-shard share of the global cap
     std::uint64_t last_applied_seq = 0;
@@ -188,7 +169,7 @@ class ScoringServer {
   bool wal_ok() const;
 
   /// Attaches the head sampler for live trace export (--trace-sample):
-  /// enqueue/step/report events of sampled sessions land in the global
+  /// step and report events of sampled sessions land in the global
   /// trace-event ring. nullptr detaches. Set before serving.
   void set_trace_sampler(std::shared_ptr<SessionTraceSampler> sampler);
 
@@ -201,17 +182,17 @@ class ScoringServer {
 
   // -- Model lifecycle (DESIGN.md "Model lifecycle") -----------------------
 
-  /// Zero-downtime hot-swap: drains the queued backlog to a barrier
-  /// under the old model, then atomically repoints every shard (and the
-  /// enqueue path) at `next`. Open sessions pin the model they started
-  /// under, so when the vocabularies are compatible (equal fingerprints)
-  /// they simply continue — each session's whole score stream still
-  /// comes from exactly one version. When the vocabularies differ, every
-  /// open session is finished at the barrier with a "model_swap" report
-  /// (emitted, never dropped) and traffic reopens under `next`. No event
-  /// is lost either way.
+  /// Zero-downtime hot-swap: pumps the staged events to a barrier under
+  /// the old model, then atomically repoints every shard (and
+  /// submit_batch's action resolution) at `next`. Open sessions pin the
+  /// model they started under, so when the vocabularies are compatible
+  /// (equal fingerprints) they simply continue — each session's whole
+  /// score stream still comes from exactly one version. When the
+  /// vocabularies differ, every open session is finished at the barrier
+  /// with a "model_swap" report (emitted, never dropped) and traffic
+  /// reopens under `next`. No event is lost either way.
   struct SwapStats {
-    double drain_seconds = 0.0;   // backlog pump before the barrier
+    double drain_seconds = 0.0;   // pump of the staged events before the barrier
     double pause_seconds = 0.0;   // all-shards-locked window
     std::size_t rolled_sessions = 0;  // sessions finished at the barrier
   };
@@ -227,17 +208,8 @@ class ScoringServer {
   void clear_shadow();
 
  private:
-  struct Pending {
-    Event event;
-    int action = 0;
-    /// Keeps the model that resolved `action` alive (and identifiable)
-    /// until the event is processed, across any number of swaps.
-    std::shared_ptr<const core::MisuseDetector> resolved_under;
-    std::uint64_t seq = 0;
-  };
   struct Shard {
     mutable std::mutex mutex;
-    std::deque<Pending> queue;
     std::unique_ptr<SessionShard> table;
   };
 
@@ -245,7 +217,6 @@ class ScoringServer {
   /// record order so output is independent of the shard count.
   void append_reports(std::vector<OutputRecord>&& reports, std::vector<OutputRecord>& out);
   void advance_clock(double t);
-  void record_queue_depth() const;
   void init_drift();
   void observe_drift(const std::vector<int>& actions);
 
@@ -254,22 +225,15 @@ class ScoringServer {
   void write_checkpoint();
 
   /// The model resolving actions for *new* traffic; swapped under
-  /// model_mutex_ (readers take it shared — enqueue/submit_batch resolve
-  /// against a stable handle without blocking each other).
+  /// model_mutex_ (readers take it shared — submit_batch resolves against
+  /// a stable handle without blocking other readers).
   ModelHandle model_;
   mutable std::shared_mutex model_mutex_;
   ServeConfig config_;
   std::size_t shard_max_sessions_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// serve.shard.queue_depth.<k> gauges, updated under shard k's lock on
-  /// every enqueue/drain so saturation is visible *before* the
-  /// backpressure policy starts dropping or blocking.
-  std::vector<Gauge*> shard_queue_gauges_;
-  /// Events queued across all shards, maintained incrementally so the
-  /// serve.queue_depth gauge costs one atomic instead of an all-shard
-  /// lock sweep per enqueue.
-  std::atomic<std::int64_t> queued_total_{0};
-  std::shared_ptr<SessionTraceSampler> tracer_;
+  /// enqueue()'s events, scored by the next pump().
+  std::vector<Event> staged_;
   std::vector<std::unique_ptr<WalWriter>> wals_;
   /// Sequence numbers start at 1: snapshot watermarks mean "replay
   /// strictly after", so 0 must stay the "nothing applied" sentinel.

@@ -46,11 +46,11 @@ std::string report_trace_args(ReportReason reason, const core::SessionMonitorRep
 void SessionShard::process(const Event& event, int action,
                            const core::MisuseDetector* resolved_under, std::uint64_t seq,
                            std::vector<OutputRecord>& out) {
-  const PendingEvent pending{&event, action, resolved_under, seq};
-  process_batch(std::span<const PendingEvent>(&pending, 1), out);
+  const BatchEvent one{&event, action, resolved_under, seq};
+  process_batch(std::span<const BatchEvent>(&one, 1), out);
 }
 
-void SessionShard::process_batch(std::span<const PendingEvent> events,
+void SessionShard::process_batch(std::span<const BatchEvent> events,
                                  std::vector<OutputRecord>& out) {
   const bool record = metrics_enabled();
   Timer timer;
@@ -143,7 +143,7 @@ void SessionShard::process_batch(std::span<const PendingEvent> events,
     staged.clear();
   };
 
-  for (const PendingEvent& pending : events) {
+  for (const BatchEvent& pending : events) {
     const Event& event = *pending.event;
     int action = pending.action;
     const std::string key = session_key(event);

@@ -92,9 +92,9 @@ class SessionShard {
   void process(const Event& event, int action, const core::MisuseDetector* resolved_under,
                std::uint64_t seq, std::vector<OutputRecord>& out);
 
-  /// One queued event, pre-resolved by the server's parse stage. The
+  /// One event of a batch, its action resolved by the server. The
   /// pointed-to Event must stay alive for the process_batch call.
-  struct PendingEvent {
+  struct BatchEvent {
     const Event* event = nullptr;
     int action = -1;
     const core::MisuseDetector* resolved_under = nullptr;
@@ -106,7 +106,7 @@ class SessionShard {
   /// are fused into per-detector batched steps (the inference engine's
   /// hot path). Consecutive events of the *same* session still advance
   /// strictly in sequence: a session hit flushes the pending batch first.
-  void process_batch(std::span<const PendingEvent> events, std::vector<OutputRecord>& out);
+  void process_batch(std::span<const BatchEvent> events, std::vector<OutputRecord>& out);
 
   /// Retires sessions idle past the TTL at event time `now`; reports are
   /// emitted in key order (deterministic across runs and platforms).

@@ -1,10 +1,10 @@
 // Head sampling for live trace export (--trace-sample=N): the first N
 // distinct session keys the process sees get per-event TraceEvents
-// (util/trace.hpp ring) spanning enqueue -> monitor step -> report;
+// (util/trace.hpp ring) spanning monitor step -> report;
 // every other session costs one mutex-guarded set probe and nothing
 // else. Head sampling (rather than rate sampling) is deliberate: the
 // sampled sessions are complete, so their exported span trees show the
-// full shard-enqueue/step/verdict lifecycle, not random slices.
+// full step/verdict lifecycle, not random slices.
 #pragma once
 
 #include <atomic>

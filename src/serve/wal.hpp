@@ -6,8 +6,8 @@
 //     torn tail (crash mid-append) is detected and dropped at recovery
 //     instead of poisoning the replay. Events are logged immediately
 //     before they are applied to the session table, so the WAL is exactly
-//     the sequence of scored actions; events that were queued but never
-//     pumped are the (documented) at-most-once durability boundary.
+//     the sequence of scored actions; lines that were read but not yet
+//     scored are the (documented) at-most-once durability boundary.
 //   * shard-<k>.snap — a periodic snapshot of the shard's session table:
 //     per session the raw action history, from which the deterministic
 //     OnlineMonitor state is rebuilt by re-feeding. The snapshot's

@@ -1,6 +1,5 @@
 // Deterministic fault-injection framework. Code sprinkles *named sites*
-// into failure-prone paths (file IO, sockets, WAL fsync, archive load,
-// shard queues):
+// into failure-prone paths (file IO, sockets, WAL fsync, archive load):
 //
 //   if (MISUSEDET_FAILPOINT("wal.fsync")) return false;  // injected fault
 //

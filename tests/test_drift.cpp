@@ -17,7 +17,7 @@ namespace {
 
 SessionStore corpus(std::size_t vocab, const std::vector<std::vector<int>>& sessions) {
   ActionVocab v;
-  for (std::size_t i = 0; i < vocab; ++i) v.intern("A" + std::to_string(i));
+  for (std::size_t i = 0; i < vocab; ++i) v.intern(std::string("A").append(std::to_string(i)));
   SessionStore store(std::move(v));
   std::uint64_t id = 0;
   for (const auto& actions : sessions) {

@@ -87,7 +87,7 @@ TEST(SummarizeNormality, SkipsUnscorableSessions) {
 
 TEST(BaselineTraining, TrainsOnGivenIndices) {
   ActionVocab vocab;
-  for (int i = 0; i < 4; ++i) vocab.intern("A" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) vocab.intern(std::string("A").append(std::to_string(i)));
   SessionStore store(std::move(vocab));
   Rng rng(1);
   for (int i = 0; i < 30; ++i) {

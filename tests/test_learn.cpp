@@ -104,8 +104,8 @@ class LearnFixture : public ::testing::Test {
       const Session& session = store().at(s);
       for (std::size_t i = 0; i < session.actions.size(); ++i) {
         serve::Event event;
-        event.user_id = "u" + std::to_string(s);
-        event.session_id = "s" + std::to_string(s);
+        event.user_id = std::string("u").append(std::to_string(s));
+        event.session_id = std::string("s").append(std::to_string(s));
         event.action = vocab.name(session.actions[i]);
         event.timestamp = 1000.0 * static_cast<double>(s) + static_cast<double>(i);
         event.has_timestamp = true;
@@ -122,8 +122,8 @@ class LearnFixture : public ::testing::Test {
     for (std::size_t w = 0; w < windows; ++w) {
       for (std::size_t i = 0; i < 12; ++i) {
         serve::Event event;
-        event.user_id = "drift" + std::to_string(w);
-        event.session_id = "d" + std::to_string(w);
+        event.user_id = std::string("drift").append(std::to_string(w));
+        event.session_id = std::string("d").append(std::to_string(w));
         event.action = action;
         event.timestamp = start_time + 1000.0 * static_cast<double>(w) + static_cast<double>(i);
         event.has_timestamp = true;

@@ -166,6 +166,8 @@ TEST(Lstm, SaveLoadPreservesBehavior) {
   lstm.save(w);
   BinaryReader r(buf);
   Lstm loaded = Lstm::load(r);
+  // Scoring needs no gradients; training allocates them in zero_grad().
+  for (const auto* p : loaded.params()) EXPECT_EQ(p->grad.size(), 0u) << p->name;
 
   const auto tokens = make_tokens({{2}, {5}, {1}});
   lstm.forward(tokens);

@@ -14,6 +14,7 @@ class Quadratic {
  public:
   explicit Quadratic(float target) : target_(target), param_("w", 2, 2) {
     param_.value.fill(10.0f);
+    param_.zero_grad();  // a Parameter holds no gradient until then
   }
 
   void fill_grad() {
@@ -105,11 +106,20 @@ TEST(Parameter, CountAndZero) {
   Parameter a("a", 2, 3), b("b", 1, 4);
   const ParameterList params = {&a, &b};
   EXPECT_EQ(parameter_count(params), 10u);
+  zero_grads(params);
   a.grad.fill(1.0f);
   b.grad.fill(2.0f);
   zero_grads(params);
   for (float g : a.grad.flat()) EXPECT_EQ(g, 0.0f);
   for (float g : b.grad.flat()) EXPECT_EQ(g, 0.0f);
+}
+
+TEST(Parameter, GradIsAllocatedByTheFirstZeroGrad) {
+  Parameter p("p", 3, 2);
+  EXPECT_EQ(p.grad.size(), 0u) << "a fresh Parameter holds no gradient";
+  p.zero_grad();
+  ASSERT_TRUE(p.grad.same_shape(p.value));
+  for (float g : p.grad.flat()) EXPECT_EQ(g, 0.0f);
 }
 
 TEST(Parameter, ClipGradNormScalesDown) {

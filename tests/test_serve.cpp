@@ -1,12 +1,14 @@
 // Streaming scoring server: wire-format parsing, shard determinism
 // (bit-identical to the offline OnlineMonitor), eviction policies,
-// backpressure, graceful shutdown, and the serve metrics panel.
+// arrival-order output, graceful shutdown, and the serve metrics panel.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -153,8 +155,8 @@ class ServeFixture : public ::testing::Test {
       for (std::size_t s = 0; s < sessions.size(); ++s) {
         if (cursor[s] >= sessions[s].size()) continue;
         Event e;
-        e.user_id = "u" + std::to_string((id_offset + s) % 5);
-        e.session_id = "s" + std::to_string(id_offset + s);
+        e.user_id = std::string("u").append(std::to_string((id_offset + s) % 5));
+        e.session_id = std::string("s").append(std::to_string(id_offset + s));
         e.action = detector_->vocab().name(sessions[s][cursor[s]]);
         e.timestamp = t;
         e.has_timestamp = true;
@@ -263,7 +265,7 @@ void expect_steps_bit_identical(const core::OnlineMonitor::StepResult& got,
 }
 
 // The acceptance gate: an interleaved multi-session trace pushed through
-// the sharded, queued, pool-driven server scores exactly like replaying
+// the sharded server in pool-driven batches scores exactly like replaying
 // each session through a standalone OnlineMonitor.
 TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   const auto sessions = pick_sessions(12);
@@ -275,8 +277,6 @@ TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
 
   ServeConfig config;
   config.shards = 3;
-  config.queue_capacity = 16;  // small: forces mid-stream pumps
-  config.backpressure = BackpressurePolicy::kBlock;
   config.idle_ttl_seconds = 1e9;
   ScoringServer server(*detector_, config);
   StepCollector steps;
@@ -285,10 +285,9 @@ TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   server.set_report_observer(reports.observer());
 
   std::vector<OutputRecord> out;
-  for (const Event& event : events) {
-    while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-    }
+  const std::span<const Event> all(events);
+  for (std::size_t i = 0; i < all.size(); i += 16) {  // small batches: sessions span several
+    server.submit_batch(all.subspan(i, std::min<std::size_t>(16, all.size() - i)), out);
   }
   server.shutdown(out);
   set_global_threads(previous_threads);
@@ -352,7 +351,6 @@ TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
   const auto events = interleave(sessions);
   ServeConfig config;
   config.shards = 4;
-  config.queue_capacity = 1 << 12;
   ScoringServer server(*detector_, config);
   std::vector<OutputRecord> out;
   for (const Event& event : events) {
@@ -367,7 +365,9 @@ TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
     EXPECT_NE(out[i].line.find("\"session_id\":\"" + events[i].session_id + "\""),
               std::string::npos)
         << "record " << i;
-    if (i > 0) EXPECT_GT(out[i].seq, out[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(out[i].seq, out[i - 1].seq);
+    }
   }
 }
 
@@ -381,7 +381,6 @@ TEST_F(ServeFixture, RenderedOutputIdenticalAcrossShardCounts) {
     set_global_threads(threads);
     ServeConfig config;
     config.shards = shards;
-    config.queue_capacity = 1 << 12;
     ScoringServer server(*detector_, config);
     std::vector<OutputRecord> out;
     for (const Event& event : events) {
@@ -464,57 +463,6 @@ TEST_F(ServeFixture, CapacityEvictionBoundsSessionTable) {
   EXPECT_FALSE(reports.by_session.count("cap6"));
 }
 
-TEST_F(ServeFixture, BackpressureBlockReportsQueueFull) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 4;
-  config.backpressure = BackpressurePolicy::kBlock;
-  ScoringServer server(*detector_, config);
-  std::vector<OutputRecord> out;
-  Event e;
-  e.user_id = "u";
-  e.session_id = "s";
-  e.action = detector_->vocab().name(0);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-  }
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kQueueFull);
-  EXPECT_EQ(server.queued_events(), 4u);
-  server.pump(out);
-  EXPECT_EQ(server.queued_events(), 0u);
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
-}
-
-TEST_F(ServeFixture, BackpressureDropOldestKeepsFreshest) {
-  ServeConfig config;
-  config.shards = 1;
-  config.queue_capacity = 4;
-  config.backpressure = BackpressurePolicy::kDropOldest;
-  ScoringServer server(*detector_, config);
-  StepCollector steps;
-  server.set_step_observer(steps.observer());
-  const std::uint64_t dropped_before = serve_metrics().dropped_events.value();
-  std::vector<OutputRecord> out;
-  for (int i = 0; i < 6; ++i) {
-    Event e;
-    e.user_id = "u";
-    e.session_id = "drop" + std::to_string(i);
-    e.action = detector_->vocab().name(0);
-    const auto result = server.enqueue(e, out);
-    EXPECT_EQ(result, i < 4 ? ScoringServer::Enqueue::kAccepted
-                            : ScoringServer::Enqueue::kDroppedOldest);
-  }
-  EXPECT_EQ(server.queued_events(), 4u);
-  EXPECT_EQ(serve_metrics().dropped_events.value() - dropped_before, 2u);
-  server.pump(out);
-  // drop0/drop1 were discarded; the four freshest survive.
-  EXPECT_FALSE(steps.by_session.count("drop0"));
-  EXPECT_FALSE(steps.by_session.count("drop1"));
-  for (int i = 2; i < 6; ++i) {
-    EXPECT_TRUE(steps.by_session.count("drop" + std::to_string(i))) << i;
-  }
-}
-
 TEST_F(ServeFixture, UnknownActionYieldsErrorRecord) {
   ServeConfig config;
   ScoringServer server(*detector_, config);
@@ -524,7 +472,7 @@ TEST_F(ServeFixture, UnknownActionYieldsErrorRecord) {
   e.user_id = "u";
   e.session_id = "s";
   e.action = "NoSuchActionEver";
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kRejected);
+  EXPECT_FALSE(server.submit_sync(e, out));
   ASSERT_EQ(out.size(), 1u);
   std::vector<JsonField> fields;
   std::string error;
@@ -533,7 +481,24 @@ TEST_F(ServeFixture, UnknownActionYieldsErrorRecord) {
   EXPECT_EQ(serve_metrics().parse_errors.value() - errors_before, 1u);
   // Out-of-range numeric ids are rejected too.
   e.action = std::to_string(detector_->vocab().size());
-  EXPECT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kRejected);
+  EXPECT_FALSE(server.submit_sync(e, out));
+
+  // Staged events keep their arrival order through pump(): the error
+  // record sits between the two steps, not ahead of them.
+  out.clear();
+  Event good = e;
+  good.action = detector_->vocab().name(0);
+  for (const Event& staged : {good, e, good}) {
+    EXPECT_EQ(server.enqueue(staged, out), ScoringServer::Enqueue::kAccepted);
+  }
+  EXPECT_TRUE(out.empty()) << "enqueue() only stages";
+  server.pump(out);
+  ASSERT_EQ(out.size(), 3u);
+  const char* kinds[] = {"step", "error", "step"};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_NE(out[i].line.find(std::string("\"type\":\"") + kinds[i] + "\""), std::string::npos)
+        << out[i].line;
+  }
 }
 
 TEST_F(ServeFixture, NumericActionIdScoresLikeName) {
@@ -573,11 +538,10 @@ TEST_F(ServeFixture, ShutdownDrainsQueuedBacklog) {
       ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
     }
   }
-  // No pump: everything still queued. Shutdown must score the backlog
-  // and emit one report per open session.
+  // No pump: everything still staged. Shutdown must score it and emit
+  // one report per open session.
   server.shutdown(out);
   EXPECT_EQ(server.active_sessions(), 0u);
-  EXPECT_EQ(server.queued_events(), 0u);
   ASSERT_EQ(reports.by_session.size(), 5u);
   for (const auto& [sid, entry] : reports.by_session) {
     EXPECT_EQ(entry.first, ReportReason::kShutdown) << sid;
@@ -661,12 +625,7 @@ TEST_F(ServeFixture, DegradedDetectorServesFlaggedVerdicts) {
   const auto sessions = pick_sessions(4);
   ASSERT_GE(sessions.size(), 2u);
   std::vector<OutputRecord> out;
-  for (const Event& event : interleave(sessions)) {
-    while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-      server.pump(out);
-    }
-  }
-  server.pump(out);
+  server.submit_batch(interleave(sessions), out);
   server.shutdown(out);
 
   std::size_t degraded_steps = 0;
@@ -705,7 +664,6 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
     set_global_threads(threads);
     ServeConfig config;
     config.shards = shards;
-    config.queue_capacity = 1 << 12;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(versioned(*detector_, "v1"), config);
     StepCollector steps;
@@ -714,7 +672,7 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
     for (const Event& event : interleave(first)) {
       EXPECT_EQ(server.enqueue(event, out), ScoringServer::Enqueue::kAccepted);
     }
-    // Swap with the first trace still queued: swap_model drains it to the
+    // Swap with the first trace still staged: swap_model scores it to the
     // barrier under v1 first — nothing is lost, nothing scores under v2.
     const auto stats = server.swap_model(versioned(detector_v2(), "v2"), out);
     EXPECT_EQ(stats.rolled_sessions, 0u) << "compatible vocabularies must pin-and-continue";
@@ -782,8 +740,8 @@ TEST_F(ServeFixture, IncompatibleSwapFinishesOpenSessionsWithModelSwapReports) {
       ASSERT_EQ(server.enqueue(e, out), ScoringServer::Enqueue::kAccepted);
     }
   }
-  // Swap across a vocabulary change with the backlog still queued: every
-  // queued event is scored under v1, then every open session is finished
+  // Swap across a vocabulary change with events still staged: every
+  // staged event is scored under v1, then every open session is finished
   // at the barrier — reported, never dropped.
   const auto stats = server.swap_model(versioned(detector_alt(), "v2"), out);
   EXPECT_EQ(stats.rolled_sessions, 5u);
@@ -821,7 +779,6 @@ TEST_F(ServeFixture, ShadowScoringDoesNotPerturbActiveOutput) {
   const auto replay = [&](const ShadowPlan* plan) {
     ServeConfig config;
     config.shards = 3;
-    config.queue_capacity = 1 << 12;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(versioned(*detector_, "v1"), config);
     if (plan != nullptr) server.set_shadow(*plan);

@@ -1,8 +1,8 @@
 // End-to-end process tests of the misusedet_serve binary (path baked in
 // as MISUSEDET_SERVE_BIN): SIGTERM graceful drain with live TCP
 // connections mid-session, the TCP front end's verdicts against pipe
-// mode's (lockstep and batched reads), output order independent of
-// --batch, kill -9 crash recovery via --wal-dir — the recovered run's
+// mode's (lockstep and batched reads, error records included), output
+// order independent of --batch, kill -9 crash recovery via --wal-dir — the recovered run's
 // session reports must match an uninterrupted run's — and, for
 // misusedet_router (MISUSEDET_ROUTER_BIN), every verdict to a client that
 // half-closed, refusal of unknown flags and a prompt exit on SIGTERM.
@@ -226,8 +226,8 @@ class ServeProcessFixture : public ::testing::Test {
         if (cursor[s] >= sessions[s].size()) continue;
         const std::string action = detector.vocab().name(sessions[s][cursor[s]]);
         actions_->push_back(action);
-        trace_->push_back(event_line("u" + std::to_string(s % 3), "s" + std::to_string(s),
-                                     action, t));
+        trace_->push_back(event_line(std::string("u").append(std::to_string(s % 3)),
+                                     std::string("s").append(std::to_string(s)), action, t));
         t += 1.0;
         ++cursor[s];
         progressed = true;
@@ -523,6 +523,40 @@ TEST_F(ServeProcessFixture, MixedBatchRepliesInLineOrder) {
   EXPECT_EQ(burst_replies(port, lines), lockstep);
 }
 
+// Pipe mode scores a block of lines through the same function as a TCP
+// read: two good lines, an unknown action, a malformed line and two more
+// good lines get their replies in line order, byte-equal to what a TCP
+// node returns for the same lines written in one burst.
+TEST_F(ServeProcessFixture, PipeModeRepliesInLineOrder) {
+  const std::vector<std::string> lines = {
+      event_line("ord", "a", (*actions_)[0], 1.0),
+      event_line("ord", "b", (*actions_)[1], 2.0),
+      event_line("ord", "c", "no-such-action", 3.0),
+      R"({"user_id":"ord","session_id":)",
+      event_line("ord", "a", (*actions_)[2], 4.0),
+      event_line("ord", "b", (*actions_)[3], 5.0),
+  };
+  ServeProcess pipe({"--model=" + *model_path_});
+  int status = 0;
+  const auto out = feed_and_drain(pipe, lines, status);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  // One reply per line, then a shutdown report for sessions a and b.
+  ASSERT_EQ(out.size(), lines.size() + 2);
+  const std::vector<std::string> replies(out.begin(),
+                                         out.begin() + static_cast<long>(lines.size()));
+  const char* kinds[] = {"step", "step", "error", "error", "step", "step"};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_NE(replies[i].find(std::string("\"type\":\"") + kinds[i] + "\""), std::string::npos)
+        << "line " << i << ": " << replies[i];
+  }
+  EXPECT_EQ(session_reports(out).size(), 2u);
+
+  ServeProcess node({"--model=" + *model_path_, "--listen=0"});
+  const std::uint16_t port = node.wait_for_port();
+  ASSERT_GT(port, 0);
+  EXPECT_EQ(burst_replies(port, lines), replies);
+}
+
 // A capacity-eviction report shares its sequence number with the step of
 // the event whose session open evicted it; the merge by sequence number
 // must keep the shard's order (report first) however the stream is cut
@@ -538,7 +572,8 @@ TEST_F(ServeProcessFixture, EvictionOrderDoesNotDependOnBatchSize) {
     for (int s = 0; s < kSessions; ++s) {
       if (cursor[s] >= 2 + (s * 7) % 4) continue;  // 2-5 actions each
       const int action = (s * 13 + cursor[s] * 5) % 40;
-      trace.push_back(event_line("u" + std::to_string(s), "s" + std::to_string(s),
+      trace.push_back(event_line(std::string("u").append(std::to_string(s)),
+                                 std::string("s").append(std::to_string(s)),
                                  std::to_string(action), t));
       t += 1.0;
       ++cursor[s];
@@ -624,6 +659,8 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
       {"--quantize=int8", "--quantize"},
       {"--io=threads", "--io"},
       {"--io=epoll", "--io"},
+      {"--queue-capacity=8", "--queue-capacity"},
+      {"--backpressure=block", "--backpressure"},
   };
   for (const auto& [flag, key] : unknown_flags) {
     ServeProcess unknown({"--model=" + *model_path_, flag});

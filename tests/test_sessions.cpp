@@ -47,7 +47,7 @@ TEST(Vocab, SaveLoadRoundTrip) {
 
 SessionStore make_store(std::initializer_list<std::vector<int>> sessions, std::size_t vocab = 10) {
   ActionVocab v;
-  for (std::size_t i = 0; i < vocab; ++i) v.intern("A" + std::to_string(i));
+  for (std::size_t i = 0; i < vocab; ++i) v.intern(std::string("A").append(std::to_string(i)));
   SessionStore store(std::move(v));
   std::uint64_t id = 0;
   for (const auto& actions : sessions) {

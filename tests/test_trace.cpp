@@ -184,7 +184,7 @@ TEST(TraceEvents, DisabledRecordIsDropped) {
 TEST(TraceEvents, RingKeepsNewestAndCountsDropped) {
   EventLogGuard guard(3);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    trace_events().record(make_event("e" + std::to_string(i), "t", i));
+    trace_events().record(make_event(std::string("e").append(std::to_string(i)), "t", i));
   }
   const auto events = trace_events().snapshot();
   ASSERT_EQ(events.size(), 3u);  // bounded by capacity
@@ -268,7 +268,7 @@ TEST(TraceEvents, ConcurrentRecordsAllLandWithinCapacity) {
   EventLogGuard guard(256);
   ThreadPool pool(4);
   pool.parallel_for(0, 200, [&](std::size_t i) {
-    trace_events().record(make_event("c", "t" + std::to_string(i % 8), i));
+    trace_events().record(make_event("c", std::string("t").append(std::to_string(i % 8)), i));
   });
   EXPECT_EQ(trace_events().snapshot().size(), 200u);
   EXPECT_EQ(trace_events().dropped(), 0u);

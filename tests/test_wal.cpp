@@ -231,7 +231,8 @@ class WalRecoveryFixture : public ::testing::Test {
       progressed = false;
       for (std::size_t s = 0; s < sessions.size(); ++s) {
         if (cursor[s] >= sessions[s].size()) continue;
-        events.push_back(make_event("u" + std::to_string(s % 5), "s" + std::to_string(s),
+        events.push_back(make_event(std::string("u").append(std::to_string(s % 5)),
+                                    std::string("s").append(std::to_string(s)),
                                     detector_->vocab().name(sessions[s][cursor[s]]), t));
         t += 1.0;
         ++cursor[s];
@@ -241,15 +242,10 @@ class WalRecoveryFixture : public ::testing::Test {
     return events;
   }
 
-  /// Feeds `events` into `server` (pumping as needed) and appends output.
+  /// Scores `events` on `server` as one batch and appends the output.
   static void feed(ScoringServer& server, const std::vector<Event>& events,
                    std::vector<OutputRecord>& out) {
-    for (const Event& event : events) {
-      while (server.enqueue(event, out) == ScoringServer::Enqueue::kQueueFull) {
-        server.pump(out);
-      }
-    }
-    server.pump(out);
+    server.submit_batch(events, out);
   }
 
   /// The sorted multiset of session_report lines in `out` — the payload
