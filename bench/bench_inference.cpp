@@ -117,7 +117,7 @@ core::MisuseDetector train_detector(bool reduced) {
   return core::MisuseDetector::train(store, config);
 }
 
-// Per-event loop: one observe() per monitor per step — what a shard does
+// Per-event loop: one observe() per monitor per step — what the session table did
 // without batching. One timed pass; the caller interleaves passes across
 // variants.
 double monitor_per_event_pass(const core::MisuseDetector& detector,

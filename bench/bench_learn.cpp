@@ -15,7 +15,7 @@
 //     thread running serve::WalTailer + the session-window collector the
 //     way misusedet_learnd does against a live node. Acceptance: the
 //     tailing thread costs the serving path < 5% events/sec (it shares
-//     the host, not the shard locks, so the tax is cache/memory-bus
+//     the host, not the session-table lock, so the tax is cache/memory-bus
 //     pressure only).
 //
 //   ./bench/bench_learn [--reduced] [--out=BENCH_learn.json]
@@ -132,7 +132,6 @@ double run_serve_replay(const core::MisuseDetector& detector, const Workload& wo
   fs::remove_all(wal_dir);
   fs::create_directories(wal_dir);
   serve::ServeConfig config;
-  config.shards = 4;
   config.emit_steps = true;
   config.wal_dir = wal_dir;
   serve::ScoringServer server(detector, config);

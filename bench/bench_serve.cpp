@@ -5,18 +5,17 @@
 // ScoringServer::submit_batch, the node's one scoring path, is timed over
 // the same interleaved multi-user trace at two batch sizes — 256 events
 // (pipe mode's default --batch block) and 1 (a TCP read of one line) —
-// swept across shard x thread combinations. Scores are bit-identical
-// across all combinations (determinism contract), so only events/second
-// changes.
+// swept across thread counts. Scores are bit-identical across all rows
+// (determinism contract), so only events/second changes.
 //
 // A second record, BENCH_recovery.json, measures the crash-safety tax:
-// the same replay with the per-shard WAL enabled vs disabled, plus
+// the same replay with the WAL enabled vs disabled, plus
 // the wall-clock cost of recover() over the log a crashed run left
 // behind.
 //
 // A third record, BENCH_swap.json, measures hot-swap latency: the same
 // replay with a model swap injected every N events, recording the
-// all-shards-locked pause each swap held traffic for. Acceptance: p99
+// table-locked pause each swap held traffic for. Acceptance: p99
 // pause < 250ms and zero sessions rolled (compatible vocabularies).
 //
 // A fourth record, BENCH_observe.json, measures the operations-plane
@@ -134,9 +133,8 @@ void feed(serve::ScoringServer& server, const Workload& workload, std::size_t ba
 void discard(const std::vector<serve::OutputRecord>&) {}
 
 double run_replay(const core::MisuseDetector& detector, const Workload& workload,
-                  std::size_t shards, std::size_t batch) {
+                  std::size_t batch) {
   serve::ServeConfig config;
-  config.shards = shards;
   config.emit_steps = true;
   serve::ScoringServer server(detector, config);
   const auto start = std::chrono::steady_clock::now();
@@ -152,10 +150,9 @@ double run_replay(const core::MisuseDetector& detector, const Workload& workload
 /// once-per-process costs and are kept outside the timer so the number
 /// reflects the per-event durability tax.
 double run_steady_state(const core::MisuseDetector& detector, const Workload& workload,
-                        std::size_t shards, std::size_t batch, const std::string& wal_dir,
+                        std::size_t batch, const std::string& wal_dir,
                         std::size_t wal_sync_every) {
   serve::ServeConfig config;
-  config.shards = shards;
   config.emit_steps = true;
   if (!wal_dir.empty()) {
     // Fresh log per repetition so every run pays the full append cost.
@@ -182,11 +179,10 @@ struct RecoveryResult {
 /// times a fresh server's recover() over it. This is the
 /// worst case: nothing was checkpointed, every applied event replays.
 RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Workload& workload,
-                                std::size_t shards, const std::string& wal_dir) {
+                                const std::string& wal_dir) {
   std::filesystem::remove_all(wal_dir);
   std::filesystem::create_directories(wal_dir);
   serve::ServeConfig config;
-  config.shards = shards;
   config.emit_steps = true;
   config.wal_dir = wal_dir;
   {
@@ -205,7 +201,7 @@ RecoveryResult measure_recovery(const core::MisuseDetector& detector, const Work
 }
 
 struct SwapBench {
-  std::vector<double> pauses;  // all-shards-locked window per swap
+  std::vector<double> pauses;  // table-locked window per swap
   std::vector<double> drains;  // staged-event pump before the barrier
   std::size_t rolled = 0;      // sessions finished at a barrier (want 0)
   std::size_t swaps = 0;
@@ -216,9 +212,8 @@ struct SwapBench {
 /// node swaps: at a pipe-mode block boundary or a loop tick) — the
 /// zero-downtime claim under live load.
 SwapBench run_swap_path(const core::MisuseDetector& v1, const core::MisuseDetector& v2,
-                        const Workload& workload, std::size_t shards, std::size_t interval) {
+                        const Workload& workload, std::size_t interval) {
   serve::ServeConfig config;
-  config.shards = shards;
   config.emit_steps = true;
   serve::ScoringServer server(serve::ModelHandle::borrowed(v1), config);
   SwapBench result;
@@ -255,9 +250,8 @@ struct ObserveRun {
 /// amortized; a window shorter than one scrape tick would charge a
 /// whole scrape against milliseconds of scoring.
 ObserveRun run_observed_path(const core::MisuseDetector& detector, const Workload& workload,
-                             std::size_t shards, std::size_t passes, bool admin, bool tracing) {
+                             std::size_t passes, bool admin, bool tracing) {
   serve::ServeConfig config;
-  config.shards = shards;
   config.emit_steps = true;
   serve::ScoringServer server(detector, config);
   std::optional<serve::AdminServer> admin_server;
@@ -638,26 +632,19 @@ int main(int argc, char** argv) {
 
   struct Row {
     std::size_t batch = 0;
-    std::size_t shards = 0;
     std::size_t threads = 0;
     double seconds = 0.0;
   };
   std::vector<Row> rows;
-  const std::vector<std::size_t> shard_counts = reduced ? std::vector<std::size_t>{1, 4}
-                                                        : std::vector<std::size_t>{1, 4, 8};
   const std::vector<std::size_t> thread_counts =
       reduced ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
   for (const std::size_t batch : {std::size_t{256}, std::size_t{1}}) {
-    for (const std::size_t shards : shard_counts) {
-      for (const std::size_t threads : thread_counts) {
-        set_global_threads(threads);
-        const double seconds =
-            best_of([&] { return run_replay(detector, workload, shards, batch); });
-        rows.push_back({batch, shards, threads, seconds});
-        std::cout << "batch=" << batch << " shards=" << shards << " threads=" << threads
-                  << ": " << static_cast<std::size_t>(workload.events.size() / seconds)
-                  << " events/s\n";
-      }
+    for (const std::size_t threads : thread_counts) {
+      set_global_threads(threads);
+      const double seconds = best_of([&] { return run_replay(detector, workload, batch); });
+      rows.push_back({batch, threads, seconds});
+      std::cout << "batch=" << batch << " threads=" << threads << ": "
+                << static_cast<std::size_t>(workload.events.size() / seconds) << " events/s\n";
     }
   }
   set_global_threads(1);
@@ -673,15 +660,14 @@ int main(int argc, char** argv) {
   json.member("note",
               "Streaming-server replay throughput (best-of wall clock) through "
               "ScoringServer::submit_batch in blocks of 'batch' events: 256 is pipe mode's "
-              "default --batch block, 1 a TCP read of one line; 'threads' lanes score a "
-              "block's shards at once. Verdicts are bit-identical across every row "
+              "default --batch block, 1 a TCP read of one line; 'threads' lanes step and "
+              "render each block. Verdicts are bit-identical across every row "
               "(determinism contract).");
   json.key("rows");
   json.begin_array();
   for (const auto& r : rows) {
     json.begin_object();
     json.member("batch", r.batch);
-    json.member("shards", r.shards);
     json.member("threads", r.threads);
     json.member("seconds", r.seconds);
     json.member("events_per_second", r.seconds > 0.0 ? workload.events.size() / r.seconds : 0.0);
@@ -696,7 +682,6 @@ int main(int argc, char** argv) {
   const std::string recovery_out = args.str("recovery-out", "BENCH_recovery.json");
   const std::string wal_dir =
       (std::filesystem::temp_directory_path() / "misusedet_bench_wal").string();
-  const std::size_t wal_shards = 4;
   const std::size_t wal_threads = 2;
   set_global_threads(wal_threads);
   const std::size_t wal_sync_every = static_cast<std::size_t>(
@@ -710,16 +695,16 @@ int main(int argc, char** argv) {
   WalRow wal_rows[] = {{256}, {1}};
   for (WalRow& row : wal_rows) {
     row.off = best_of(
-        [&] { return run_steady_state(detector, workload, wal_shards, row.batch, {}, 0); });
+        [&] { return run_steady_state(detector, workload, row.batch, {}, 0); });
     row.on = best_of([&] {
-      return run_steady_state(detector, workload, wal_shards, row.batch, wal_dir, wal_sync_every);
+      return run_steady_state(detector, workload, row.batch, wal_dir, wal_sync_every);
     });
     std::cout << "batch=" << row.batch << " wal off: "
               << static_cast<std::size_t>(workload.events.size() / row.off) << " events/s, wal on: "
               << static_cast<std::size_t>(workload.events.size() / row.on)
               << " events/s (overhead " << row.overhead() * 100.0 << "%)\n";
   }
-  const RecoveryResult recovery = measure_recovery(detector, workload, wal_shards, wal_dir);
+  const RecoveryResult recovery = measure_recovery(detector, workload, wal_dir);
   std::filesystem::remove_all(wal_dir);
   std::cout << "recovery: " << recovery.replayed << " events replayed in " << recovery.seconds
             << "s\n";
@@ -731,7 +716,6 @@ int main(int argc, char** argv) {
   rec_json.member("events", workload.events.size());
   rec_json.member("sessions", workload.sessions);
   rec_json.member("reduced", reduced);
-  rec_json.member("shards", wal_shards);
   rec_json.member("threads", wal_threads);
   rec_json.member("wal_sync_every", wal_sync_every);
   rec_json.member("repetitions_best_of", static_cast<std::size_t>(kRepetitions));
@@ -751,7 +735,7 @@ int main(int argc, char** argv) {
   rec_json.member("recovered_events_per_second",
                   recovery.seconds > 0.0 ? recovery.replayed / recovery.seconds : 0.0);
   rec_json.member("note",
-                  "Crash-safety tax: identical steady-state replay with the per-shard WAL "
+                  "Crash-safety tax: identical steady-state replay with the WAL "
                   "enabled vs disabled (best-of wall clock; fresh log each repetition; 'batch' "
                   "events per submit_batch call), plus worst-case recover() time over "
                   "the WAL a crashed, never-checkpointed run left behind. Target: "
@@ -768,7 +752,6 @@ int main(int argc, char** argv) {
   set_global_threads(1);
   std::cout << "training swap candidate...\n";
   const core::MisuseDetector detector_v2 = core::MisuseDetector::train(store, v2_config);
-  const std::size_t swap_shards = 4;
   const std::size_t swap_threads = 2;
   const std::size_t swap_interval =
       std::max<std::size_t>(64, workload.events.size() / (reduced ? 16 : 48));
@@ -776,7 +759,7 @@ int main(int argc, char** argv) {
   SwapBench swap_bench;
   for (int r = 0; r < kRepetitions; ++r) {
     const SwapBench rep =
-        run_swap_path(detector, detector_v2, workload, swap_shards, swap_interval);
+        run_swap_path(detector, detector_v2, workload, swap_interval);
     swap_bench.pauses.insert(swap_bench.pauses.end(), rep.pauses.begin(), rep.pauses.end());
     swap_bench.drains.insert(swap_bench.drains.end(), rep.drains.begin(), rep.drains.end());
     swap_bench.rolled += rep.rolled;
@@ -803,7 +786,6 @@ int main(int argc, char** argv) {
   swap_json.member("events", workload.events.size());
   swap_json.member("sessions", workload.sessions);
   swap_json.member("reduced", reduced);
-  swap_json.member("shards", swap_shards);
   swap_json.member("threads", swap_threads);
   swap_json.member("swap_interval_events", swap_interval);
   swap_json.member("swaps", swap_bench.swaps);
@@ -820,7 +802,7 @@ int main(int argc, char** argv) {
   swap_json.member("note",
                    "Hot-swap latency: replay in blocks of swap_interval_events with a swap "
                    "between two vocabulary-compatible models after each block. 'pause' is the "
-                   "all-shards-locked window (traffic held), 'drain' the pump of staged events "
+                   "table-locked window (traffic held), 'drain' the pump of staged events "
                    "before the barrier (none are staged at a block boundary). Acceptance: "
                    "pause_p99_seconds < 0.25 and sessions_rolled == 0 (compatible swaps "
                    "pin-and-continue; no session is dropped).");
@@ -830,7 +812,6 @@ int main(int argc, char** argv) {
 
   // -- Operations-plane tax: scraping + sampled tracing under load --------
   const std::string observe_out_path = args.str("observe-out", "BENCH_observe.json");
-  const std::size_t observe_shards = 4;
   const std::size_t observe_threads = 2;
   set_global_threads(observe_threads);
   // Calibrate the pass count so each timed window spans multiple scrape
@@ -838,7 +819,7 @@ int main(int argc, char** argv) {
   std::size_t observe_passes = 1;
   if (!reduced) {
     const ObserveRun calibration =
-        run_observed_path(detector, workload, observe_shards, 1, false, false);
+        run_observed_path(detector, workload, 1, false, false);
     const double target_seconds = 3.0;
     if (calibration.seconds > 0.0 && calibration.seconds < target_seconds) {
       observe_passes = std::min<std::size_t>(
@@ -862,11 +843,11 @@ int main(int argc, char** argv) {
   ObserveRun traced;
   for (int r = 0; r < observe_reps; ++r) {
     ObserveRun base_run =
-        run_observed_path(detector, workload, observe_shards, observe_passes, false, false);
+        run_observed_path(detector, workload, observe_passes, false, false);
     ObserveRun scrape_run =
-        run_observed_path(detector, workload, observe_shards, observe_passes, true, false);
+        run_observed_path(detector, workload, observe_passes, true, false);
     ObserveRun trace_run =
-        run_observed_path(detector, workload, observe_shards, observe_passes, true, true);
+        run_observed_path(detector, workload, observe_passes, true, true);
     if (r == 0 || base_run.seconds < baseline.seconds) baseline = std::move(base_run);
     if (r == 0 || scrape_run.seconds < scraped.seconds) scraped = std::move(scrape_run);
     if (r == 0 || trace_run.seconds < traced.seconds) traced = std::move(trace_run);
@@ -899,7 +880,6 @@ int main(int argc, char** argv) {
   observe_json.member("passes", observe_passes);
   observe_json.member("sessions", workload.sessions);
   observe_json.member("reduced", reduced);
-  observe_json.member("shards", observe_shards);
   observe_json.member("threads", observe_threads);
   observe_json.member("repetitions_best_of", static_cast<std::size_t>(observe_reps));
   observe_json.member("trace_sample_sessions", static_cast<std::size_t>(8));

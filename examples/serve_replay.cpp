@@ -197,7 +197,6 @@ int in_process_demo(std::size_t session_count) {
   std::cout << "archive round-trip ok (" << detector.cluster_count() << " clusters)\n";
 
   serve::ServeConfig config;
-  config.shards = 4;
   config.monitor.trend_window = 4;
   serve::ScoringServer server(detector, config);
 

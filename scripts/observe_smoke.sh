@@ -86,7 +86,7 @@ grep -q '"status":"ok"' "$work/healthz.json" ||
 
 echo "== scraping /statusz"
 "$top" --port="$port" --dump=statusz >"$work/statusz.json"
-for key in shards next_seq sessions_active shard.0.sessions infer_kernel; do
+for key in next_seq sessions_active infer_kernel; do
   grep -q "\"$key\":" "$work/statusz.json" ||
     { echo "/statusz missing key $key" >&2; exit 1; }
 done
@@ -99,8 +99,8 @@ grep -q '"traceEvents":\[' "$work/tracez.json" ||
 
 echo "== one misusedet_top dashboard refresh"
 "$top" --port="$port" --iterations=2 --interval=0.3 --plain >"$work/top.txt"
-grep -q 'shard' "$work/top.txt" ||
-  { echo "dashboard rendered no shard table" >&2; cat "$work/top.txt" >&2; exit 1; }
+grep -q 'sessions [0-9]' "$work/top.txt" ||
+  { echo "dashboard rendered no session count" >&2; cat "$work/top.txt" >&2; exit 1; }
 
 # Rest of the stream, EOF, graceful drain.
 tail -n +"$((half + 1))" "$work/trace.ndjson" >&3

@@ -298,6 +298,11 @@ void MisuseDetector::step_cluster_batch(std::size_t c, std::span<ClusterState* c
   if (!eng_states.empty()) engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch);
 }
 
+std::size_t MisuseDetector::cluster_rows_per_pass(std::size_t c) const {
+  const auto* engine = engines_.at(c).get();
+  return engine != nullptr && !cluster_degraded(c) ? engine->rows_per_pass() : 1;
+}
+
 void MisuseDetector::materialize_cluster_dist(std::size_t c, const ClusterState& state,
                                               std::vector<float>& out) const {
   assert(state.use_engine && !cluster_degraded(c));

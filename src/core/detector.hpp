@@ -190,6 +190,9 @@ class MisuseDetector {
   void step_cluster_batch(std::size_t c, std::span<ClusterState* const> states,
                           std::span<const int> actions,
                           std::span<std::vector<float>* const> out) const;
+  /// Rows one step_cluster_batch pass of cluster `c` sweeps at once (the
+  /// engine's rows_per_pass()); 1 for clusters that step row by row.
+  std::size_t cluster_rows_per_pass(std::size_t c) const;
   /// Fills `out` with the next-action distribution implied by the state's
   /// last advance (the engine's head + softmax alone, bit-identical to
   /// what that advance wrote). Engine states only.

@@ -150,21 +150,28 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
   if (monitors.empty()) return;
   const bool record = metrics_enabled();
   Timer batch_timer;
+  // Each of the three phases fans out over the global pool: rows (and
+  // row blocks) touch only their own monitor, so the lanes share nothing
+  // but the read-only detector. At one lane every phase runs inline.
+  ThreadPool& pool = global_pool();
   // Routing halves (and any lane catch-up) first, independent per monitor.
   std::vector<Lane*> voted(monitors.size());
-  for (std::size_t i = 0; i < monitors.size(); ++i) {
+  pool.parallel_for(0, monitors.size(), [&](std::size_t i) {
     assert(&monitors[i]->detector_ == &detector);
     voted[i] = monitors[i]->begin_step(actions[i], results[i]);
-  }
-  // Then each row's final lane advance, as one batched step per cluster
-  // (gates and head alike: every verdict reads its row's distribution).
+  });
+  // Then each row's final lane advance, batched per cluster (gates and
+  // head alike: every verdict reads its row's distribution) in blocks of
+  // one kernel pass, so a cluster with many rows spreads over the lanes.
   std::vector<MisuseDetector::ClusterState*> states;
   std::vector<int> previous;
   std::vector<std::vector<float>*> outs;
+  struct Block {
+    std::size_t cluster, begin, end;
+  };
+  std::vector<Block> blocks;
   for (std::size_t c = 0; c < detector.cluster_count(); ++c) {
-    states.clear();
-    previous.clear();
-    outs.clear();
+    const std::size_t begin = states.size();
     for (std::size_t i = 0; i < monitors.size(); ++i) {
       if (voted[i] == nullptr || voted[i]->cluster != c) continue;
       states.push_back(&voted[i]->state);
@@ -172,11 +179,20 @@ void OnlineMonitor::observe_batch(const MisuseDetector& detector,
       outs.push_back(&monitors[i]->dist_);
       ++voted[i]->consumed;
     }
-    if (!states.empty()) detector.step_cluster_batch(c, states, previous, outs);
+    const std::size_t rows = detector.cluster_rows_per_pass(c);
+    for (std::size_t b = begin; b < states.size(); b += rows) {
+      blocks.push_back({c, b, std::min(b + rows, states.size())});
+    }
   }
-  for (std::size_t i = 0; i < monitors.size(); ++i) {
-    monitors[i]->finish_step(actions[i], results[i]);
-  }
+  pool.parallel_for(0, blocks.size(), [&](std::size_t k) {
+    const Block& block = blocks[k];
+    const std::size_t n = block.end - block.begin;
+    detector.step_cluster_batch(block.cluster, std::span(states).subspan(block.begin, n),
+                                std::span(previous).subspan(block.begin, n),
+                                std::span(outs).subspan(block.begin, n));
+  });
+  pool.parallel_for(0, monitors.size(),
+                    [&](std::size_t i) { monitors[i]->finish_step(actions[i], results[i]); });
   if (record) {
     const double per_step = batch_timer.seconds() / static_cast<double>(monitors.size());
     for (std::size_t i = 0; i < monitors.size(); ++i) {

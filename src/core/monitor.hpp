@@ -100,12 +100,13 @@ class OnlineMonitor {
   /// writing monitors[i]'s step result for actions[i] into results[i].
   /// A monitor may appear at most once. Lanes catching up after a vote
   /// switch replay per row; each row's final advance, on its previous
-  /// action, runs as one batched forward per cluster across all monitors
-  /// (the inference engine's step_batch, head included). Under either
-  /// kernel mode this is bit-identical to calling
-  /// monitors[i]->observe(actions[i]) in order — sessions only share
-  /// read-only weights, and the batch kernels compute each row exactly
-  /// as a one-row step does.
+  /// action, runs batched per cluster across all monitors (the inference
+  /// engine's step_batch, head included), one kernel pass per block of
+  /// rows. The routing halves, the blocks and the verdict halves each fan
+  /// out over global_pool(). Under either kernel mode this is
+  /// bit-identical to calling monitors[i]->observe(actions[i]) in order —
+  /// sessions only share read-only weights, and the batch kernels compute
+  /// each row exactly as a one-row step does.
   static void observe_batch(const MisuseDetector& detector,
                             std::span<OnlineMonitor* const> monitors,
                             std::span<const int> actions, std::span<StepResult> results);
@@ -176,7 +177,7 @@ struct SessionMonitorReport {
 
 /// Folds a stream of StepResults into a SessionMonitorReport. Extracted
 /// from monitor_sessions so every consumer of the online regime — the
-/// offline batch replay below and the streaming server's session shards
+/// offline batch replay below and the streaming server's session table
 /// (serve/session_table.hpp) — derives end-of-session reports from the
 /// exact same accumulation, keeping the two paths bit-identical.
 class SessionAccumulator {

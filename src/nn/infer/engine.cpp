@@ -147,8 +147,20 @@ void LstmInferEngine::step_batch(std::span<EngineState* const> states, std::span
                                  std::span<std::vector<float>* const> probs,
                                  EngineScratch& scratch) const {
   assert(states.size() == actions.size() && states.size() == probs.size());
+  // Past rows_per_pass() rows the gate scratch outgrows L1d and every
+  // weight row read pays for it; rows are independent, so the split
+  // keeps every bit.
+  const std::size_t pass = rows_per_pass();
+  for (std::size_t b = 0; b < states.size(); b += pass) {
+    const std::size_t m = std::min(pass, states.size() - b);
+    step_pass(states.subspan(b, m), actions.subspan(b, m), probs.subspan(b, m), scratch);
+  }
+}
+
+void LstmInferEngine::step_pass(std::span<EngineState* const> states, std::span<const int> actions,
+                                std::span<std::vector<float>* const> probs,
+                                EngineScratch& scratch) const {
   const std::size_t n = states.size();
-  if (n == 0) return;
   const Kernels* k = select_kernels();
   const std::size_t hidden = w_.hidden;
   const std::size_t g4 = 4 * hidden;

@@ -8,7 +8,7 @@
 // nn/infer/dispatch.hpp.
 //
 // Every advance is a batch: step() is step_batch() of one row, and a
-// batch of n sessions of one model reads each weight row once for all n
+// pass over n sessions of one model reads each weight row once for all n
 // (the gate and head products are the kernels' batch entries,
 // nn/infer/kernels.hpp).
 //
@@ -83,9 +83,17 @@ class LstmInferEngine {
   /// Batched variant: states[i] advances on actions[i] into *probs[i].
   /// Each row's bits are independent of the batch it rides in, so the
   /// result is bit-identical to n calls of step() in order, on every
-  /// kernel; the weights are streamed once per batch rather than per row.
+  /// kernel; the weights are streamed once per pass of up to
+  /// rows_per_pass() rows rather than once per row.
   void step_batch(std::span<EngineState* const> states, std::span<const int> actions,
                   std::span<std::vector<float>* const> probs, EngineScratch& scratch) const;
+
+  /// Rows one kernel pass sweeps: as many as keep the pass's gate scratch
+  /// (4H floats a row) within 32 KiB, so it stays in L1d while each weight
+  /// row streams past — 8 rows at H = 256, 128 at H = 16.
+  std::size_t rows_per_pass() const {
+    return std::max<std::size_t>(1, 32768 / (16 * w_.hidden));
+  }
 
   /// Head + softmax only, from the state's current h: the distribution
   /// the last step() / step_batch() advance wrote, recomputed bit for
@@ -94,6 +102,10 @@ class LstmInferEngine {
 
  private:
   explicit LstmInferEngine(const LstmWeights& w) : w_(w) {}
+
+  /// One kernel pass of step_batch over at most rows_per_pass() rows.
+  void step_pass(std::span<EngineState* const> states, std::span<const int> actions,
+                 std::span<std::vector<float>* const> probs, EngineScratch& scratch) const;
 
   LstmWeights w_;
 };

@@ -2,18 +2,15 @@
 
 namespace misuse::router {
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes == 0 ? 1 : vnodes) {}
 
 namespace {
+
+/// Ring position of a stable hash: splitmix64's output for it (its
+/// golden-gamma increment, then the mix64 finalizer). The increment keeps
+/// placement independent of the canary sampler, which reads mix64(hash)
+/// itself (serve/shadow.cpp): a node's arcs never decide its canary share.
+std::uint64_t position(std::uint64_t hash) { return serve::mix64(hash + 0x9e3779b97f4a7c15ULL); }
 
 /// Rebuilds the position map from the node set. Iterating names in
 /// sorted order and keeping the first inserter on a position collision
@@ -24,7 +21,7 @@ std::map<std::uint64_t, std::string> build(const std::set<std::string>& names,
   std::map<std::uint64_t, std::string> ring;
   for (const std::string& name : names) {
     for (std::size_t i = 0; i < vnodes; ++i) {
-      ring.emplace(fnv1a64(name + "#" + std::to_string(i)), name);
+      ring.emplace(position(serve::session_shard_hash(name + "#" + std::to_string(i))), name);
     }
   }
   return ring;
@@ -44,7 +41,7 @@ void HashRing::remove_node(const std::string& name) {
 
 const std::string* HashRing::owner(std::uint64_t key_hash) const {
   if (ring_.empty()) return nullptr;
-  auto it = ring_.lower_bound(key_hash);
+  auto it = ring_.lower_bound(position(key_hash));
   if (it == ring_.end()) it = ring_.begin();  // wrap past the top
   return &it->second;
 }

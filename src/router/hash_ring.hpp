@@ -4,14 +4,16 @@
 // stays put, which is what makes failure handoff (DESIGN.md "Cluster
 // serving") a bounded replay instead of a cluster-wide reshuffle.
 //
-// Layout: each node contributes `vnodes` virtual points at
-// fnv1a64("<name>#<i>"); a key (hashed with the same stable FNV-1a the
-// shard layer uses, serve::session_shard_hash) is owned by the first
-// point clockwise from the key's hash. Virtual points smooth the load:
-// with v points per node the expected per-node share deviates by
-// O(1/sqrt(v)). Everything is deterministic — no RNG, no pointer or
-// platform dependence — so every router instance given the same node
-// list computes the same ownership, and tests can pin exact remap sets.
+// Layout: each node contributes `vnodes` virtual points, placed at the
+// mixed hash of "<name>#<i>"; a key is owned by the first point clockwise
+// from its mixed hash. Both hash with serve::session_shard_hash (FNV-1a)
+// and then splitmix64's step, so names and session ids that differ only
+// in their last bytes spread over the whole ring instead of clustering.
+// Virtual points smooth the load: with v points per node the expected
+// per-node share deviates by O(1/sqrt(v)). Everything is deterministic —
+// no RNG, no pointer or platform dependence — so every router instance
+// given the same node list computes the same ownership, and tests can pin
+// exact remap sets.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +23,9 @@
 #include <string_view>
 #include <vector>
 
-namespace misuse::router {
+#include "serve/event.hpp"
 
-/// Stable 64-bit FNV-1a (same parameters as serve::session_shard_hash).
-std::uint64_t fnv1a64(std::string_view data);
+namespace misuse::router {
 
 class HashRing {
  public:
@@ -44,13 +45,16 @@ class HashRing {
   /// Node names in deterministic (lexicographic) order.
   std::vector<std::string> nodes() const { return {names_.begin(), names_.end()}; }
 
-  /// Owner of a pre-hashed key: the first virtual point at or clockwise
-  /// after `key_hash` (wrapping). nullptr when the ring is empty. The
-  /// pointer stays valid until the next add/remove.
+  /// Owner of a key hashed with serve::session_shard_hash: the first
+  /// virtual point at or clockwise after the hash's ring position
+  /// (wrapping). nullptr when the ring is empty. The pointer stays valid
+  /// until the next add/remove.
   const std::string* owner(std::uint64_t key_hash) const;
 
   /// Convenience: owner of an unhashed key.
-  const std::string* owner_of(std::string_view key) const { return owner(fnv1a64(key)); }
+  const std::string* owner_of(std::string_view key) const {
+    return owner(serve::session_shard_hash(key));
+  }
 
  private:
   std::size_t vnodes_;

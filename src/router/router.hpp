@@ -1,7 +1,7 @@
 // misusedet_router: the horizontal-scaling tier of the serving stack.
 // Clients speak the same NDJSON event protocol as misusedet_serve; the
-// router consistent-hashes each session (FNV-1a of user_id+session_id —
-// the same stable hash the in-node shard layer uses) onto one of N
+// router consistent-hashes each session (the mixed FNV-1a of
+// user_id+session_id, router/hash_ring.hpp) onto one of N
 // serve nodes, forwards the event over a pooled upstream connection,
 // and routes the node's verdict lines back to the originating client.
 //

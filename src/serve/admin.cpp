@@ -190,12 +190,7 @@ std::string AdminServer::render_healthz(int* http_status) const {
 }
 
 std::string AdminServer::render_statusz() const {
-  const std::vector<ScoringServer::ShardStatus> shards = server_.shard_status();
-  std::uint64_t min_watermark = UINT64_MAX;
-  for (const auto& shard : shards) {
-    min_watermark = std::min(min_watermark, shard.last_applied_seq);
-  }
-  if (min_watermark == UINT64_MAX) min_watermark = 0;
+  const std::uint64_t watermark = server_.last_applied_seq();
   const std::uint64_t next_seq = server_.next_seq();
   const std::uint64_t assigned = next_seq > 0 ? next_seq - 1 : 0;
   const ServeConfig& cfg = server_.config();
@@ -212,7 +207,6 @@ std::string AdminServer::render_statusz() const {
     json.member("canary_version", hooks_.canary_version ? hooks_.canary_version() : "");
     json.member("infer_kernel", config_.infer_kernel);
     json.member("host_cores", host_info().cores);
-    json.member("shards", shards.size());
     json.member("sessions_active", server_.active_sessions());
     json.member("sessions_limit", cfg.max_sessions);
     json.member("event_clock", server_.event_clock());
@@ -223,7 +217,7 @@ std::string AdminServer::render_statusz() const {
     json.member("snapshot_every", cfg.snapshot_every);
     // How far the durable watermark trails the stream head: an upper
     // bound on the replay a crash right now would need.
-    json.member("wal_watermark_lag", assigned > min_watermark ? assigned - min_watermark : 0);
+    json.member("wal_watermark_lag", assigned > watermark ? assigned - watermark : 0);
     json.member("trace_enabled", trace_events().enabled());
     json.member("trace_events_dropped", trace_events().dropped());
     // Shadow scorer evidence (serve/shadow.cpp) — what the learn loop's
@@ -257,12 +251,6 @@ std::string AdminServer::render_statusz() const {
           }
         }
       }
-    }
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      const std::string prefix = "shard." + std::to_string(s) + ".";
-      json.member(prefix + "sessions", shards[s].sessions);
-      json.member(prefix + "max_sessions", shards[s].max_sessions);
-      json.member(prefix + "last_applied_seq", shards[s].last_applied_seq);
     }
     json.end_object();
   }

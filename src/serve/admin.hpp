@@ -3,13 +3,13 @@
 //
 //   /metrics  Prometheus text exposition of the whole registry
 //   /healthz  ok | degraded | unhealthy (flat JSON; 503 when unhealthy)
-//   /statusz  flat-JSON runtime introspection (per-shard session counts
-//             and WAL watermarks, model versions, WAL lag, kernel, uptime)
+//   /statusz  flat-JSON runtime introspection (session count, model
+//             versions, WAL lag, kernel, uptime)
 //   /tracez   sampled trace events as Chrome trace JSON
 //             (?format=ndjson for one flat JSON object per line)
 //
 // The listener runs on its own thread and only ever *reads* server
-// state (shard locks are taken briefly per shard, never all at once),
+// state (the session-table lock is taken briefly, once per read),
 // so scraping cannot reorder, drop, or otherwise perturb scored output
 // — the byte-identity contract of the data path holds with the admin
 // plane enabled. Requests are served one at a time with a read timeout:

@@ -38,16 +38,28 @@ struct Event {
 /// malformed JSON or missing user_id/session_id/action.
 bool parse_event(std::string_view line, Event& event, std::string& error);
 
-/// The session key used for sharding and the session table: user and
+/// The session key of the session table and the router's ring: user and
 /// session ids joined with an unambiguous separator, so ("a","b:c") and
 /// ("a:b","c") cannot collide.
 std::string session_key(const Event& event);
 std::string session_key(std::string_view user_id, std::string_view session_id);
 
-/// Stable 64-bit FNV-1a over the session key — *not* std::hash, so shard
-/// assignment (and therefore per-shard processing order) is identical
-/// across platforms and standard libraries.
+/// Stable 64-bit FNV-1a over the session key — *not* std::hash, so ring
+/// placement and canary selection are identical across platforms and
+/// standard libraries.
 std::uint64_t session_shard_hash(std::string_view key);
+
+/// splitmix64's finalizer. FNV-1a moves a key's high bits little when
+/// only its last bytes change, so keys like "s1", "s2", ... hash close
+/// together; mixing spreads them over all 64 bits.
+constexpr std::uint64_t mix64(std::uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  return h;
+}
 
 /// Why a session report was emitted.
 enum class ReportReason {

@@ -22,7 +22,7 @@
 // snapshot (util/metrics + trace tree) on exit.
 //
 //   misusedet_serve --model=detector.bin [--listen=PORT]
-//       [--shards=N] [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
+//       [--idle-ttl=SECONDS] [--max-sessions=N] [--batch=N] [--threads=N]
 //       [--alarm-likelihood=X] [--trend-window=N] [--trend-drop=X]
 //       [--infer=auto|scalar|avx2] [--no-steps] [--metrics-out=PATH]
 //       [--admin-port=PORT] [--trace-sample=N]
@@ -205,12 +205,11 @@ void print_usage(const std::string& program) {
       << "  --canary-fraction=X     fraction of sessions the shadow scores (default 1.0)\n"
       << "  --drift                 track served-action drift against the training mix\n"
       << "  --listen=PORT           serve NDJSON over TCP instead of stdin/stdout\n"
-      << "  --shards=N              session-table shards (default 4)\n"
       << "  --idle-ttl=SECONDS      evict sessions idle this long in event time (default 900)\n"
-      << "  --max-sessions=N        session-table capacity across shards (default 4096)\n"
+      << "  --max-sessions=N        session-table capacity, one LRU (default 4096)\n"
       << "  --batch=N               stdin mode: events scored per block, with a TTL sweep,\n"
       << "                          checkpoint and registry check after each (default 256)\n"
-      << "  --threads=N             lanes that score a block's shards at once (default 1;\n"
+      << "  --threads=N             lanes that step and render one batch (default 1;\n"
       << "                          0 = MISUSEDET_THREADS, else every core)\n"
       << "  --alarm-likelihood=X    immediate alarm threshold (default 0.02)\n"
       << "  --trend-window=N        trend detector window (default 8)\n"
@@ -224,8 +223,8 @@ void print_usage(const std::string& program) {
       << "                          /tracez on a dedicated listener (0 = ephemeral port)\n"
       << "  --trace-sample=N        head-sample the first N sessions into the live trace ring\n"
       << "                          (exported via /tracez; off by default)\n"
-      << "  --wal-dir=DIR           crash safety: per-shard write-ahead log + snapshots\n"
-      << "  --wal-sync=N            fsync each shard WAL every N appends (default 1024)\n"
+      << "  --wal-dir=DIR           crash safety: write-ahead log + snapshots\n"
+      << "  --wal-sync=N            fsync the WAL every N appends (default 1024)\n"
       << "  --snapshot-every=N      checkpoint every N applied events (default 4096)\n"
       << "  --resume-replay         after recovery, dedup producers that resend from origin\n";
 }
@@ -372,7 +371,7 @@ constexpr std::string_view kKnownFlags[] = {
     // Usage, model source and hot swap.
     "help", "model", "registry", "registry-poll", "shadow", "canary-fraction", "drift",
     // Front end and session table.
-    "listen", "shards", "idle-ttl", "max-sessions", "batch", "threads",
+    "listen", "idle-ttl", "max-sessions", "batch", "threads",
     // Scoring and output.
     "alarm-likelihood", "trend-window", "trend-drop", "infer", "steps", "metrics-out",
     // Operations plane and crash safety.
@@ -403,7 +402,6 @@ int serve_main(int argc, char** argv) {
   }
 
   ServeConfig config;
-  config.shards = static_cast<std::size_t>(args.integer("shards", 4));
   config.idle_ttl_seconds = args.real("idle-ttl", 900.0);
   config.max_sessions = static_cast<std::size_t>(args.integer("max-sessions", 4096));
   // CliArgs folds "--no-X" into key "X" with value "false", so negative
@@ -417,9 +415,9 @@ int serve_main(int argc, char** argv) {
   config.snapshot_every = static_cast<std::size_t>(args.integer("snapshot-every", 4096));
   config.resume_replay = args.flag("resume-replay");
   config.drift = args.flag("drift");
-  // One lane by default: a block's shards then score in order on the
-  // thread that read it, which is the cheapest way for a node whose reads
-  // are small (DESIGN.md "TCP front end").
+  // One lane by default: a batch then scores entirely on the thread that
+  // read it, which is the cheapest way for a node whose reads are small
+  // (DESIGN.md "Lanes").
   set_global_threads(static_cast<std::size_t>(args.integer("threads", 1)));
   // The kernel mode is process-global; settle it before anything scores.
   if (args.has("infer")) {

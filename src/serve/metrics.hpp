@@ -1,7 +1,7 @@
 // Instrument panel of the streaming scoring server. Same pattern as
 // core::MonitorMetrics: one process-wide bundle of registry-owned
-// instruments, resolved once and shared by every shard. All updates are
-// relaxed atomics, so shards record concurrently without coordination.
+// instruments, resolved once and shared by the whole process. All updates
+// are relaxed atomics, so any thread records without coordination.
 #pragma once
 
 #include "util/metrics.hpp"
@@ -17,10 +17,10 @@ struct ServeMetrics {
   Counter& sessions_evicted;   // serve.sessions_evicted — TTL + capacity
   Counter& sessions_finished;  // serve.sessions_finished — all report emissions
   Gauge& sessions_active;      // serve.sessions_active (+ high-water mark)
-  HistogramMetric& step_seconds;  // serve.step_seconds — per-event shard latency
+  HistogramMetric& step_seconds;  // serve.step_seconds — per-event session-table latency
 
   // Fault tolerance (see DESIGN.md "Fault tolerance").
-  Counter& wal_appends;         // serve.wal_appends — records written to shard WALs
+  Counter& wal_appends;         // serve.wal_appends — records written to the WAL
   Counter& wal_torn_records;    // serve.wal_torn_records — torn tails dropped at recovery
   Counter& snapshot_failures;   // serve.snapshot_failures — checkpoint snapshots that failed
   Counter& recovered_events;    // serve.recovered_events — WAL events replayed at startup

@@ -7,7 +7,6 @@
 
 #include "serve/metrics.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace misuse::serve {
@@ -30,11 +29,21 @@ std::int64_t numeric_version(const std::string& version) {
 /// Restores arrival order over out[base, end): records sort by input
 /// sequence number. The merge is stable because seqs are not unique: a
 /// capacity-eviction report carries the seq of the event whose session
-/// open evicted it, and its shard emits it before that event's step. An
-/// unstable sort would order the pair by batch size and shard layout.
+/// open evicted it, and the table emits it before that event's step. An
+/// unstable sort would order the pair by batch size.
 void merge_by_seq(std::vector<OutputRecord>& out, std::size_t base) {
   std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
                    [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
+}
+
+ShardConfig table_config(const ServeConfig& config) {
+  ShardConfig table;
+  table.monitor = config.monitor;
+  table.idle_ttl_seconds = config.idle_ttl_seconds;
+  table.max_sessions = std::max<std::size_t>(1, config.max_sessions);
+  table.emit_steps = config.emit_steps;
+  table.track_history = !config.wal_dir.empty() || config.drift;
+  return table;
 }
 }  // namespace
 
@@ -42,54 +51,32 @@ ScoringServer::ScoringServer(const core::MisuseDetector& detector, const ServeCo
     : ScoringServer(ModelHandle::borrowed(detector), config) {}
 
 ScoringServer::ScoringServer(ModelHandle model, const ServeConfig& config)
-    : model_(std::move(model)), config_(config) {
-  const std::size_t n = std::max<std::size_t>(1, config_.shards);
-  config_.shards = n;
-  ShardConfig shard_config;
-  shard_config.monitor = config_.monitor;
-  shard_config.idle_ttl_seconds = config_.idle_ttl_seconds;
-  // Distribute the global session cap; every shard holds at least one.
-  shard_config.max_sessions = std::max<std::size_t>(1, (config_.max_sessions + n - 1) / n);
-  shard_config.emit_steps = config_.emit_steps;
-  shard_config.track_history = !config_.wal_dir.empty() || config_.drift;
-  shard_max_sessions_ = shard_config.max_sessions;
-  shards_.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->table = std::make_unique<SessionShard>(model_, shard_config);
-    shards_.push_back(std::move(shard));
-  }
+    : config_(config), table_(model, table_config(config)) {
   (void)serve_metrics();  // register the panel eagerly
   serve_metrics().degraded_clusters.set(
-      static_cast<std::int64_t>(model_.detector->degraded_cluster_count()));
-  serve_metrics().model_version.set(numeric_version(model_.version));
+      static_cast<std::int64_t>(model.detector->degraded_cluster_count()));
+  serve_metrics().model_version.set(numeric_version(model.version));
   if (config_.drift) init_drift();
   if (wal_enabled()) {
     std::error_code ec;
     std::filesystem::create_directories(config_.wal_dir, ec);
-    // Writers open O_APPEND — a predecessor's logs survive until
+    // The writer opens O_APPEND — a predecessor's logs survive until
     // recover()/checkpoint() decides they are covered by a snapshot.
-    for (std::size_t s = 0; s < n; ++s) {
-      wals_.push_back(std::make_unique<WalWriter>(wal_path(config_.wal_dir, s),
-                                                  config_.wal_sync_every));
-      shards_[s]->table->set_wal(wals_[s].get());
-    }
-    if (!read_manifest(config_.wal_dir)) write_manifest(config_.wal_dir, n);
+    wal_ = std::make_unique<WalWriter>(wal_path(config_.wal_dir, 0), config_.wal_sync_every);
+    table_.set_wal(wal_.get());
+    if (!read_manifest(config_.wal_dir)) write_manifest(config_.wal_dir, 1);
   }
 }
 
 void ScoringServer::init_drift() {
-  // Ctor-only: shards are not yet shared with other threads. The
-  // observers stay installed for the server's life; swaps only replace
+  // Ctor-only: the table is not yet shared with other threads. The
+  // observer stays installed for the server's life; swaps only replace
   // the DriftMonitor behind drift_mutex_.
-  for (auto& shard : shards_) {
-    shard->table->set_history_observer(
-        [this](const std::vector<int>& actions) { observe_drift(actions); });
-  }
+  table_.set_history_observer([this](const std::vector<int>& actions) { observe_drift(actions); });
   // The drift reference is recovered from the model itself (Markov
   // fallback column sums == training action distribution); v1 archives
   // carry no fallbacks, so drift silently stays off for them.
-  std::vector<double> reference = model_.detector->training_action_counts();
+  std::vector<double> reference = table_.model().detector->training_action_counts();
   std::lock_guard<std::mutex> lock(drift_mutex_);
   if (reference.empty()) {
     drift_ = nullptr;
@@ -114,16 +101,9 @@ void ScoringServer::observe_drift(const std::vector<int>& actions) {
   serve_metrics().drift_micronats.set(static_cast<std::int64_t>(divergence * 1e6));
 }
 
-void ScoringServer::advance_clock(double t) {
-  double seen = clock_.load(std::memory_order_relaxed);
-  while (t > seen &&
-         !clock_.compare_exchange_weak(seen, t, std::memory_order_relaxed)) {
-  }
-}
-
 ModelHandle ScoringServer::current_model() const {
-  std::shared_lock<std::shared_mutex> lock(model_mutex_);
-  return model_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.model();
 }
 
 ScoringServer::Enqueue ScoringServer::enqueue(const Event& event, std::vector<OutputRecord>&) {
@@ -138,12 +118,9 @@ void ScoringServer::pump(std::vector<OutputRecord>& out) {
 
 void ScoringServer::append_reports(std::vector<OutputRecord>&& reports,
                                    std::vector<OutputRecord>& out) {
-  // Shard partitioning must not leak into the output stream: the same
-  // sessions land on different shards at different --shards values, so
-  // reports collected across shards are re-sorted into a global record
-  // order (and re-tagged with emission-order seqs) before they are
-  // emitted. A replayed trace then produces byte-identical output at any
-  // shard count, matching the per-step determinism contract.
+  // One sweep's or drain's reports leave in rendered-line order (the
+  // order earlier output pinned, not the table's key order), each
+  // re-tagged with an emission-order seq.
   std::sort(reports.begin(), reports.end(),
             [](const OutputRecord& a, const OutputRecord& b) { return a.line < b.line; });
   out.reserve(out.size() + reports.size());
@@ -154,19 +131,17 @@ void ScoringServer::append_reports(std::vector<OutputRecord>&& reports,
 }
 
 void ScoringServer::sweep_at(double now, std::vector<OutputRecord>& out) {
-  // Serial in shard order: eviction reports are rare and cheap to render.
   std::vector<OutputRecord> reports;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
     // Sweeps mutate durable state (evictions), so they are WAL records
-    // too: replay re-runs them at the same global-seq position.
-    if (s < wals_.size() && wals_[s] != nullptr) {
-      wals_[s]->append(encode_sweep_record(now, seq));
-      wals_[s]->flush();
+    // too: replay re-runs them at the same seq position.
+    if (wal_ != nullptr) {
+      wal_->append(encode_sweep_record(now, seq));
+      wal_->flush();
     }
-    shard.table->sweep(now, seq, reports);
+    table_.sweep(now, seq, reports);
   }
   append_reports(std::move(reports), out);
 }
@@ -174,48 +149,43 @@ void ScoringServer::sweep_at(double now, std::vector<OutputRecord>& out) {
 void ScoringServer::shutdown(std::vector<OutputRecord>& out) {
   pump(out);
   std::vector<OutputRecord> reports;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->finish_all(seq_.fetch_add(1, std::memory_order_relaxed), reports);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    table_.finish_all(seq_.fetch_add(1, std::memory_order_relaxed), reports);
+    // Every session just reported: persist the (empty) table so a restart
+    // after a *graceful* exit recovers nothing.
+    if (wal_enabled()) write_checkpoint();
   }
   append_reports(std::move(reports), out);
-  // Every session just reported: persist the (empty) tables so a restart
-  // after a *graceful* exit recovers nothing.
-  if (wal_enabled()) write_checkpoint();
 }
 
 std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
   if (!wal_enabled()) return 0;
-  const std::size_t old_shards = read_manifest(config_.wal_dir).value_or(shards_.size());
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Older nodes wrote one log and snapshot per shard; MANIFEST says how
+  // many. All of them feed the one table.
+  const std::size_t files = read_manifest(config_.wal_dir).value_or(1);
 
-  // Recovery replays through the normal scoring path; detach the WALs so
+  // Recovery replays through the normal scoring path; detach the WAL so
   // the replay is not re-logged (the closing checkpoint re-covers
   // everything and truncates the old logs).
-  for (auto& shard : shards_) shard->table->set_wal(nullptr);
+  table_.set_wal(nullptr);
 
-  // 1. Snapshots: rebuild each snapshotted session by silent re-feed,
-  //    routed through the *current* sharding.
-  std::vector<std::uint64_t> watermarks(old_shards, 0);
+  // 1. Snapshots: rebuild each snapshotted session by silent re-feed.
+  std::vector<std::uint64_t> watermarks(files, 0);
   double clock = 0.0;
-  for (std::size_t k = 0; k < old_shards; ++k) {
+  for (std::size_t k = 0; k < files; ++k) {
     const auto snapshot = read_snapshot(snapshot_path(config_.wal_dir, k));
     if (!snapshot) continue;
     watermarks[k] = snapshot->watermark;
     clock = std::max(clock, snapshot->clock);
-    for (const auto& session : snapshot->sessions) {
-      Event probe;
-      probe.user_id = session.user_id;
-      probe.session_id = session.session_id;
-      Shard& shard = *shards_[shard_of(probe)];
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.table->restore_session(session);
-    }
+    for (const auto& session : snapshot->sessions) table_.restore_session(session);
   }
 
   // 2. WALs: merge every record past its file's watermark globally by
   //    sequence number, then replay in input order.
   std::vector<WalRecord> records;
-  for (std::size_t k = 0; k < old_shards; ++k) {
+  for (std::size_t k = 0; k < files; ++k) {
     for (auto& record : read_wal(wal_path(config_.wal_dir, k))) {
       if (record.seq > watermarks[k]) records.push_back(std::move(record));
     }
@@ -227,26 +197,19 @@ std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
   for (const auto& w : watermarks) max_seq = std::max(max_seq, w);
   std::size_t replayed = 0;
   std::vector<OutputRecord> replayed_out;
-  const ModelHandle replay_model = current_model();
+  const core::MisuseDetector* detector = table_.model().detector.get();
   for (const WalRecord& record : records) {
     max_seq = std::max(max_seq, record.seq);
     if (record.type == WalRecord::kEvent) {
-      const int action = resolve_action_id(replay_model.detector->vocab(), record.event.action);
+      const int action = resolve_action_id(detector->vocab(), record.event.action);
       if (action < 0) continue;  // vocabulary changed under the WAL
-      if (record.event.has_timestamp) clock = std::max(clock, record.event.timestamp);
-      Shard& shard = *shards_[shard_of(record.event)];
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.table->process(record.event, action, replay_model.detector.get(), record.seq,
-                           replayed_out);
+      table_.process(record.event, action, detector, record.seq, replayed_out);
       ++replayed;
       serve_metrics().recovered_events.inc();
     } else if (record.type == WalRecord::kSweep) {
-      // The old layout logged one sweep per shard; re-running each as a
-      // global sweep is idempotent (later passes find nothing expired).
-      for (auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->table->sweep(record.sweep_now, record.seq, replayed_out);
-      }
+      // A sharded layout logged one sweep per shard; re-running each over
+      // the whole table is idempotent (later passes find nothing expired).
+      table_.sweep(record.sweep_now, record.seq, replayed_out);
     }
   }
   // Replayed records keep their original seqs: a consumer that saw the
@@ -260,52 +223,37 @@ std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
   while (seq < max_seq + 1 &&
          !seq_.compare_exchange_weak(seq, max_seq + 1, std::memory_order_relaxed)) {
   }
-  advance_clock(clock);
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->advance_clock_to(clock);
-  }
+  table_.advance_clock_to(clock);
+  if (config_.resume_replay) table_.arm_replay_skip();
 
-  if (config_.resume_replay) {
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->table->arm_replay_skip();
-    }
-  }
-
-  // 3. Re-base durability on the recovered state under the current
-  //    layout, then re-attach the logs.
+  // 3. Re-base durability on the recovered state as one shard-0 log and
+  //    snapshot, then re-attach the log.
   write_checkpoint();
-  for (std::size_t s = 0; s < shards_.size(); ++s) shards_[s]->table->set_wal(wals_[s].get());
-  if (replayed > 0 || active_sessions() > 0) {
-    log_info() << "recovered " << active_sessions() << " sessions (" << replayed
+  table_.set_wal(wal_.get());
+  if (replayed > 0 || table_.active_sessions() > 0) {
+    log_info() << "recovered " << table_.active_sessions() << " sessions (" << replayed
                << " WAL events replayed)";
   }
   return replayed;
 }
 
 void ScoringServer::write_checkpoint() {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    ShardSnapshot snapshot;
-    snapshot.watermark = shard.table->last_applied_seq();
-    snapshot.clock = shard.table->clock();
-    snapshot.sessions = shard.table->snapshot_sessions();
-    if (write_snapshot(snapshot_path(config_.wal_dir, s), snapshot)) {
-      // Only a landed snapshot may retire its WAL; on failure the log
-      // keeps growing and recovery replays it instead.
-      if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->reset();
-    }
-  }
-  write_manifest(config_.wal_dir, shards_.size());
-  remove_stale_shard_files(config_.wal_dir, shards_.size());
+  ShardSnapshot snapshot;
+  snapshot.watermark = table_.last_applied_seq();
+  snapshot.clock = table_.clock();
+  snapshot.sessions = table_.snapshot_sessions();
+  // Only a landed snapshot may retire the WAL; on failure the log keeps
+  // growing and recovery replays it instead.
+  if (write_snapshot(snapshot_path(config_.wal_dir, 0), snapshot)) wal_->reset();
+  write_manifest(config_.wal_dir, 1);
+  remove_stale_shard_files(config_.wal_dir, 1);
   events_since_checkpoint_.store(0, std::memory_order_relaxed);
 }
 
 void ScoringServer::checkpoint(std::vector<OutputRecord>& out) {
   if (!wal_enabled()) return;
   pump(out);
+  std::lock_guard<std::mutex> lock(mutex_);
   write_checkpoint();
 }
 
@@ -321,13 +269,13 @@ bool ScoringServer::maybe_checkpoint(std::vector<OutputRecord>& out) {
 std::size_t ScoringServer::submit_batch(std::span<const Event> events,
                                         std::vector<OutputRecord>& out) {
   if (events.empty()) return 0;
-  const ModelHandle resolver = current_model();
-  const core::MisuseDetector* detector = resolver.detector.get();
+  std::lock_guard<std::mutex> lock(mutex_);
+  const core::MisuseDetector* detector = table_.model().detector.get();
   const std::size_t base = out.size();
   // One seq per event in arrival order, rejected ones included.
   const std::uint64_t first = seq_.fetch_add(events.size(), std::memory_order_relaxed);
-  std::vector<std::vector<SessionShard::BatchEvent>> by_shard(shards_.size());
-  std::size_t accepted = 0;
+  std::vector<SessionShard::BatchEvent> batch;
+  batch.reserve(events.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& event = events[i];
     const int action = resolve_action_id(detector->vocab(), event.action);
@@ -336,84 +284,46 @@ std::size_t ScoringServer::submit_batch(std::span<const Event> events,
       out.push_back({first + i, render_error_record("unknown action", event.action)});
       continue;
     }
-    if (event.has_timestamp) advance_clock(event.timestamp);
-    by_shard[shard_of(event)].push_back({&event, action, detector, first + i});
-    ++accepted;
+    batch.push_back({&event, action, detector, first + i});
   }
-  // One lane per shard with events. At one lane (the node's default) the
-  // shards run in index order on this thread; with more, a shard's
-  // records land in its own vector until the merge below.
-  std::vector<std::vector<OutputRecord>> shard_out(shards_.size());
-  global_pool().parallel_for(0, shards_.size(), [&](std::size_t s) {
-    if (by_shard[s].empty()) return;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table->process_batch(by_shard[s], shard_out[s]);
-    // Group commit before any of these verdicts leaves the process.
-    if (s < wals_.size() && wals_[s] != nullptr) wals_[s]->flush();
-  });
-  events_since_checkpoint_.fetch_add(accepted, std::memory_order_relaxed);
-  for (auto& records : shard_out) {
-    for (auto& r : records) out.push_back(std::move(r));
-  }
+  table_.process_batch(batch, out);
+  // Group commit before any of these verdicts leaves the process.
+  if (wal_ != nullptr) wal_->flush();
+  events_since_checkpoint_.fetch_add(batch.size(), std::memory_order_relaxed);
   merge_by_seq(out, base);
-  return accepted;
+  return batch.size();
 }
 
 std::size_t ScoringServer::active_sessions() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->table->active_sessions();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.active_sessions();
 }
 
-double ScoringServer::event_clock() const { return clock_.load(std::memory_order_relaxed); }
-
-std::vector<ScoringServer::ShardStatus> ScoringServer::shard_status() const {
-  std::vector<ShardStatus> out;
-  out.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    ShardStatus status;
-    status.max_sessions = shard_max_sessions_;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      status.sessions = shard.table->active_sessions();
-      status.last_applied_seq = shard.table->last_applied_seq();
-    }
-    out.push_back(status);
-  }
-  return out;
+double ScoringServer::event_clock() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.clock();
 }
 
-bool ScoringServer::wal_ok() const {
-  for (const auto& wal : wals_) {
-    if (wal != nullptr && !wal->ok()) return false;
-  }
-  return true;
+std::uint64_t ScoringServer::last_applied_seq() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return table_.last_applied_seq();
 }
+
+bool ScoringServer::wal_ok() const { return wal_ == nullptr || wal_->ok(); }
 
 void ScoringServer::set_trace_sampler(std::shared_ptr<SessionTraceSampler> sampler) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->set_trace_sampler(sampler);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  table_.set_trace_sampler(std::move(sampler));
 }
 
 void ScoringServer::set_step_observer(const StepObserver& observer) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->set_step_observer(observer);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  table_.set_step_observer(observer);
 }
 
 void ScoringServer::set_report_observer(const ReportObserver& observer) {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->set_report_observer(observer);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  table_.set_report_observer(observer);
 }
 
 ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
@@ -426,35 +336,26 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
   pump(out);
   stats.drain_seconds = drain_timer.seconds();
 
-  const bool compatible =
-      next.detector->vocab().fingerprint() == current_model().detector->vocab().fingerprint();
+  bool compatible = false;
   std::vector<OutputRecord> reports;
   Timer pause_timer;
   {
-    // The barrier: every shard locked (always in index order, so two
-    // concurrent swaps cannot deadlock) — no event is scored while the
-    // model pointer moves. An in-flight submit_batch lands either before
-    // the barrier (scored under the old model, which its session pins)
-    // or after (re-resolved / reopened under the new one).
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(shards_.size());
-    for (auto& shard : shards_) locks.emplace_back(shard->mutex);
+    // The barrier: no event is scored while the model pointer moves. An
+    // in-flight submit_batch lands either before the barrier (scored
+    // under the old model, which its session pins) or after (resolved /
+    // reopened under the new one).
+    std::lock_guard<std::mutex> lock(mutex_);
+    compatible =
+        next.detector->vocab().fingerprint() == table_.model().detector->vocab().fingerprint();
     if (!compatible) {
       // The vocabularies differ: open sessions cannot migrate to a model
       // that interprets action ids differently, so each one reports at
       // the barrier (emitted, never dropped) and traffic reopens fresh.
-      for (auto& shard : shards_) {
-        const std::size_t before = reports.size();
-        shard->table->finish_all(seq_.fetch_add(1, std::memory_order_relaxed), reports,
-                                 ReportReason::kModelSwap);
-        stats.rolled_sessions += reports.size() - before;
-      }
+      table_.finish_all(seq_.fetch_add(1, std::memory_order_relaxed), reports,
+                        ReportReason::kModelSwap);
+      stats.rolled_sessions = reports.size();
     }
-    for (auto& shard : shards_) shard->table->set_model(next);
-    {
-      std::unique_lock<std::shared_mutex> model_lock(model_mutex_);
-      model_ = next;
-    }
+    table_.set_model(next);
   }
   stats.pause_seconds = pause_timer.seconds();
   append_reports(std::move(reports), out);
@@ -484,19 +385,13 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
 
 void ScoringServer::set_shadow(const ShadowPlan& plan) {
   assert(plan.detector != nullptr);
-  // One scorer per shard (each driven under its shard's lock), so shadow
-  // scoring needs no cross-shard coordination of its own.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->set_shadow(std::make_shared<ShadowScorer>(plan));
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  table_.set_shadow(std::make_shared<ShadowScorer>(plan));
 }
 
 void ScoringServer::clear_shadow() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->table->set_shadow(nullptr);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  table_.set_shadow(nullptr);
 }
 
 }  // namespace misuse::serve

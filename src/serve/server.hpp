@@ -1,21 +1,20 @@
 // ScoringServer: the streaming core of misusedet_serve. Consumes an
-// interleaved event stream from many users, shards sessions over a set
-// of SessionShards (stable FNV-1a of user_id+session_id), and scores
-// each batch of events shard by shard.
+// interleaved event stream from many users into one session table (a
+// SessionShard keyed by user_id+session_id) behind one mutex, and scores
+// each batch of events with one process_batch.
 //
 // Architecture (see DESIGN.md "Serving"):
 //   * submit_batch(): the one scoring path. Resolves each event's action,
-//     numbers the events in arrival order, and scores each shard's share
-//     with one process_batch and one WAL flush, through
-//     global_pool().parallel_for (so shards run concurrently when the pool
-//     has more than one lane). Shards never share sessions, a session's
-//     events keep their order, and OnlineMonitor is deterministic, so every
-//     per-session score stream is bit-identical to the offline monitor at
-//     any shard or thread count. Records are merged back by sequence number
-//     (a stable merge: an eviction report shares its seq with the step that
-//     caused it and keeps its place before it), so the emitted NDJSON order
-//     equals arrival order at any batch size. submit_sync() is its
-//     one-event case.
+//     numbers the events in arrival order, and scores the batch with one
+//     process_batch and one WAL flush. --threads lanes fan out inside the
+//     batch (OnlineMonitor::observe_batch and the record rendering), never
+//     across sessions' order: a session's events keep their order and
+//     OnlineMonitor is deterministic, so every per-session score stream is
+//     bit-identical to the offline monitor at any thread count. Records
+//     are merged back by sequence number (a stable merge: an eviction
+//     report shares its seq with the step that caused it and keeps its
+//     place before it), so the emitted NDJSON order equals arrival order at
+//     any batch size. submit_sync() is its one-event case.
 //   * enqueue()/pump(): stage events in one server-owned vector and hand
 //     them to submit_batch.
 //   * sweep(): retires idle sessions by *event time* TTL.
@@ -27,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
@@ -39,16 +37,16 @@
 namespace misuse::serve {
 
 struct ServeConfig {
-  std::size_t shards = 4;
   double idle_ttl_seconds = 900.0;
-  std::size_t max_sessions = 4096;  // across all shards
+  /// Session-table capacity: one LRU over every open session.
+  std::size_t max_sessions = 4096;
   bool emit_steps = true;
   core::MonitorConfig monitor;
 
   // -- Crash safety (serve/wal.hpp) ----------------------------------------
-  /// Directory for per-shard WALs + snapshots; empty disables durability.
+  /// Directory for the WAL + snapshot; empty disables durability.
   std::string wal_dir;
-  /// fsync each shard WAL every N appends (1 = every append). Records
+  /// fsync the WAL every N appends (1 = every append). Records
   /// are handed to the OS per batch regardless (group commit), so a
   /// process crash loses nothing; fsync only narrows the *machine*-crash
   /// window, and is priced accordingly.
@@ -104,18 +102,18 @@ class ScoringServer {
 
   // -- Crash recovery (serve/wal.hpp; DESIGN.md "Fault tolerance") ---------
 
-  /// Rebuilds state left by a crashed predecessor: loads every shard
-  /// snapshot the old layout wrote, replays WAL records past each
-  /// snapshot's watermark globally by sequence number (re-emitting their
-  /// records with the *original* seqs, so downstream consumers dedup by
-  /// seq), and checkpoints the recovered state under the current layout.
-  /// Works across different --shards values. Returns the number of WAL
+  /// Rebuilds state left by a crashed predecessor: loads every snapshot
+  /// the directory's MANIFEST names (older nodes wrote one per shard),
+  /// replays WAL records past each snapshot's watermark globally by
+  /// sequence number (re-emitting their records with the *original* seqs,
+  /// so downstream consumers dedup by seq), and checkpoints the recovered
+  /// state as one shard-0 log and snapshot. Returns the number of WAL
   /// events replayed. No-op without a WAL dir.
   std::size_t recover(std::vector<OutputRecord>& out);
 
-  /// Pumps, snapshots every shard, and truncates the WALs the snapshots
-  /// now cover. A crash at any point is safe: snapshots replace
-  /// atomically, and the WAL is only truncated after its snapshot landed.
+  /// Pumps, snapshots the session table, and truncates the WAL the
+  /// snapshot now covers. A crash at any point is safe: the snapshot
+  /// replaces atomically, and the WAL is only truncated after it landed.
   void checkpoint(std::vector<OutputRecord>& out);
 
   /// checkpoint() once at least `snapshot_every` events were applied
@@ -125,10 +123,10 @@ class ScoringServer {
   bool wal_enabled() const { return !config_.wal_dir.empty(); }
 
   /// Scores `events` in order (one socket read over TCP, one --batch block
-  /// in pipe mode). Every action resolves under one current_model();
-  /// sequence numbers follow arrival order; each shard with events runs
-  /// one process_batch and one WAL flush under its lock, on a lane of the
-  /// global pool, so sessions of one cluster share one batched model step.
+  /// in pipe mode). Under the table lock, every action resolves under the
+  /// current model, sequence numbers follow arrival order, and one
+  /// process_batch and one WAL flush score the batch, so sessions of one
+  /// cluster share one batched model step.
   /// The records are appended to `out` merged by sequence number — each
   /// event's record(s) in arrival order. An unknown action gets an error
   /// record under its own sequence number. Returns the events accepted.
@@ -140,31 +138,22 @@ class ScoringServer {
     return submit_batch({&event, 1}, out) == 1;
   }
 
-  std::size_t shard_of(const Event& event) const {
-    return session_shard_hash(session_key(event)) % shards_.size();
-  }
-  std::size_t shard_count() const { return shards_.size(); }
   std::size_t active_sessions() const;
-  /// Largest event timestamp admitted so far.
+  /// Largest event timestamp the session table has applied so far.
   double event_clock() const;
 
   // -- Runtime introspection (serve/admin.hpp; DESIGN.md "Operations plane")
 
-  /// Point-in-time view of one shard, taken under its lock.
-  struct ShardStatus {
-    std::size_t sessions = 0;
-    std::size_t max_sessions = 0;  // per-shard share of the global cap
-    std::uint64_t last_applied_seq = 0;
-  };
-  std::vector<ShardStatus> shard_status() const;
-
+  /// Largest sequence number the session table has applied (the
+  /// watermark a checkpoint taken now would cover).
+  std::uint64_t last_applied_seq() const;
   /// Next sequence number to be assigned (1 when nothing was admitted).
   std::uint64_t next_seq() const { return seq_.load(std::memory_order_relaxed); }
   /// Events applied since the last checkpoint (WAL replay lag bound).
   std::uint64_t events_since_checkpoint() const {
     return events_since_checkpoint_.load(std::memory_order_relaxed);
   }
-  /// False when any shard WAL writer has failed (durability is degraded);
+  /// False when the WAL writer has failed (durability is degraded);
   /// true when the WAL is disabled or healthy.
   bool wal_ok() const;
 
@@ -173,8 +162,8 @@ class ScoringServer {
   /// trace-event ring. nullptr detaches. Set before serving.
   void set_trace_sampler(std::shared_ptr<SessionTraceSampler> sampler);
 
-  /// Observation hooks, forwarded to every shard. Set before serving;
-  /// callbacks may fire concurrently from pool workers.
+  /// Observation hooks, forwarded to the session table. Set before
+  /// serving; callbacks fire in arrival order on the scoring thread.
   void set_step_observer(const StepObserver& observer);
   void set_report_observer(const ReportObserver& observer);
 
@@ -183,7 +172,7 @@ class ScoringServer {
   // -- Model lifecycle (DESIGN.md "Model lifecycle") -----------------------
 
   /// Zero-downtime hot-swap: pumps the staged events to a barrier under
-  /// the old model, then atomically repoints every shard (and
+  /// the old model, then atomically repoints the session table (and
   /// submit_batch's action resolution) at `next`. Open sessions pin the
   /// model they started under, so when the vocabularies are compatible
   /// (equal fingerprints) they simply continue — each session's whole
@@ -193,7 +182,7 @@ class ScoringServer {
   /// reopens under `next`. No event is lost either way.
   struct SwapStats {
     double drain_seconds = 0.0;   // pump of the staged events before the barrier
-    double pause_seconds = 0.0;   // all-shards-locked window
+    double pause_seconds = 0.0;   // table-locked window
     std::size_t rolled_sessions = 0;  // sessions finished at the barrier
   };
   SwapStats swap_model(ModelHandle next, std::vector<OutputRecord>& out);
@@ -201,48 +190,40 @@ class ScoringServer {
   /// The handle serving *new* sessions right now.
   ModelHandle current_model() const;
 
-  /// Attaches a shadow/canary scorer mirroring `plan.fraction` of each
-  /// shard's sessions onto the candidate model (serve.shadow.* metrics).
+  /// Attaches a shadow/canary scorer mirroring `plan.fraction` of the
+  /// sessions onto the candidate model (serve.shadow.* metrics).
   /// Replaces any previous plan; clear_shadow() detaches.
   void set_shadow(const ShadowPlan& plan);
   void clear_shadow();
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unique_ptr<SessionShard> table;
-  };
-
-  /// Emits collected eviction/shutdown reports in a globally sorted
-  /// record order so output is independent of the shard count.
+  /// Emits collected eviction/shutdown reports sorted by rendered line,
+  /// re-tagged with emission-order seqs.
   void append_reports(std::vector<OutputRecord>&& reports, std::vector<OutputRecord>& out);
-  void advance_clock(double t);
   void init_drift();
   void observe_drift(const std::vector<int>& actions);
 
-  /// Snapshots every shard + truncates covered WALs (no pump; callers
-  /// hold no shard locks).
+  /// Snapshots the table + truncates the WAL it covers (no pump; the
+  /// caller holds mutex_).
   void write_checkpoint();
 
-  /// The model resolving actions for *new* traffic; swapped under
-  /// model_mutex_ (readers take it shared — submit_batch resolves against
-  /// a stable handle without blocking other readers).
-  ModelHandle model_;
-  mutable std::shared_mutex model_mutex_;
   ServeConfig config_;
-  std::size_t shard_max_sessions_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Guards table_: scoring, sweeps, checkpoints, swaps and the admin
+  /// plane's reads each take it for their whole step.
+  mutable std::mutex mutex_;
+  /// The session table. Its model() serves *new* sessions and resolves
+  /// submit_batch's actions.
+  SessionShard table_;
   /// enqueue()'s events, scored by the next pump().
   std::vector<Event> staged_;
-  std::vector<std::unique_ptr<WalWriter>> wals_;
+  std::unique_ptr<WalWriter> wal_;
   /// Sequence numbers start at 1: snapshot watermarks mean "replay
   /// strictly after", so 0 must stay the "nothing applied" sentinel.
   std::atomic<std::uint64_t> seq_{1};
-  std::atomic<double> clock_{0.0};
   std::atomic<std::uint64_t> events_since_checkpoint_{0};
 
-  /// Drift sink: shards report finished sessions' action histories here
-  /// (possibly from pool workers, hence the mutex).
+  /// Drift sink: the table reports finished sessions' action histories
+  /// here (under mutex_; swap_model replaces the monitor under this one).
   std::mutex drift_mutex_;
   std::unique_ptr<core::DriftMonitor> drift_;
 };

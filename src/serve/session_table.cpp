@@ -6,6 +6,7 @@
 #include "serve/metrics.hpp"
 #include "serve/shadow.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
 
@@ -75,6 +76,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
   std::vector<int> batch_actions;
   std::vector<std::size_t> batch_index;
   std::vector<core::OnlineMonitor::StepResult> results;
+  std::vector<std::string> rendered;
 
   const auto flush = [&] {
     if (staged.empty()) return;
@@ -113,8 +115,13 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
     // the lifecycle and ordering, which is what the export is for.
     const std::uint64_t flush_share =
         tracing ? (trace_now_nanos() - flush_start) / staged.size() : 0;
-    // Post-processing replays arrival order, so records, observers, and
-    // the shadow scorer see exactly the per-event sequence.
+    // Rendering is a pure function of each row, so it fans out over the
+    // pool's lanes; everything after it replays arrival order, so records,
+    // observers, and the shadow scorer see exactly the per-event sequence.
+    rendered.resize(config_.emit_steps ? staged.size() : 0);
+    global_pool().parallel_for(0, rendered.size(), [&](std::size_t i) {
+      rendered[i] = render_step_record(*staged[i].event, results[i]);
+    });
     for (std::size_t i = 0; i < staged.size(); ++i) {
       Entry& entry = *staged[i].entry;
       const Event& event = *staged[i].event;
@@ -128,7 +135,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
       }
       if (config_.track_history) entry.actions.push_back(staged[i].action);
       entry.acc.add(step);
-      if (config_.emit_steps) out.push_back({staged[i].seq, render_step_record(event, step)});
+      if (config_.emit_steps) out.push_back({staged[i].seq, std::move(rendered[i])});
       if (step_observer_) step_observer_(event, step);
       if (shadow_) shadow_->observe(event, step);
       entry.staged = false;

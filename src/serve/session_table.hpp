@@ -1,10 +1,12 @@
-// One shard of the streaming server's session table. A shard owns the
-// OnlineMonitor state of every session hashed to it and is only ever
-// driven by one thread at a time (the server wraps each shard in a
-// mutex), so the shard itself is single-threaded and deterministic:
-// events are applied in arrival order, and the per-session score stream
-// is bit-identical to replaying the same actions through a standalone
-// OnlineMonitor (the offline path in core/monitor.hpp).
+// The streaming server's session table. It owns the OnlineMonitor state
+// of every open session and is only ever driven by one thread at a time
+// (the server holds its mutex around every call), so the table itself is
+// deterministic: events are applied in arrival order, and the
+// per-session score stream is bit-identical to replaying the same
+// actions through a standalone OnlineMonitor (the offline path in
+// core/monitor.hpp). A batch's model steps and record rendering fan out
+// over the global pool's lanes inside process_batch; the class keeps its
+// SessionShard name from the sharded layout it replaced.
 //
 // Bounds: `max_sessions` caps the map — opening a session beyond the cap
 // evicts the least-recently-seen entry first (emitting its report), and
@@ -30,8 +32,8 @@
 namespace misuse::serve {
 
 /// One rendered NDJSON output line tagged with the global input sequence
-/// number of the event that produced it; the server merges shard outputs
-/// by `seq`, which restores the input order deterministically.
+/// number of the event that produced it; the server merges a batch's
+/// records by `seq`, which restores the input order deterministically.
 struct OutputRecord {
   std::uint64_t seq = 0;
   std::string line;
@@ -56,7 +58,7 @@ struct ModelHandle {
 struct ShardConfig {
   core::MonitorConfig monitor;
   double idle_ttl_seconds = 900.0;
-  std::size_t max_sessions = 4096;  // per shard
+  std::size_t max_sessions = 4096;  // one LRU over every open session
   bool emit_steps = true;           // emit "step" records (reports always emit)
   /// Record each session's raw applied action history (needed by WAL
   /// snapshots, resume-replay dedup, and the drift monitor).
@@ -64,9 +66,8 @@ struct ShardConfig {
 };
 
 /// Structured observation hooks, for tests and in-process embedders that
-/// want StepResults without reparsing JSON. Called while the owning
-/// shard is being driven — possibly from a pool worker — so the callback
-/// must be thread-safe across shards.
+/// want StepResults without reparsing JSON. Called in arrival order on
+/// the thread driving the table.
 using StepObserver =
     std::function<void(const Event&, const core::OnlineMonitor::StepResult&)>;
 using ReportObserver = std::function<void(std::string_view user_id, std::string_view session_id,
@@ -83,8 +84,8 @@ class SessionShard {
       : model_(std::move(model)), config_(config) {}
 
   /// Scores one event and appends the step record. Opens the session on
-  /// first sight (pinning the shard's current model into it), evicting
-  /// the least-recently-seen session first when the shard is full.
+  /// first sight (pinning the table's current model into it), evicting
+  /// the least-recently-seen session first when the table is full.
   /// `action` was resolved under `resolved_under`'s vocabulary; when the
   /// session is pinned to a *different* model (an event raced a
   /// hot-swap), the raw action string is re-resolved under the session's
@@ -104,8 +105,9 @@ class SessionShard {
   /// Applies a batch of events in arrival order, bit-identical to calling
   /// process() per event — but the model forwards of distinct sessions
   /// are fused into per-detector batched steps (the inference engine's
-  /// hot path). Consecutive events of the *same* session still advance
-  /// strictly in sequence: a session hit flushes the pending batch first.
+  /// hot path), and the step records render on the pool's lanes.
+  /// Consecutive events of the *same* session still advance strictly in
+  /// sequence: a session hit flushes the pending batch first.
   void process_batch(std::span<const BatchEvent> events, std::vector<OutputRecord>& out);
 
   /// Retires sessions idle past the TTL at event time `now`; reports are
@@ -113,7 +115,7 @@ class SessionShard {
   void sweep(double now, std::uint64_t seq, std::vector<OutputRecord>& out);
 
   /// Drain: emits a report for every open session (in key order) and
-  /// empties the shard. Graceful shutdown by default; a vocab-changing
+  /// empties the table. Graceful shutdown by default; a vocab-changing
   /// hot-swap drains with ReportReason::kModelSwap.
   void finish_all(std::uint64_t seq, std::vector<OutputRecord>& out,
                   ReportReason reason = ReportReason::kShutdown);
@@ -128,7 +130,7 @@ class SessionShard {
   void set_model(ModelHandle model) { model_ = std::move(model); }
   const ModelHandle& model() const { return model_; }
 
-  /// Attaches (or detaches, with nullptr) the shard's shadow scorer; it
+  /// Attaches (or detaches, with nullptr) the table's shadow scorer; it
   /// is driven after each active-model step and on session finish, and
   /// only ever writes metrics — never output records.
   void set_shadow(std::shared_ptr<ShadowScorer> shadow) { shadow_ = std::move(shadow); }
@@ -149,12 +151,12 @@ class SessionShard {
 
   // -- Crash safety (serve/wal.hpp) ----------------------------------------
 
-  /// Attaches (or detaches, with nullptr) the shard's write-ahead log;
+  /// Attaches (or detaches, with nullptr) the table's write-ahead log;
   /// process() then logs every event before applying it (buffered — the
   /// owning server flushes the log before emitting the batch's verdicts).
   void set_wal(WalWriter* wal) { wal_ = wal; }
 
-  /// Largest input sequence number applied to this shard so far — the
+  /// Largest input sequence number applied to the table so far — the
   /// watermark a snapshot taken now covers.
   std::uint64_t last_applied_seq() const { return last_applied_seq_; }
 

@@ -9,15 +9,9 @@ namespace misuse::serve {
 bool ShadowScorer::selected(std::string_view key) const {
   if (plan_.fraction >= 1.0) return true;
   if (plan_.fraction <= 0.0) return false;
-  // Re-mix the shard hash (splitmix64 finalizer) so canary selection is
-  // independent of shard assignment — otherwise fraction 1/shards would
-  // mirror whole shards instead of a spread of sessions.
-  std::uint64_t h = session_shard_hash(key);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
+  // Mixed, so sequential session ids spread over [0, 1) instead of
+  // landing in one narrow band.
+  const std::uint64_t h = mix64(session_shard_hash(key));
   const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // uniform [0, 1)
   return unit < plan_.fraction;
 }

@@ -26,16 +26,16 @@ struct ShadowPlan {
   std::shared_ptr<const core::MisuseDetector> detector;
   std::string version;  // candidate's registry version, for logs
   /// Fraction of sessions mirrored to the candidate, in [0, 1]. Selection
-  /// is a deterministic re-hash of the session key (independent of the
-  /// shard hash), so the same sessions are canaried on every run and
+  /// is a deterministic mix of the session key's hash (independent of
+  /// ring placement), so the same sessions are canaried on every run and
   /// every replica.
   double fraction = 1.0;
   core::MonitorConfig monitor;
 };
 
-/// One shard's shadow scorer, driven under the owning shard's lock (so
+/// The session table's shadow scorer, driven under the table's lock (so
 /// it needs no locking of its own). Its session map shadows the active
-/// table's lifecycle: the shard calls observe() after each applied step
+/// table's lifecycle: the table calls observe() after each applied step
 /// and finish() whenever a session reports, for any reason.
 class ShadowScorer {
  public:

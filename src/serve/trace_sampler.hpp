@@ -22,7 +22,7 @@ class SessionTraceSampler {
   explicit SessionTraceSampler(std::size_t head_count) : head_count_(head_count) {}
 
   /// True iff `key` is (or just became) one of the head-sampled
-  /// sessions. Thread-safe: shards call in from pool workers. The probe
+  /// sessions. Thread-safe, so any thread may call in. The probe
   /// sits on the per-event hot path, so once the head fills the key set
   /// is sealed immutable and probes skip the mutex entirely (the
   /// acquire pairs with the sealing release, publishing the final

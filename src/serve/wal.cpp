@@ -126,7 +126,7 @@ WalWriter::WalWriter(std::string path, std::size_t sync_every)
   fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
   if (fd_ < 0) {
     log_warn() << "cannot open WAL " << path_ << ": " << std::strerror(errno)
-               << "; continuing without durability for this shard";
+               << "; continuing without durability for this log";
   }
 }
 

@@ -1,23 +1,23 @@
 // Crash safety for the streaming scoring server (see DESIGN.md "Fault
-// tolerance"). Two artifacts per shard, both living in --wal-dir:
+// tolerance"). Two artifacts, both living in --wal-dir:
 //
-//   * shard-<k>.wal — a write-ahead log of the *applied* event stream.
+//   * shard-0.wal — a write-ahead log of the *applied* event stream.
 //     Every record is framed [u32 len][payload][u32 crc32(payload)], so a
 //     torn tail (crash mid-append) is detected and dropped at recovery
 //     instead of poisoning the replay. Events are logged immediately
 //     before they are applied to the session table, so the WAL is exactly
 //     the sequence of scored actions; lines that were read but not yet
 //     scored are the (documented) at-most-once durability boundary.
-//   * shard-<k>.snap — a periodic snapshot of the shard's session table:
+//   * shard-0.snap — a periodic snapshot of the session table:
 //     per session the raw action history, from which the deterministic
 //     OnlineMonitor state is rebuilt by re-feeding. The snapshot's
 //     watermark is the last applied sequence number it covers; recovery
 //     replays only WAL records past it.
 //
-// A MANIFEST file records the shard layout that wrote the files, so a
-// restart with a different --shards value still recovers: old-layout
-// files are read as data, merged globally by sequence number, and routed
-// through the *current* sharding.
+// A MANIFEST file records how many shard-<k> pairs wrote the directory (a
+// node writes 1; older nodes wrote one per session shard), so a node
+// recovers any older layout: every file is read as data, merged globally
+// by sequence number, and re-checkpointed as shard-0.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,7 @@ struct WalRecord {
 std::string encode_event_record(const Event& event, std::uint64_t seq);
 std::string encode_sweep_record(double now, std::uint64_t seq);
 
-/// Appends framed records to one shard's log via a POSIX fd (O_APPEND),
+/// Appends framed records to one log via a POSIX fd (O_APPEND),
 /// with full-write EINTR retry and an fsync every `sync_every` appends.
 /// Failpoints: "wal.append" fails the append, "wal.fsync" skips the sync.
 class WalWriter {
@@ -85,7 +85,7 @@ class WalWriter {
   std::size_t appends_since_sync_ = 0;
 };
 
-/// Reads every intact record of one shard log; a torn or corrupt tail
+/// Reads every intact record of one log; a torn or corrupt tail
 /// stops the scan cleanly (counted in serve.wal_torn_records). A missing
 /// file reads as empty.
 std::vector<WalRecord> read_wal(const std::string& path);
@@ -133,34 +133,34 @@ struct SessionSnapshot {
   double last_seen = 0.0;
 };
 
-/// Snapshot of one shard's session table at a checkpoint.
+/// Snapshot of a session table at a checkpoint.
 struct ShardSnapshot {
   /// Every applied event with seq <= watermark is reflected here; WAL
   /// replay starts strictly after it.
   std::uint64_t watermark = 0;
-  double clock = 0.0;  // shard event clock
+  double clock = 0.0;  // table event clock
   std::vector<SessionSnapshot> sessions;
 };
 
-/// Atomically writes a shard snapshot (tmp + fsync + rename) with a
+/// Atomically writes a snapshot (tmp + fsync + rename) with a
 /// whole-file CRC footer. Returns false on failure (counted in
 /// serve.snapshot_failures); failpoint "wal.snapshot" forces one.
 bool write_snapshot(const std::string& path, const ShardSnapshot& snapshot);
 
-/// Reads a shard snapshot; nullopt when the file is missing, truncated,
+/// Reads a snapshot; nullopt when the file is missing, truncated,
 /// or fails its CRC — recovery then falls back to pure WAL replay.
 std::optional<ShardSnapshot> read_snapshot(const std::string& path);
 
-/// MANIFEST: the shard count that wrote the wal/snap files in `dir`.
+/// MANIFEST: how many shard-<k> wal/snap pairs `dir` holds.
 bool write_manifest(const std::string& dir, std::size_t shards);
 std::optional<std::size_t> read_manifest(const std::string& dir);
 
-/// Paths of one shard's artifacts inside the WAL directory.
+/// Paths of pair k's artifacts inside the WAL directory.
 std::string wal_path(const std::string& dir, std::size_t shard);
 std::string snapshot_path(const std::string& dir, std::size_t shard);
 
-/// Removes shard-<k>.{wal,snap} files with k >= `shards` — stale leftovers
-/// after a restart shrank the shard layout.
+/// Removes shard-<k>.{wal,snap} files with k >= `shards` — leftovers of
+/// an older layout after recovery re-checkpointed them.
 void remove_stale_shard_files(const std::string& dir, std::size_t shards);
 
 }  // namespace misuse::serve

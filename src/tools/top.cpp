@@ -1,7 +1,7 @@
 // misusedet_top: console dashboard over a serve node's admin plane.
 // Polls /statusz (flat JSON) and /metrics (Prometheus text) at a fixed
 // interval and renders a refreshing view: health, model versions,
-// per-shard session table, interval actions/sec, alarm rate, and
+// session count, interval actions/sec, alarm rate, and
 // p50/p99 step latency computed from histogram bucket *deltas* (so the
 // percentiles describe the last interval, not the process lifetime).
 //
@@ -247,16 +247,6 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
         << fmt(flip_rate, 4) << "   last decision " << decision
         << (reason.empty() ? "" : " (" + reason + ")") << "\n";
   }
-
-  const double shards = field_number(statusz, "shards").value_or(0);
-  Table table({"shard", "sessions", "applied_seq"});
-  for (std::size_t s = 0; s < static_cast<std::size_t>(shards); ++s) {
-    const std::string prefix = "shard." + std::to_string(s) + ".";
-    table.add_row({std::to_string(s),
-                   fmt(field_number(statusz, prefix + "sessions").value_or(0), 0),
-                   fmt(field_number(statusz, prefix + "last_applied_seq").value_or(0), 0)});
-  }
-  table.print(out);
   out.flush();
 }
 

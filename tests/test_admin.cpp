@@ -158,7 +158,6 @@ core::MisuseDetector* AdminFixture::detector_ = nullptr;
 
 TEST_F(AdminFixture, MetricsEndpointServesPrometheusText) {
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   AdminConfig admin_config;
   admin_config.port = 0;  // ephemeral
@@ -184,7 +183,6 @@ TEST_F(AdminFixture, MetricsEndpointServesPrometheusText) {
 
 TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
   ServeConfig config;
-  config.shards = 3;
   ScoringServer server(*detector_, config);
   AdminConfig admin_config;
   admin_config.infer_kernel = "scalar";
@@ -205,23 +203,21 @@ TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
   std::vector<JsonField> fields;
   std::string error;
   ASSERT_TRUE(parse_flat_json(body, fields, error)) << error;
-  EXPECT_EQ(get_number(fields, "shards"), 3.0);
   EXPECT_GT(get_number(fields, "sessions_active").value_or(-1.0), 0.0);
   EXPECT_GE(get_number(fields, "uptime_seconds").value_or(-1.0), 0.0);
   EXPECT_EQ(get_string(fields, "infer_kernel"), "scalar");
   EXPECT_EQ(get_string(fields, "wal_enabled"), "false");
   EXPECT_EQ(get_number(fields, "next_seq"), static_cast<double>(events.size() + 1));
-  for (std::size_t k = 0; k < 3; ++k) {
-    const std::string prefix = "shard." + std::to_string(k) + ".";
-    EXPECT_TRUE(get_number(fields, prefix + "sessions").has_value()) << prefix;
-    EXPECT_TRUE(get_number(fields, prefix + "max_sessions").has_value()) << prefix;
-    EXPECT_TRUE(get_number(fields, prefix + "last_applied_seq").has_value()) << prefix;
+  EXPECT_EQ(get_number(fields, "wal_watermark_lag"), 0.0);
+  // One session table: no shard count and no per-shard fields.
+  for (const JsonField& field : fields) {
+    EXPECT_NE(field.key, "shards");
+    EXPECT_NE(field.key.rfind("shard.", 0), 0u) << field.key;
   }
 }
 
 TEST_F(AdminFixture, StatuszSurfacesLearnStateWithPrefix) {
   ServeConfig config;
-  config.shards = 1;
   ScoringServer server(*detector_, config);
   AdminHooks hooks;
   // What misusedet_learnd publishes to <registry>/LEARN_STATUS.
@@ -258,7 +254,6 @@ TEST_F(AdminFixture, StatuszSurfacesLearnStateWithPrefix) {
 
 TEST_F(AdminFixture, UnknownPathAndMethodAreRejected) {
   ServeConfig config;
-  config.shards = 1;
   ScoringServer server(*detector_, config);
   AdminServer admin(server, AdminConfig{});
   EXPECT_EQ(http_get(admin.port(), "/nope").status, 404);
@@ -267,7 +262,6 @@ TEST_F(AdminFixture, UnknownPathAndMethodAreRejected) {
 
 TEST_F(AdminFixture, StopIsIdempotentAndPortIsEphemeral) {
   ServeConfig config;
-  config.shards = 1;
   ScoringServer server(*detector_, config);
   AdminConfig admin_config;
   admin_config.port = 0;
@@ -282,7 +276,6 @@ TEST_F(AdminFixture, StopIsIdempotentAndPortIsEphemeral) {
 
 TEST_F(AdminFixture, HealthzReportsOkOnFreshServer) {
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   AdminServer admin(server, AdminConfig{});
   const HttpResponse response = http_get(admin.port(), "/healthz");
@@ -296,7 +289,6 @@ TEST_F(AdminFixture, HealthzReportsOkOnFreshServer) {
 
 TEST_F(AdminFixture, HealthzTracksReloadFailureStreak) {
   ServeConfig config;
-  config.shards = 1;
   ScoringServer server(*detector_, config);
   AdminServer admin(server, AdminConfig{});
 
@@ -327,7 +319,6 @@ TEST_F(AdminFixture, ScrapingDoesNotPerturbScoredOutput) {
   const auto events = interleave(pick_sessions(6));
 
   ServeConfig config;
-  config.shards = 2;
   std::vector<std::string> baseline;
   {
     ScoringServer server(*detector_, config);
@@ -377,7 +368,6 @@ TEST(SessionTraceSampler, HeadSamplesFirstDistinctKeys) {
 TEST_F(AdminFixture, TracezExportsOnlyHeadSampledSessions) {
   trace_events().enable(4096);
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   auto sampler = std::make_shared<SessionTraceSampler>(2);
   server.set_trace_sampler(sampler);

@@ -96,7 +96,7 @@ void regenerate_detector_and_trace() {
 
 std::string run_serve_scalar(const std::string& out_path) {
   const std::string command = std::string(MISUSEDET_SERVE_BIN) + " --model=" + kDetectorPath +
-                              " --infer=scalar --shards=1 --threads=1 --batch=64 < " +
+                              " --infer=scalar --threads=1 --batch=64 < " +
                               kTracePath + " > " + out_path + " 2> " + out_path + ".err";
   const int rc = std::system(command.c_str());
   EXPECT_EQ(rc, 0) << "serve exited " << rc << "\nstderr:\n" << read_file(out_path + ".err");

@@ -29,7 +29,9 @@
 #include "router/hash_ring.hpp"
 #include "router/quota.hpp"
 #include "router/router.hpp"
+#include "serve/event.hpp"
 #include "util/line_io.hpp"
+#include "util/rng.hpp"
 #include "util/socket.hpp"
 
 namespace misuse::router {
@@ -38,13 +40,14 @@ namespace {
 using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
-// fnv1a64: pin the standard FNV-1a 64-bit test vectors so the ring (and
-// the shard layer it mirrors) can never silently change hash functions.
+// Ring hash: pin the standard FNV-1a 64-bit test vectors on
+// serve::session_shard_hash, which the ring hashes node names and session
+// keys with, so placement can never silently change hash functions.
 
 TEST(Fnv1a64, MatchesReferenceVectors) {
-  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);   // offset basis
-  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
-  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(serve::session_shard_hash(""), 0xcbf29ce484222325ULL);  // offset basis
+  EXPECT_EQ(serve::session_shard_hash("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(serve::session_shard_hash("foobar"), 0x85944171f73967e8ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,6 +145,30 @@ TEST(HashRing, VirtualNodesBalanceLoad) {
     // Expected 1000 +- O(1/sqrt(64)); allow a wide deterministic band.
     EXPECT_GT(count, 500u) << node;
     EXPECT_LT(count, 1700u) << node;
+  }
+}
+
+// Sequential session ids differ only in their last bytes, which FNV-1a
+// alone barely moves: without mixing, one of three nodes took more than
+// half of u<i%3>/s<i> (i < 256) for most port triples. Mixed, no node
+// should own more than half, for any of 1,000 seeded random triples.
+TEST(HashRing, SequentialSessionsSpreadOverNodes) {
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < 256; ++i) {
+    keys.push_back(serve::session_key(std::string("u").append(std::to_string(i % 3)),
+                                      std::string("s").append(std::to_string(i))));
+  }
+  Rng rng(20261019);
+  for (std::size_t trial = 0; trial < 1000; ++trial) {
+    HashRing ring(64);
+    while (ring.node_count() < 3) {
+      ring.add_node("127.0.0.1:" + std::to_string(rng.uniform_int(1024, 65535)));
+    }
+    std::map<std::string, std::size_t> share;
+    for (const std::string& key : keys) share[*ring.owner_of(key)] += 1;
+    for (const auto& [node, count] : share) {
+      ASSERT_LE(count, keys.size() / 2) << node << " in trial " << trial;
+    }
   }
 }
 

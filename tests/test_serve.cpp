@@ -1,4 +1,4 @@
-// Streaming scoring server: wire-format parsing, shard determinism
+// Streaming scoring server: wire-format parsing, thread-count determinism
 // (bit-identical to the offline OnlineMonitor), eviction policies,
 // arrival-order output, graceful shutdown, and the serve metrics panel.
 #include "serve/server.hpp"
@@ -265,7 +265,7 @@ void expect_steps_bit_identical(const core::OnlineMonitor::StepResult& got,
 }
 
 // The acceptance gate: an interleaved multi-session trace pushed through
-// the sharded server in pool-driven batches scores exactly like replaying
+// the server in 4-lane batches scores exactly like replaying
 // each session through a standalone OnlineMonitor.
 TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   const auto sessions = pick_sessions(12);
@@ -276,7 +276,6 @@ TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   set_global_threads(4);
 
   ServeConfig config;
-  config.shards = 3;
   config.idle_ttl_seconds = 1e9;
   ScoringServer server(*detector_, config);
   StepCollector steps;
@@ -321,12 +320,11 @@ TEST_F(ServeFixture, ServerMatchesOfflineMonitorBitIdentically) {
   EXPECT_EQ(server.active_sessions(), 0u);
 }
 
-// submit_sync (the TCP path) goes through the same shard scoring.
+// submit_sync (the TCP path) goes through the same batch scoring.
 TEST_F(ServeFixture, SubmitSyncMatchesOfflineMonitor) {
   const auto sessions = pick_sessions(1);
   ASSERT_EQ(sessions.size(), 1u);
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   StepCollector steps;
   server.set_step_observer(steps.observer());
@@ -350,7 +348,6 @@ TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
   const auto sessions = pick_sessions(6);
   const auto events = interleave(sessions);
   ServeConfig config;
-  config.shards = 4;
   ScoringServer server(*detector_, config);
   std::vector<OutputRecord> out;
   for (const Event& event : events) {
@@ -372,15 +369,14 @@ TEST_F(ServeFixture, OutputOrderFollowsArrivalOrder) {
 }
 
 // The full NDJSON stream — steps AND end-of-session reports — must be
-// byte-identical at any shard/thread combination: shard partitioning is
-// an implementation detail that must not leak into the output.
-TEST_F(ServeFixture, RenderedOutputIdenticalAcrossShardCounts) {
+// byte-identical at any thread count: the lanes that step and render a
+// batch are an implementation detail that must not leak into the output.
+TEST_F(ServeFixture, RenderedOutputIdenticalAcrossThreadCounts) {
   const auto sessions = pick_sessions(10);
   const auto events = interleave(sessions);
-  const auto replay = [&](std::size_t shards, std::size_t threads) {
+  const auto replay = [&](std::size_t threads) {
     set_global_threads(threads);
     ServeConfig config;
-    config.shards = shards;
     ScoringServer server(*detector_, config);
     std::vector<OutputRecord> out;
     for (const Event& event : events) {
@@ -392,16 +388,14 @@ TEST_F(ServeFixture, RenderedOutputIdenticalAcrossShardCounts) {
     for (const auto& r : out) lines.push_back(r.line);
     return lines;
   };
-  const auto baseline = replay(1, 1);
+  const auto baseline = replay(1);
   ASSERT_EQ(baseline.size(), events.size() + sessions.size());  // steps + shutdown reports
-  EXPECT_EQ(replay(3, 2), baseline);
-  EXPECT_EQ(replay(8, 4), baseline);
+  EXPECT_EQ(replay(4), baseline);
   set_global_threads(1);
 }
 
 TEST_F(ServeFixture, IdleTtlSweepEvictsOnEventTime) {
   ServeConfig config;
-  config.shards = 2;
   config.idle_ttl_seconds = 10.0;
   ScoringServer server(*detector_, config);
   ReportCollector reports;
@@ -434,7 +428,6 @@ TEST_F(ServeFixture, IdleTtlSweepEvictsOnEventTime) {
 
 TEST_F(ServeFixture, CapacityEvictionBoundsSessionTable) {
   ServeConfig config;
-  config.shards = 1;  // single shard makes the cap exact
   config.max_sessions = 4;
   config.idle_ttl_seconds = 1e9;
   ScoringServer server(*detector_, config);
@@ -523,7 +516,6 @@ TEST_F(ServeFixture, NumericActionIdScoresLikeName) {
 
 TEST_F(ServeFixture, ShutdownDrainsQueuedBacklog) {
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   ReportCollector reports;
   server.set_report_observer(reports.observer());
@@ -558,7 +550,6 @@ TEST_F(ServeFixture, ServeMetricsTrackSessions) {
   const std::uint64_t finished_before = sm.sessions_finished.value();
   const std::uint64_t steps_before = sm.steps.value();
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   std::vector<OutputRecord> out;
   const std::string action = detector_->vocab().name(2);
@@ -583,7 +574,6 @@ TEST_F(ServeFixture, HealthyVerdictsCarryNoDegradedFlag) {
   // Byte-identity guarantee: output of a healthy detector must not grow a
   // "degraded" field (it is emitted only when true).
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   EXPECT_EQ(serve_metrics().degraded_clusters.value(), 0);
   std::vector<OutputRecord> out;
@@ -617,7 +607,6 @@ TEST_F(ServeFixture, DegradedDetectorServesFlaggedVerdicts) {
   ASSERT_EQ(degraded.degraded_cluster_count(), degraded.cluster_count());
 
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(degraded, config);
   EXPECT_EQ(serve_metrics().degraded_clusters.value(),
             static_cast<std::int64_t>(degraded.cluster_count()));
@@ -649,7 +638,7 @@ TEST_F(ServeFixture, DegradedDetectorServesFlaggedVerdicts) {
 // The swap acceptance gate: sessions scored before the swap match the
 // old model's offline monitor bit-for-bit, sessions opened after match
 // the new model's — and the whole rendered stream is identical at any
-// shard/thread count. Compatible vocabularies: zero sessions rolled.
+// thread count. Compatible vocabularies: zero sessions rolled.
 TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
   const auto sessions = pick_sessions(10);
   ASSERT_GE(sessions.size(), 8u);
@@ -660,10 +649,9 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
                                                  sessions.end());
   ASSERT_EQ(detector_->vocab().fingerprint(), detector_v2().vocab().fingerprint());
 
-  const auto replay = [&](std::size_t shards, std::size_t threads) {
+  const auto replay = [&](std::size_t threads) {
     set_global_threads(threads);
     ServeConfig config;
-    config.shards = shards;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(versioned(*detector_, "v1"), config);
     StepCollector steps;
@@ -700,7 +688,7 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
     return lines;
   };
 
-  const auto baseline = replay(1, 1);
+  const auto baseline = replay(1);
   // Reports are stamped with the version the session was *opened* under —
   // pre-swap sessions say v1 even though they report after the swap.
   std::size_t v1_reports = 0;
@@ -713,15 +701,13 @@ TEST_F(ServeFixture, HotSwapEquivalentToOfflinePerVersion) {
   EXPECT_EQ(v1_reports, half);
   EXPECT_EQ(v2_reports, sessions.size() - half);
 
-  EXPECT_EQ(replay(3, 2), baseline);
-  EXPECT_EQ(replay(8, 4), baseline);
+  EXPECT_EQ(replay(4), baseline);
   set_global_threads(1);
 }
 
 TEST_F(ServeFixture, IncompatibleSwapFinishesOpenSessionsWithModelSwapReports) {
   ASSERT_NE(detector_->vocab().fingerprint(), detector_alt().vocab().fingerprint());
   ServeConfig config;
-  config.shards = 3;
   config.idle_ttl_seconds = 1e9;
   ScoringServer server(versioned(*detector_, "v1"), config);
   ReportCollector reports;
@@ -778,7 +764,6 @@ TEST_F(ServeFixture, ShadowScoringDoesNotPerturbActiveOutput) {
   const auto events = interleave(sessions);
   const auto replay = [&](const ShadowPlan* plan) {
     ServeConfig config;
-    config.shards = 3;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(versioned(*detector_, "v1"), config);
     if (plan != nullptr) server.set_shadow(*plan);
@@ -817,7 +802,6 @@ TEST_F(ServeFixture, ShadowScoringDoesNotPerturbActiveOutput) {
 
 TEST_F(ServeFixture, SwapMetricsAndVersionGauge) {
   ServeConfig config;
-  config.shards = 2;
   const std::uint64_t swaps_before = serve_metrics().swaps.value();
   const std::uint64_t pauses_before = serve_metrics().swap_pause_seconds.count();
   ScoringServer server(versioned(*detector_, "v1"), config);
@@ -834,7 +818,6 @@ TEST_F(ServeFixture, SwapMetricsAndVersionGauge) {
 // model_version field anywhere, ever — WAL replay compatibility.
 TEST_F(ServeFixture, UnversionedServerEmitsNoVersionField) {
   ServeConfig config;
-  config.shards = 2;
   ScoringServer server(*detector_, config);
   std::vector<OutputRecord> out;
   Event e;

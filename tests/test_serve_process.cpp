@@ -661,6 +661,7 @@ TEST_F(ServeProcessFixture, NegativeFlagsReachTheServer) {
       {"--io=epoll", "--io"},
       {"--queue-capacity=8", "--queue-capacity"},
       {"--backpressure=block", "--backpressure"},
+      {"--shards=4", "--shards"},
   };
   for (const auto& [flag, key] : unknown_flags) {
     ServeProcess unknown({"--model=" + *model_path_, flag});

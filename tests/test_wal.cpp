@@ -1,7 +1,7 @@
 // Crash safety of the streaming server (serve/wal.hpp): WAL record
 // framing, torn-tail handling, snapshot round-trips, and the recovery
 // invariant — a server restarted after a crash produces end-of-session
-// reports identical to an uninterrupted run, at any shard count.
+// reports identical to an uninterrupted run, from any older layout.
 #include "serve/wal.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -262,10 +264,8 @@ class WalRecoveryFixture : public ::testing::Test {
   }
 
   /// Uninterrupted reference run (no WAL).
-  static std::vector<std::string> baseline_reports(const std::vector<Event>& events,
-                                                   std::size_t shards) {
+  static std::vector<std::string> baseline_reports(const std::vector<Event>& events) {
     ServeConfig config;
-    config.shards = shards;
     config.idle_ttl_seconds = 1e9;
     ScoringServer server(*detector_, config);
     std::vector<OutputRecord> out;
@@ -283,47 +283,58 @@ core::MisuseDetector* WalRecoveryFixture::detector_ = nullptr;
 
 // The tentpole invariant: crash after an arbitrary prefix, restart,
 // continue the stream — the end-of-session reports equal an
-// uninterrupted run's, even when the shard count changes across the
-// restart.
+// uninterrupted run's. The crashed directory is either this node's own
+// (one log) or one that an older, 4-shard node wrote: per-shard logs of
+// the events whose key hashed to each shard, under their original
+// sequence numbers. Either way recovery leaves one shard-0 log and
+// snapshot behind.
 TEST_F(WalRecoveryFixture, CrashRecoveryReportsMatchUninterruptedRun) {
   const auto events = make_trace(10);
   ASSERT_GT(events.size(), 40u);
-  const auto baseline = baseline_reports(events, 3);
+  const auto baseline = baseline_reports(events);
+  const std::size_t cut = events.size() / 2;
 
-  for (const auto& [shards_before, shards_after] : std::vector<std::pair<std::size_t,
-                                                                         std::size_t>>{
-           {3, 3}, {3, 5}, {4, 1}}) {
-    const std::string dir = scratch_dir("recover_" + std::to_string(shards_before) + "_" +
-                                        std::to_string(shards_after));
-    const std::size_t cut = events.size() / 2;
-    {
-      ServeConfig config;
-      config.shards = shards_before;
-      config.idle_ttl_seconds = 1e9;
-      config.wal_dir = dir;
-      config.wal_sync_every = 1;
+  for (const std::size_t shards_before : {std::size_t{1}, std::size_t{4}}) {
+    const std::string dir = scratch_dir("recover_" + std::to_string(shards_before));
+    ServeConfig config;
+    config.idle_ttl_seconds = 1e9;
+    config.wal_dir = dir;
+    config.wal_sync_every = 1;
+    if (shards_before == 1) {
       ScoringServer crashed(*detector_, config);
       std::vector<OutputRecord> out;
       feed(crashed, std::vector<Event>(events.begin(),
                                        events.begin() + static_cast<std::ptrdiff_t>(cut)),
            out);
       // No shutdown(): the server "crashes" here with its WAL on disk.
+    } else {
+      std::vector<std::unique_ptr<WalWriter>> logs;
+      for (std::size_t k = 0; k < shards_before; ++k) {
+        logs.push_back(std::make_unique<WalWriter>(wal_path(dir, k), 1));
+      }
+      for (std::size_t i = 0; i < cut; ++i) {
+        const std::size_t k = session_shard_hash(session_key(events[i])) % shards_before;
+        logs[k]->append(encode_event_record(events[i], i + 1));
+      }
+      for (auto& log : logs) log->flush();
+      ASSERT_TRUE(write_manifest(dir, shards_before));
     }
-    ServeConfig config;
-    config.shards = shards_after;
-    config.idle_ttl_seconds = 1e9;
-    config.wal_dir = dir;
-    config.wal_sync_every = 1;
     ScoringServer restarted(*detector_, config);
     std::vector<OutputRecord> out;
     const std::size_t replayed = restarted.recover(out);
     EXPECT_EQ(replayed, cut) << "every applied event must replay";
+    std::set<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      files.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(files, (std::set<std::string>{"MANIFEST", "shard-0.snap", "shard-0.wal"}))
+        << shards_before << " shards before";
+    EXPECT_EQ(read_manifest(dir), 1u);
     feed(restarted,
          std::vector<Event>(events.begin() + static_cast<std::ptrdiff_t>(cut), events.end()),
          out);
     restarted.shutdown(out);
-    EXPECT_EQ(report_lines(out), baseline)
-        << shards_before << " -> " << shards_after << " shards";
+    EXPECT_EQ(report_lines(out), baseline) << shards_before << " shards before";
   }
 }
 
@@ -331,13 +342,12 @@ TEST_F(WalRecoveryFixture, CrashRecoveryReportsMatchUninterruptedRun) {
 // it, on top of the snapshotted sessions.
 TEST_F(WalRecoveryFixture, CheckpointBoundsReplayToTheWatermark) {
   const auto events = make_trace(8);
-  const auto baseline = baseline_reports(events, 2);
+  const auto baseline = baseline_reports(events);
   const std::string dir = scratch_dir("watermark");
   const std::size_t checkpoint_at = events.size() / 3;
   const std::size_t crash_at = 2 * events.size() / 3;
   {
     ServeConfig config;
-    config.shards = 2;
     config.idle_ttl_seconds = 1e9;
     config.wal_dir = dir;
     config.wal_sync_every = 1;
@@ -354,7 +364,6 @@ TEST_F(WalRecoveryFixture, CheckpointBoundsReplayToTheWatermark) {
          out);
   }
   ServeConfig config;
-  config.shards = 2;
   config.idle_ttl_seconds = 1e9;
   config.wal_dir = dir;
   ScoringServer restarted(*detector_, config);
@@ -375,12 +384,11 @@ TEST_F(WalRecoveryFixture, CheckpointBoundsReplayToTheWatermark) {
 // reports still match the uninterrupted run.
 TEST_F(WalRecoveryFixture, ResumeReplayDedupsResentPrefix) {
   const auto events = make_trace(9);
-  const auto baseline = baseline_reports(events, 3);
+  const auto baseline = baseline_reports(events);
   const std::string dir = scratch_dir("resume");
   const std::size_t cut = events.size() / 2;
   {
     ServeConfig config;
-    config.shards = 3;
     config.idle_ttl_seconds = 1e9;
     config.wal_dir = dir;
     config.wal_sync_every = 1;
@@ -391,7 +399,6 @@ TEST_F(WalRecoveryFixture, ResumeReplayDedupsResentPrefix) {
          out);
   }
   ServeConfig config;
-  config.shards = 3;
   config.idle_ttl_seconds = 1e9;
   config.wal_dir = dir;
   config.resume_replay = true;
@@ -413,7 +420,6 @@ TEST_F(WalRecoveryFixture, GracefulShutdownLeavesNothingToRecover) {
   const std::string dir = scratch_dir("graceful");
   {
     ServeConfig config;
-    config.shards = 2;
     config.wal_dir = dir;
     ScoringServer server(*detector_, config);
     std::vector<OutputRecord> out;
@@ -421,7 +427,6 @@ TEST_F(WalRecoveryFixture, GracefulShutdownLeavesNothingToRecover) {
     server.shutdown(out);
   }
   ServeConfig config;
-  config.shards = 2;
   config.wal_dir = dir;
   ScoringServer restarted(*detector_, config);
   std::vector<OutputRecord> out;
@@ -437,7 +442,6 @@ TEST_F(WalRecoveryFixture, SweepRecordsReplayEvictions) {
   const std::string action = detector_->vocab().name(0);
   {
     ServeConfig config;
-    config.shards = 2;
     config.idle_ttl_seconds = 10.0;
     config.wal_dir = dir;
     config.wal_sync_every = 1;
@@ -450,7 +454,6 @@ TEST_F(WalRecoveryFixture, SweepRecordsReplayEvictions) {
     EXPECT_EQ(crashed.active_sessions(), 1u);
   }
   ServeConfig config;
-  config.shards = 2;
   config.idle_ttl_seconds = 10.0;
   config.wal_dir = dir;
   ScoringServer restarted(*detector_, config);
@@ -467,7 +470,6 @@ TEST_F(WalRecoveryFixture, InjectedWalFailuresDoNotStopScoring) {
   failpoints::configure("wal.append=every:2;wal.fsync=always");
   {
     ServeConfig config;
-    config.shards = 1;
     config.wal_dir = dir;
     config.wal_sync_every = 1;
     ScoringServer server(*detector_, config);
@@ -489,12 +491,11 @@ TEST_F(WalRecoveryFixture, InjectedWalFailuresDoNotStopScoring) {
 TEST_F(WalRecoveryFixture, SnapshotFailureKeepsWalForReplay) {
   if (!failpoints::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
   const auto events = make_trace(6);
-  const auto baseline = baseline_reports(events, 2);
+  const auto baseline = baseline_reports(events);
   const std::string dir = scratch_dir("snapfail");
   const std::size_t cut = events.size() / 2;
   {
     ServeConfig config;
-    config.shards = 2;
     config.idle_ttl_seconds = 1e9;
     config.wal_dir = dir;
     config.wal_sync_every = 1;
@@ -508,7 +509,6 @@ TEST_F(WalRecoveryFixture, SnapshotFailureKeepsWalForReplay) {
     failpoints::clear();
   }
   ServeConfig config;
-  config.shards = 2;
   config.idle_ttl_seconds = 1e9;
   config.wal_dir = dir;
   ScoringServer restarted(*detector_, config);
