@@ -1,12 +1,13 @@
-// Inference-engine throughput record (writes BENCH_inference.json).
+// Streaming-forward throughput record (writes BENCH_inference.json).
 // Not a paper figure: this is the perf contract for the scoring hot
-// path (nn/infer/) — the engine's kernels against the training-grade
-// reference forward the scalar ones must stay bit-identical to.
+// path — NextActionModel::step_into through the kernel tables
+// (nn/infer/) against the training-grade layer-by-layer forward the
+// scalar table must stay bit-identical to.
 //
 // Two families:
-//   * model_step — one LSTM+head forward per action, engine vs
-//     NextActionModel::step_into, per kernel mode (scalar, and avx2 if
-//     this host supports it).
+//   * model_step — one LSTM+head forward per action: the layer-by-layer
+//     forward (Lstm::step, Dense::infer, softmax_row), then step_into per
+//     kernel mode (scalar, and avx2 if this host supports it).
 //   * monitor_path — the full OnlineMonitor scoring path (routing,
 //     likelihood voting, alarms) per event, comparing the per-event
 //     observe() loop against observe_batch's fused per-cluster steps
@@ -14,8 +15,8 @@
 //     actually sees (single core).
 //
 // Timings are best-of-5 wall clock; outputs under scalar are
-// bit-identical to the reference by the engine's contract, so only time
-// may differ across rows.
+// bit-identical to the layer-by-layer forward by the kernels' contract,
+// so only time may differ across rows.
 //
 //   ./bench/bench_inference [--out=BENCH_inference.json] [--reduced]
 //
@@ -32,8 +33,8 @@
 #include "core/detector.hpp"
 #include "core/monitor.hpp"
 #include "nn/infer/dispatch.hpp"
-#include "nn/infer/engine.hpp"
 #include "nn/next_action_model.hpp"
+#include "tensor/ops.hpp"
 #include "synth/portal.hpp"
 #include "util/cli.hpp"
 #include "util/hostinfo.hpp"
@@ -76,23 +77,29 @@ std::vector<int> random_actions(std::size_t n, std::size_t vocab, std::uint64_t 
 }
 
 Row time_reference_step(const nn::NextActionModel& model, const std::vector<int>& actions) {
-  nn::ModelState state = model.make_state();
-  std::vector<float> probs;
+  nn::LstmState state(1, model.config().hidden);
+  Matrix gates, logits;
+  std::vector<float> probs(model.config().vocab);
+  std::vector<int> token(1);
   const double seconds = best_of([&] {
-    state = model.make_state();
-    for (const int a : actions) model.step_into(state, a, probs);
+    state.reset();
+    for (const int a : actions) {
+      token[0] = a;
+      model.layer(0).step_scratch(token, state, gates);
+      model.head().infer(state.h, logits);
+      (void)softmax_row(logits.row(0), probs);
+    }
   });
   return {"reference_step", actions.size(), seconds};
 }
 
-Row time_engine_step(const std::string& mode, const nn::infer::LstmInferEngine& engine,
-                     const std::vector<int>& actions) {
-  nn::infer::EngineState state = engine.make_state();
-  nn::infer::EngineScratch scratch;
+Row time_model_step(const std::string& mode, const nn::NextActionModel& model,
+                    const std::vector<int>& actions) {
+  nn::ModelState state = model.make_state();
   std::vector<float> probs;
   const double seconds = best_of([&] {
     state.reset();
-    for (const int a : actions) engine.step(state, a, probs, scratch);
+    for (const int a : actions) model.step_into(state, a, probs);
   });
   return {mode, actions.size(), seconds};
 }
@@ -167,7 +174,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const bool reduced = args.flag("reduced");
   const std::string out_path = args.str("out", "BENCH_inference.json");
-  // Single-core: the engine's win must not depend on the pool.
+  // Single-core: the kernels' win must not depend on the pool.
   set_global_threads(1);
 
   // --- model_step workload ---
@@ -176,20 +183,15 @@ int main(int argc, char** argv) {
   model_config.hidden = reduced ? 64 : 256;
   Rng model_rng(7);
   const nn::NextActionModel model(model_config, model_rng);
-  const auto engine = nn::infer::LstmInferEngine::build(model);
-  if (engine == nullptr) {
-    std::cerr << "engine rejected the benchmark model configuration\n";
-    return 1;
-  }
   const auto actions = random_actions(reduced ? 400 : 4000, model_config.vocab, 11);
 
   std::vector<Row> model_rows;
   model_rows.push_back(time_reference_step(model, actions));
   nn::infer::set_infer_mode(InferMode::kScalar);
-  model_rows.push_back(time_engine_step("scalar", *engine, actions));
+  model_rows.push_back(time_model_step("scalar", model, actions));
   if (nn::infer::avx2_supported()) {
     nn::infer::set_infer_mode(InferMode::kAvx2);
-    model_rows.push_back(time_engine_step("avx2", *engine, actions));
+    model_rows.push_back(time_model_step("avx2", model, actions));
   }
 
   // --- monitor_path workload ---
@@ -242,12 +244,13 @@ int main(int argc, char** argv) {
   json.member("reduced", reduced);
   json.member("avx2_supported", nn::infer::avx2_supported());
   json.member("note",
-              "Single-core actions/sec. model_step times the raw LSTM+head forward per kernel "
-              "mode against NextActionModel::step_into; monitor_path times the full "
-              "OnlineMonitor pipeline, per-event loop vs observe_batch fusion. "
-              "speedup_vs_reference is actions_per_sec over the family's first row "
-              "(reference_step, per_event_scalar). The scalar rows are bit-identical to "
-              "step_into by contract; avx2 rows trade exactness for throughput (opt-in).");
+              "Single-core actions/sec. model_step times NextActionModel::step_into per kernel "
+              "mode against the layer-by-layer forward (Lstm::step, Dense::infer, "
+              "softmax_row); monitor_path times the full OnlineMonitor pipeline, per-event "
+              "loop vs observe_batch fusion. speedup_vs_reference is actions_per_sec over the "
+              "family's first row (reference_step, per_event_scalar). The scalar rows are "
+              "bit-identical to the layer-by-layer forward by contract; avx2 rows trade "
+              "exactness for throughput (opt-in).");
   json.key("model_step");
   json.begin_array();
   for (const auto& r : model_rows) {

@@ -206,16 +206,7 @@ MisuseDetector MisuseDetector::train(const SessionStore& store, const DetectorCo
     detector.fallbacks_[c] = std::move(fallback);
   }
   detector.degraded_.assign(detector.clusters_.size(), false);
-  detector.build_engines();
   return detector;
-}
-
-void MisuseDetector::build_engines() {
-  engines_.resize(models_.size());
-  for (std::size_t c = 0; c < models_.size(); ++c) {
-    engines_[c] = models_[c] != nullptr ? nn::infer::LstmInferEngine::build(models_[c]->network())
-                                        : nullptr;
-  }
 }
 
 std::size_t MisuseDetector::route(std::span<const int> actions) const {
@@ -242,71 +233,43 @@ std::size_t MisuseDetector::degraded_cluster_count() const {
 MisuseDetector::ClusterState MisuseDetector::make_cluster_state(std::size_t c) const {
   ClusterState state;
   if (cluster_degraded(c)) return state;
-  if (const auto* engine = engines_.at(c).get(); engine != nullptr) {
-    state.use_engine = true;
-    state.eng = engine->make_state();
-  } else {
-    state.nn = models_.at(c)->make_state();
-  }
+  state.use_engine = true;
+  state.nn = models_.at(c)->make_state();
   return state;
-}
-
-std::vector<float> MisuseDetector::step_cluster(std::size_t c, ClusterState& state,
-                                                int action) const {
-  std::vector<float> out;
-  step_cluster_into(c, state, action, out);
-  return out;
 }
 
 void MisuseDetector::step_cluster_into(std::size_t c, ClusterState& state, int action,
                                        std::vector<float>& out) const {
-  state.last_action = action;
   if (cluster_degraded(c)) {
     out = fallbacks_.at(c)->next_distribution(action);
     return;
   }
-  if (state.use_engine) {
-    thread_local nn::infer::EngineScratch scratch;
-    engines_.at(c)->step(state.eng, action, out, scratch);
-    return;
-  }
-  models_.at(c)->step_into(state.nn, action, out);
+  models_.at(c)->network().step_into(state.nn, action, out);
 }
 
 void MisuseDetector::step_cluster_batch(std::size_t c, std::span<ClusterState* const> states,
                                         std::span<const int> actions,
                                         std::span<std::vector<float>* const> out) const {
   assert(states.size() == actions.size() && states.size() == out.size());
-  // Engine rows go through step_batch as one call; rows are independent
-  // in every kernel, so the result stays bit-identical to stepping each
-  // row alone. Degraded and model-path rows step individually.
-  thread_local nn::infer::EngineScratch scratch;
-  std::vector<nn::infer::EngineState*> eng_states;
-  std::vector<int> eng_actions;
-  std::vector<std::vector<float>*> eng_out;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    ClusterState& state = *states[i];
-    if (cluster_degraded(c) || !state.use_engine) {
-      step_cluster_into(c, state, actions[i], *out[i]);
-      continue;
+  if (cluster_degraded(c)) {
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      step_cluster_into(c, *states[i], actions[i], *out[i]);
     }
-    state.last_action = actions[i];
-    eng_states.push_back(&state.eng);
-    eng_actions.push_back(actions[i]);
-    eng_out.push_back(out[i]);
+    return;
   }
-  if (!eng_states.empty()) engines_.at(c)->step_batch(eng_states, eng_actions, eng_out, scratch);
+  std::vector<nn::ModelState*> nn_states(states.size());
+  for (std::size_t i = 0; i < states.size(); ++i) nn_states[i] = &states[i]->nn;
+  models_.at(c)->network().step_batch(nn_states, actions, out);
 }
 
 std::size_t MisuseDetector::cluster_rows_per_pass(std::size_t c) const {
-  const auto* engine = engines_.at(c).get();
-  return engine != nullptr && !cluster_degraded(c) ? engine->rows_per_pass() : 1;
+  return cluster_degraded(c) ? 1 : models_.at(c)->network().rows_per_pass();
 }
 
 void MisuseDetector::materialize_cluster_dist(std::size_t c, const ClusterState& state,
                                               std::vector<float>& out) const {
-  assert(state.use_engine && !cluster_degraded(c));
-  engines_.at(c)->finish_probs(state.eng, out);
+  assert(!cluster_degraded(c));
+  models_.at(c)->network().head_probs(state.nn, out);
 }
 
 void MisuseDetector::save(BinaryWriter& w) const {
@@ -390,7 +353,6 @@ MisuseDetector MisuseDetector::load(BinaryReader& r) {
     }
     detector.fallbacks_.resize(n);
     detector.reports_.resize(n);
-    detector.build_engines();
     return detector;
   }
 
@@ -447,7 +409,6 @@ MisuseDetector MisuseDetector::load(BinaryReader& r) {
       }
     }
   }
-  detector.build_engines();
 
   load_phase("footer", [&] {
     const std::uint32_t footer_magic = r.read<std::uint32_t>();

@@ -28,7 +28,6 @@
 #include "cluster/expert_policy.hpp"
 #include "lm/language_model.hpp"
 #include "lm/markov.hpp"
-#include "nn/infer/engine.hpp"
 #include "sessions/store.hpp"
 #include "topics/ensemble.hpp"
 
@@ -155,47 +154,37 @@ class MisuseDetector {
   /// Number of degraded clusters (0 on a freshly trained detector).
   std::size_t degraded_cluster_count() const;
 
-  // -- Inference engine ----------------------------------------------------
-  // Each healthy cluster whose model has the paper shape (one LSTM layer,
-  // token input) gets an inference engine (nn/infer/engine.hpp) that
-  // reads the model's weights in place; streaming scoring runs through
-  // it. Other shapes step through NextActionModel::step_into.
+  // -- Streaming scoring ---------------------------------------------------
+  // A healthy cluster streams through its model's step_batch
+  // (nn/next_action_model.hpp), which runs the selected kernel table on
+  // the paper shape; a degraded cluster through its Markov fallback.
 
-  /// Streaming state of one cluster's behavior model — engine state on
-  /// the engine path, LSTM recurrent state on the model path, last-action
-  /// context in degraded mode.
+  /// Streaming state of one cluster's behavior model: the model's layer
+  /// states, empty in degraded mode (the fallback keeps no state).
   struct ClusterState {
     nn::ModelState nn;
-    nn::infer::EngineState eng;
+    /// Set for every healthy cluster; nothing in the scoring path reads it.
     bool use_engine = false;
-    int last_action = -1;
-    void reset() {
-      nn.reset();
-      eng.reset();
-      last_action = -1;
-    }
+    void reset() { nn.reset(); }
   };
   ClusterState make_cluster_state(std::size_t c) const;
-  /// Advances cluster `c`'s model with the observed action and returns
-  /// the next-action distribution (the degraded-aware counterpart of
-  /// model(c).step).
-  std::vector<float> step_cluster(std::size_t c, ClusterState& state, int action) const;
-  /// Allocation-free variant: writes the distribution into `out`.
+  /// Advances cluster `c`'s model with the observed action and writes the
+  /// next-action distribution into `out` (the degraded-aware counterpart
+  /// of model(c).step).
   void step_cluster_into(std::size_t c, ClusterState& state, int action,
                          std::vector<float>& out) const;
   /// Batched steps for one cluster: states[i] advances on actions[i] into
-  /// *out[i]. Engine rows run as one batch through the inference engine
-  /// (each weight row read once for all of them); the result is
-  /// bit-identical to step_cluster_into row by row, in order.
+  /// *out[i], as one step_batch call of the cluster's model. Bit-identical
+  /// to step_cluster_into row by row, in order.
   void step_cluster_batch(std::size_t c, std::span<ClusterState* const> states,
                           std::span<const int> actions,
                           std::span<std::vector<float>* const> out) const;
   /// Rows one step_cluster_batch pass of cluster `c` sweeps at once (the
-  /// engine's rows_per_pass()); 1 for clusters that step row by row.
+  /// model's rows_per_pass()); 1 for degraded clusters.
   std::size_t cluster_rows_per_pass(std::size_t c) const;
   /// Fills `out` with the next-action distribution implied by the state's
-  /// last advance (the engine's head + softmax alone, bit-identical to
-  /// what that advance wrote). Engine states only.
+  /// last advance (the model's head + softmax alone, bit-identical to what
+  /// that advance wrote). Healthy clusters only.
   void materialize_cluster_dist(std::size_t c, const ClusterState& state,
                                 std::vector<float>& out) const;
 
@@ -257,15 +246,7 @@ class MisuseDetector {
   /// entries for v1 archives (no fallback: corruption is fatal there).
   std::vector<std::unique_ptr<lm::MarkovChainModel>> fallbacks_;
   std::vector<bool> degraded_;
-  /// Per-cluster inference engines over models_' weights; nullptr when
-  /// the cluster is degraded or its model shape is unsupported (scoring
-  /// then steps the model). Rebuilt whenever models_ changes, never
-  /// persisted.
-  std::vector<std::unique_ptr<nn::infer::LstmInferEngine>> engines_;
   std::unique_ptr<cluster::ClusterAssigner> assigner_;
-
-  /// (Re)builds engines_ from models_; call whenever models_ changes.
-  void build_engines();
 };
 
 /// Builds the label of a cluster from its most characteristic actions.

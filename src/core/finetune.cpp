@@ -140,7 +140,6 @@ MisuseDetector MisuseDetector::fine_tune(
     out.assigner_ = std::make_unique<cluster::ClusterAssigner>(
         cluster::ClusterAssigner::refit(*parent.assigner_, svm_sessions, min_sessions));
   }
-  out.build_engines();
 
   if (report != nullptr) {
     report->windows = total_windows;

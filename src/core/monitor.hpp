@@ -100,8 +100,8 @@ class OnlineMonitor {
   /// writing monitors[i]'s step result for actions[i] into results[i].
   /// A monitor may appear at most once. Lanes catching up after a vote
   /// switch replay per row; each row's final advance, on its previous
-  /// action, runs batched per cluster across all monitors (the inference
-  /// engine's step_batch, head included), one kernel pass per block of
+  /// action, runs batched per cluster across all monitors (the cluster
+  /// model's step_batch, head included), one kernel pass per block of
   /// rows. The routing halves, the blocks and the verdict halves each fan
   /// out over global_pool(). Under either kernel mode this is
   /// bit-identical to calling monitors[i]->observe(actions[i]) in order —

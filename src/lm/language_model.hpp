@@ -101,17 +101,13 @@ class ActionLanguageModel {
   /// Per-action scores of a single session (the online monitoring path).
   nn::NextActionModel::SessionScore score_session(std::span<const int> actions) const;
 
-  /// Streaming access for the online monitor.
+  /// Streaming access (the online monitor batches through network()).
   nn::ModelState make_state() const { return model_->make_state(); }
   std::vector<float> step(nn::ModelState& state, int action) const {
     return model_->step(state, action);
   }
-  /// Allocation-free variant of step() (reuses the state's scratch).
-  void step_into(nn::ModelState& state, int action, std::vector<float>& probs) const {
-    model_->step_into(state, action, probs);
-  }
 
-  /// The underlying network, for the inference engine's weight packer.
+  /// The underlying network: its streaming forward and layer views.
   const nn::NextActionModel& network() const { return *model_; }
 
   std::size_t parameter_count() { return model_->parameter_count(); }

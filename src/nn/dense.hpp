@@ -31,8 +31,8 @@ class Dense {
   void save(BinaryWriter& w) const;
   static Dense load(BinaryReader& r);
 
-  /// Read-only weight views, which the inference engine reads in place:
-  /// W is (in x out), bias (1 x out).
+  /// Read-only weight views, which the streaming forward's kernels read
+  /// in place (nn/infer/kernels.hpp): W is (in x out), bias (1 x out).
   const Matrix& weights() const { return w_.value; }
   const Matrix& bias() const { return b_.value; }
 

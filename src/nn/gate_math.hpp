@@ -1,10 +1,10 @@
 // Shared LSTM gate nonlinearities and cell update, inlined into both the
-// training-grade reference cell (nn/lstm.cpp) and the inference engine's
-// scalar kernel (nn/infer/engine.cpp).
+// training-grade cell (nn/lstm.cpp) and the streaming forward's scalar
+// kernel (nn/infer/kernels.cpp).
 //
 // The repo's headline guarantee is bit-identical determinism (WAL
 // replay, hot swap, server-vs-offline equivalence), so the scalar
-// inference path must reproduce the reference forward *exactly* — not
+// kernels must reproduce the layer-by-layer forward *exactly* — not
 // just to the same formula, but to the same floating-point expression
 // tree. Expressions like `f * c + i * g` are contraction-ambiguous (the
 // compiler may fuse either multiply into an FMA); routing every consumer

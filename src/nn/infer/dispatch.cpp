@@ -57,7 +57,7 @@ InferMode effective_infer_mode() {
   if (mode == InferMode::kAvx2 && !avx2_supported()) return InferMode::kScalar;
   if (mode != InferMode::kAuto) return mode;
   // auto = the fastest mode that keeps scoring bit-identical to the
-  // reference forward. That is the scalar engine: the AVX2 kernels use
+  // layer-by-layer forward. That is the scalar table: the AVX2 kernels use
   // vectorized exp/tanh approximations (ULP-close, not equal), so they
   // stay strictly opt-in (--infer=avx2 / MISUSEDET_INFER=avx2) for
   // deployments that trade replay-exactness for throughput.
@@ -67,6 +67,10 @@ InferMode effective_infer_mode() {
 bool avx2_supported() {
   static const bool supported = avx2_kernels() != nullptr && cpu_has_avx2();
   return supported;
+}
+
+const Kernels* selected_kernels() {
+  return effective_infer_mode() == InferMode::kAvx2 ? avx2_kernels() : scalar_kernels();
 }
 
 }  // namespace misuse::nn::infer

@@ -1,10 +1,11 @@
-// Runtime kernel selection for the inference engine (nn/infer/engine.hpp).
+// Runtime kernel selection for the streaming forward
+// (NextActionModel::step_batch; kernel tables in nn/infer/kernels.hpp).
 //
 // Modes:
 //   auto      — the fastest mode that preserves bit-identity with the
-//               reference forward; today that is the scalar engine.
-//   scalar    — the engine's scalar kernels, bit-identical to the
-//               training-grade reference forward (nn/lstm.cpp).
+//               layer-by-layer forward; today that is the scalar table.
+//   scalar    — the scalar kernels, bit-identical to the training-grade
+//               layer-by-layer forward (nn/lstm.cpp, nn/dense.cpp).
 //   avx2      — the vectorized kernels (ULP-close to scalar, not
 //               bit-identical: the gate nonlinearities use a vectorized
 //               exp approximation). Strictly opt-in; silently falls back

@@ -1,4 +1,4 @@
-// AVX2/FMA kernel table for the inference engine. This TU is the only
+// AVX2/FMA kernel table for the streaming forward. This TU is the only
 // one compiled with -mavx2 -mfma (see src/nn/CMakeLists.txt,
 // MISUSE_SIMD); everything it exports is reached through the runtime
 // dispatch in nn/infer/dispatch.cpp, which checks CPU support first.
@@ -9,7 +9,7 @@
 // of libm. tests/test_infer.cpp pins the divergence with a per-step ULP
 // bound.
 //
-// Both matrix-vector products read the model's reference layouts in
+// Both matrix-vector products read the model's layer layouts in
 // place (wh: H x 4H, head_w: H x V) by broadcast-FMA: each output
 // element is one FMA chain over p ascending, seeded with its bias. The
 // batch kernels build every element with that same chain whether the
@@ -27,7 +27,6 @@
 #include <cmath>
 
 #include "nn/gate_math.hpp"
-#include "nn/infer/engine.hpp"
 #include "nn/lstm.hpp"
 
 namespace misuse::nn::infer {

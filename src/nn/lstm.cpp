@@ -48,7 +48,7 @@ void Lstm::compute_gates(const std::vector<int>& tokens_b, const Matrix& h_prev,
 }
 
 void Lstm::apply_gate_nonlinearities(Matrix& gates, std::size_t hidden) {
-  // Shared with the inference engine's scalar kernel (nn/gate_math.hpp)
+  // Shared with the streaming forward's scalar kernel (nn/gate_math.hpp)
   // so both paths compile the identical expression tree.
   const std::size_t g4 = 4 * hidden;
   for (std::size_t r = 0; r < gates.rows(); ++r) {
@@ -225,7 +225,7 @@ void Lstm::backward(const std::vector<Matrix>& d_hidden, std::vector<Matrix>* d_
 }
 
 void Lstm::finish_state_update(const Matrix& gates, LstmState& state) const {
-  // Shared with the inference engine's scalar kernel (nn/gate_math.hpp).
+  // Shared with the streaming forward's scalar kernel (nn/gate_math.hpp).
   for (std::size_t r = 0; r < gates.rows(); ++r) {
     lstm_cell_update(gates.data() + r * 4 * hidden_, hidden_, state.c.data() + r * hidden_,
                      state.h.data() + r * hidden_);

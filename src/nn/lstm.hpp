@@ -92,8 +92,9 @@ class Lstm final : public RecurrentLayer {
   void save(BinaryWriter& w) const override;
   static Lstm load(BinaryReader& r);
 
-  /// Read-only weight views, which the inference engine reads in place
-  /// (nn/infer/engine.hpp): wx is vocab x 4H, wh is H x 4H, bias 1 x 4H.
+  /// Read-only weight views, which the streaming forward's kernels read in
+  /// place (nn/infer/kernels.hpp): wx is vocab x 4H, wh is H x 4H, bias
+  /// 1 x 4H.
   const Matrix& wx() const { return wx_.value; }
   const Matrix& wh() const { return wh_.value; }
   const Matrix& bias() const { return b_.value; }

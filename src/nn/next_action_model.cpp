@@ -1,10 +1,12 @@
 #include "nn/next_action_model.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <sstream>
 
+#include "nn/infer/kernels.hpp"
 #include "tensor/ops.hpp"
 
 namespace misuse::nn {
@@ -54,6 +56,66 @@ std::vector<Matrix> unstack_timesteps(const Matrix& big, std::size_t t_steps) {
     std::copy(big.data() + t * b * h, big.data() + (t + 1) * b * h, out[t].data());
   }
   return out;
+}
+
+// The streaming step's buffers, one set per thread: kernel passes use
+// the gate rows and row pointers, layer-by-layer steps the matrices.
+struct StepScratch {
+  std::vector<float> gates;  // rows x 4H
+  std::vector<const float*> h_rows;
+  std::vector<float*> gate_rows;
+  std::vector<float*> logit_rows;
+  Matrix layer_gates;  // 1 x 4H (or the GRU's fused width)
+  Matrix logits;       // 1 x vocab
+  Matrix embed;        // 1 x embedding_dim
+  std::vector<int> token;
+};
+
+StepScratch& step_scratch() {
+  thread_local StepScratch scratch;
+  return scratch;
+}
+
+// The kernels read the model's matrices in place, at call time.
+infer::LstmWeights kernel_weights(const Lstm& cell, const Dense& head) {
+  infer::LstmWeights w;
+  w.vocab = cell.vocab();
+  w.hidden = cell.hidden();
+  w.head_out = head.out_dim();
+  w.wx = cell.wx().data();
+  w.wh = cell.wh().data();
+  w.bias = cell.bias().data();
+  w.head_w = head.weights().data();
+  w.head_b = head.bias().data();
+  return w;
+}
+
+// One kernel pass over at most rows_per_pass() rows: the gate product for
+// every row, each row's cell update in place, then the head product and
+// softmax straight into the callers' distributions.
+void kernel_pass(const infer::Kernels& k, const infer::LstmWeights& w,
+                 std::span<ModelState* const> states, std::span<const int> actions,
+                 std::span<std::vector<float>* const> probs, StepScratch& s) {
+  const std::size_t n = states.size();
+  const std::size_t g4 = 4 * w.hidden;
+  s.gates.resize(n * g4);
+  s.h_rows.resize(n);
+  s.gate_rows.resize(n);
+  s.logit_rows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.h_rows[i] = states[i]->layers.front().h.data();
+    s.gate_rows[i] = s.gates.data() + i * g4;
+  }
+  k.gates_batch(w, s.h_rows.data(), actions.data(), s.gate_rows.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    LstmState& cell = states[i]->layers.front();
+    k.activate_update(s.gate_rows[i], w.hidden, cell.c.data(), cell.h.data());
+    probs[i]->resize(w.head_out);
+    s.logit_rows[i] = probs[i]->data();
+  }
+  // h advanced in place above; h_rows still point at the live storage.
+  k.head_batch(w, s.h_rows.data(), s.logit_rows.data(), n);
+  for (std::size_t i = 0; i < n; ++i) k.softmax(s.logit_rows[i], w.head_out, s.logit_rows[i]);
 }
 }  // namespace
 
@@ -249,22 +311,74 @@ std::vector<float> NextActionModel::step(ModelState& state, int action) const {
 }
 
 void NextActionModel::step_into(ModelState& state, int action, std::vector<float>& probs) const {
+  ModelState* const row = &state;
+  std::vector<float>* const out = &probs;
+  step_batch({&row, 1}, {&action, 1}, {&out, 1});
+}
+
+const Lstm* NextActionModel::kernel_cell() const {
+  if (embedding_ != nullptr || lstms_.size() != 1) return nullptr;
+  return dynamic_cast<const Lstm*>(lstms_.front().get());
+}
+
+std::size_t NextActionModel::rows_per_pass() const {
+  if (kernel_cell() == nullptr) return 1;
+  return std::max<std::size_t>(1, 32768 / (16 * config_.hidden));
+}
+
+void NextActionModel::step_batch(std::span<ModelState* const> states, std::span<const int> actions,
+                                 std::span<std::vector<float>* const> probs) const {
+  assert(states.size() == actions.size() && states.size() == probs.size());
+  const Lstm* cell = kernel_cell();
+  if (cell == nullptr) {
+    for (std::size_t i = 0; i < states.size(); ++i) step_layers(*states[i], actions[i], *probs[i]);
+    return;
+  }
+  // Past rows_per_pass() rows the gate scratch outgrows L1d and every
+  // weight row read pays for it; rows are independent, so the split
+  // keeps every bit.
+  const infer::LstmWeights w = kernel_weights(*cell, head_);
+  const infer::Kernels& k = *infer::selected_kernels();
+  StepScratch& scratch = step_scratch();
+  const std::size_t pass = rows_per_pass();
+  for (std::size_t b = 0; b < states.size(); b += pass) {
+    const std::size_t m = std::min(pass, states.size() - b);
+    kernel_pass(k, w, states.subspan(b, m), actions.subspan(b, m), probs.subspan(b, m), scratch);
+  }
+}
+
+void NextActionModel::step_layers(ModelState& state, int action, std::vector<float>& probs) const {
   assert(action == kPadToken ||
          (action >= 0 && static_cast<std::size_t>(action) < config_.vocab));
   assert(state.layers.size() == lstms_.size());
+  StepScratch& s = step_scratch();
   if (embedding_) {
-    embedding_->lookup_row(action, state.scratch_embed);
-    lstms_[0]->step_dense_scratch(state.scratch_embed, state.layers[0], state.scratch_gates);
+    embedding_->lookup_row(action, s.embed);
+    lstms_[0]->step_dense_scratch(s.embed, state.layers[0], s.layer_gates);
   } else {
-    state.scratch_tokens.assign(1, action);
-    lstms_[0]->step_scratch(state.scratch_tokens, state.layers[0], state.scratch_gates);
+    s.token.assign(1, action);
+    lstms_[0]->step_scratch(s.token, state.layers[0], s.layer_gates);
   }
   for (std::size_t l = 1; l < lstms_.size(); ++l) {
-    lstms_[l]->step_dense_scratch(state.layers[l - 1].h, state.layers[l], state.scratch_gates);
+    lstms_[l]->step_dense_scratch(state.layers[l - 1].h, state.layers[l], s.layer_gates);
   }
-  head_.infer(state.layers.back().h, state.scratch_logits);
+  head_probs(state, probs);
+}
+
+void NextActionModel::head_probs(const ModelState& state, std::vector<float>& probs) const {
   probs.resize(config_.vocab);
-  (void)softmax_row(state.scratch_logits.row(0), probs);
+  if (const Lstm* cell = kernel_cell()) {
+    const infer::LstmWeights w = kernel_weights(*cell, head_);
+    const infer::Kernels& k = *infer::selected_kernels();
+    const float* const h = state.layers.front().h.data();
+    float* const logits = probs.data();
+    k.head_batch(w, &h, &logits, 1);
+    k.softmax(logits, w.head_out, logits);
+    return;
+  }
+  StepScratch& s = step_scratch();
+  head_.infer(state.layers.back().h, s.logits);
+  (void)softmax_row(s.logits.row(0), probs);
 }
 
 double NextActionModel::SessionScore::avg_likelihood() const {

@@ -60,16 +60,11 @@ struct ModelConfig {
   float dropout = 0.4f;      // paper value; also applied between layers
 };
 
-/// Streaming state of the whole stack (one LstmState per layer), plus the
-/// forward-pass scratch buffers for that stream. Scratch lives here — not
-/// in the (shared, const) model — so concurrent streams never contend,
-/// and step() allocates nothing once the buffers reach steady state.
+/// Streaming state of the whole stack: each layer's h and c (1 x H). The
+/// step's scratch is per thread (next_action_model.cpp), so concurrent
+/// streams never contend and a steady-state step allocates nothing.
 struct ModelState {
   std::vector<LstmState> layers;
-  Matrix scratch_gates;   // 1 x 4H fused gate pre-activations
-  Matrix scratch_logits;  // 1 x vocab head output
-  Matrix scratch_embed;   // 1 x embedding_dim (embedding models only)
-  std::vector<int> scratch_tokens;  // single-token input buffer
   void reset() {
     for (auto& l : layers) l.reset();
   }
@@ -103,17 +98,37 @@ class NextActionModel {
   /// positions only).
   std::vector<double> target_likelihoods(const SequenceBatch& batch);
 
-  // --- Streaming interface for the online monitor -----------------------
+  // --- Streaming forward (the online monitor and every scorer) ---------
   /// Fresh zero state for a single stream.
   ModelState make_state() const;
   /// Feeds one observed action and returns the probability distribution
   /// over the next action (length vocab).
   std::vector<float> step(ModelState& state, int action) const;
 
-  /// Allocation-free step: writes the distribution into `probs` (resized
-  /// to vocab), reusing the state's scratch buffers. Bit-identical to
-  /// step().
+  /// step_batch of one row: writes the distribution into `probs`
+  /// (resized to vocab). Bit-identical to step().
   void step_into(ModelState& state, int action, std::vector<float>& probs) const;
+
+  /// states[i] advances on actions[i] and writes its next-action
+  /// distribution into *probs[i]. The paper shape (one token-input LSTM
+  /// layer) runs the kernel table effective_infer_mode() selects
+  /// (nn/infer/kernels.hpp), rows_per_pass() rows a pass, reading each
+  /// weight row once per pass; GRU, stacked and embedding models step
+  /// layer by layer, one row at a time. Either way a row's bits do not
+  /// depend on the batch it rides in, so this equals step_into row by
+  /// row, in order.
+  void step_batch(std::span<ModelState* const> states, std::span<const int> actions,
+                  std::span<std::vector<float>* const> probs) const;
+
+  /// Rows one kernel pass sweeps: as many as keep the pass's gate scratch
+  /// (4H floats a row) within 32 KiB, so it stays in L1d while each
+  /// weight row streams past — 8 rows at H = 256, 128 at H = 16. 1 for
+  /// shapes that step row by row.
+  std::size_t rows_per_pass() const;
+
+  /// Head + softmax alone, from the top layer's h: the distribution the
+  /// state's last advance wrote, recomputed bit for bit.
+  void head_probs(const ModelState& state, std::vector<float>& probs) const;
 
   /// Scores a whole session: element i is the model probability assigned
   /// to actions[i] given actions[0..i-1]; the first action gets the
@@ -142,7 +157,7 @@ class NextActionModel {
   /// continuous learning clones the active model and fine-tunes the clone.
   NextActionModel clone() const;
 
-  // --- Read-only structure views for the inference engine ---------------
+  // --- Read-only structure views (tests and benches) -------------------
   std::size_t layer_count() const { return lstms_.size(); }
   const RecurrentLayer& layer(std::size_t i) const { return *lstms_.at(i); }
   const Dense& head() const { return head_; }
@@ -151,6 +166,12 @@ class NextActionModel {
  private:
   NextActionModel(const ModelConfig& config, std::unique_ptr<Embedding> embedding,
                   std::vector<std::unique_ptr<RecurrentLayer>> layers, Dense head);
+
+  /// The paper shape's token-input LSTM, which the kernel table runs;
+  /// null for every other shape.
+  const Lstm* kernel_cell() const;
+  /// One row, layer by layer (the shapes the kernel table does not run).
+  void step_layers(ModelState& state, int action, std::vector<float>& probs) const;
 
   /// Shared forward: runs the LSTM, gathers loss positions, applies
   /// dropout when rng != nullptr, and fills logits. Records gather

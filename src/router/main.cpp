@@ -16,7 +16,6 @@
 #include <iostream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 
 #include "core/observability.hpp"
 #include "router/router.hpp"
@@ -26,20 +25,17 @@
 namespace misuse::router {
 namespace {
 
-std::atomic<bool> g_stop{false};
 /// The router while it serves. The SIGINT/SIGTERM handler stops it
 /// directly: request_stop() is an atomic store and an eventfd write, both
-/// async-signal-safe. g_handlers_running lets the router's owner wait out
-/// a handler that read the pointer before it was cleared.
+/// async-signal-safe. Every thread blocks both signals except inside the
+/// router loop's wait (EpollLoop::run), so the handler runs only while
+/// the pointer is set; a signal that comes earlier stays pending until
+/// the first wait.
 std::atomic<Router*> g_router{nullptr};
-std::atomic<int> g_handlers_running{0};
 
 void handle_signal(int) {
   const int saved_errno = errno;
-  g_handlers_running.fetch_add(1);
-  g_stop.store(true, std::memory_order_relaxed);
   if (Router* router = g_router.load()) router->request_stop();
-  g_handlers_running.fetch_sub(1);
   errno = saved_errno;
 }
 
@@ -116,6 +112,13 @@ int router_main(int argc, char** argv) {
   sigemptyset(&action.sa_mask);
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
+  // Blocked before the router and its prober thread exist, which inherit
+  // the mask; the loop's wait is the one place they land.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  ::pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   // A dying client or node must not kill the router mid-write.
   ::signal(SIGPIPE, SIG_IGN);
 
@@ -126,18 +129,9 @@ int router_main(int argc, char** argv) {
     // Same stderr handshake as misusedet_serve: drivers scrape the port.
     log_info() << "listening on port " << router.port() << " (router, "
                << router.live_nodes() << " nodes)";
-    // Unpublished before `router` is destroyed, on every exit path.
-    struct Published {
-      explicit Published(Router& router) {
-        g_router.store(&router);
-        if (g_stop.load()) router.request_stop();  // a signal that came before the pointer
-      }
-      ~Published() {
-        g_router.store(nullptr);
-        while (g_handlers_running.load() != 0) std::this_thread::yield();
-      }
-    } published(router);
+    g_router.store(&router);
     router.run();
+    g_router.store(nullptr);
   } catch (const std::exception& e) {
     std::cerr << "misusedet_router: " << e.what() << "\n";
     return 1;

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <csignal>
 #include <cstring>
 #include <stdexcept>
 
@@ -298,12 +299,21 @@ void EpollLoop::run() {
   const int tick_ms =
       config_.tick_seconds > 0.0 ? static_cast<int>(config_.tick_seconds * 1000.0) : 500;
   std::vector<epoll_event> events(256);
+  // The wait unblocks SIGINT and SIGTERM, so a process that blocks them
+  // everywhere else (misusedet_router) takes them only here, where its
+  // handler's request_stop() reaches a running loop. For a thread that
+  // does not block them this is plain epoll_wait.
+  sigset_t wait_mask;
+  ::pthread_sigmask(SIG_SETMASK, nullptr, &wait_mask);
+  sigdelset(&wait_mask, SIGINT);
+  sigdelset(&wait_mask, SIGTERM);
   auto last_tick = std::chrono::steady_clock::now();
   while (!stop_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()), tick_ms);
+    const int n = ::epoll_pwait(epoll_fd_, events.data(), static_cast<int>(events.size()), tick_ms,
+                                &wait_mask);
     if (n < 0) {
       if (errno == EINTR) continue;
-      log_error() << "epoll_wait: " << std::strerror(errno);
+      log_error() << "epoll_pwait: " << std::strerror(errno);
       break;
     }
     for (int i = 0; i < n; ++i) {

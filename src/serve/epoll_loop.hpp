@@ -96,7 +96,8 @@ class EpollLoop {
 
   /// Serves until request_stop(). On stop: pending replies get one
   /// best-effort flush, every connection is closed (on_close fires),
-  /// and the listener is released. Call from one thread only.
+  /// and the listener is released. Call from one thread only. The wait
+  /// takes SIGINT and SIGTERM even where the thread blocks them.
   void run();
 
   /// Thread-safe and async-signal-safe: wakes the loop and makes run()

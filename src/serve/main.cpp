@@ -216,7 +216,9 @@ void print_usage(const std::string& program) {
       << "  --trend-drop=X          trend alarm relative drop (default 0.5)\n"
       << "  --infer=MODE            inference kernels: auto | scalar | avx2\n"
       << "                          (default auto = fastest bit-identical mode; avx2 is\n"
-      << "                          opt-in and ULP-close, not bit-identical)\n"
+      << "                          opt-in and ULP-close, not bit-identical). Offline\n"
+      << "                          scoring follows MISUSEDET_INFER, so under the same\n"
+      << "                          mode it equals this node's scores bit for bit\n"
       << "  --no-steps              emit only session reports, not per-step verdicts\n"
       << "  --metrics-out=PATH      write the metrics/trace snapshot on exit\n"
       << "  --admin-port=PORT       operations plane: /metrics (Prometheus) /healthz /statusz\n"

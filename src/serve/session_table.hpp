@@ -104,8 +104,8 @@ class SessionShard {
 
   /// Applies a batch of events in arrival order, bit-identical to calling
   /// process() per event — but the model forwards of distinct sessions
-  /// are fused into per-detector batched steps (the inference engine's
-  /// hot path), and the step records render on the pool's lanes.
+  /// are fused into per-cluster batched steps (the streaming forward's
+  /// step_batch), and the step records render on the pool's lanes.
   /// Consecutive events of the *same* session still advance strictly in
   /// sequence: a session hit flushes the pending batch first.
   void process_batch(std::span<const BatchEvent> events, std::vector<OutputRecord>& out);

@@ -2,9 +2,9 @@
 // trained detector plus a committed interleaved NDJSON trace, replayed
 // through the installed misusedet_serve binary with --infer=scalar, must
 // reproduce the committed output byte for byte. This pins the entire
-// chain — archive loading, engine packing, scalar kernels (bit-identical
-// to the reference forward by contract), routing, alarm policy, JSON
-// rendering — against silent drift.
+// chain — archive loading, the streaming forward's scalar kernels
+// (bit-identical to the layer-by-layer forward by contract), routing,
+// alarm policy, JSON rendering — against silent drift.
 //
 // The goldens are tied to the floating-point contraction behavior of the
 // build that generated them (same compiler family and -march flags as
@@ -146,7 +146,7 @@ TEST(GoldenServe, ScalarOutputByteIdenticalToCommittedGolden) {
   }
 }
 
-// The scalar engine contract makes two runs of the same build on the
+// The scalar kernels' contract makes two runs of the same build on the
 // same trace trivially identical; this guards against nondeterminism
 // creeping into the serving loop itself (map iteration order, timing-
 // dependent eviction, uninitialized fields in rendered records).

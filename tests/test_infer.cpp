@@ -1,13 +1,15 @@
-// Differential test harness for the inference engine (nn/infer/).
+// Differential test harness for the streaming forward's kernel tables
+// (NextActionModel::step_batch / step_into on the paper shape, through
+// nn/infer/).
 //
-// The engine's contracts, in decreasing strictness:
-//   * scalar kernels — BIT-identical to the training-grade reference
-//     forward (NextActionModel::step_into), one-row and batched alike:
-//     the scalar table's gate and head products are batch kernels that
-//     give every output element its one-row operation sequence, so a
-//     row's bits do not depend on the batch it rides in. Every
-//     determinism guarantee in the repo (WAL replay, hot swap,
-//     server-vs-offline) leans on this.
+// The contracts, in decreasing strictness:
+//   * scalar kernels — BIT-identical to the layer-by-layer forward this
+//     file builds from the model's own layers (Lstm::step, Dense::infer,
+//     softmax_row), one-row and batched alike: the scalar table's gate
+//     and head products are batch kernels that give every output element
+//     its one-row operation sequence, so a row's bits do not depend on
+//     the batch it rides in. Every determinism guarantee in the repo (WAL
+//     replay, hot swap, server-vs-offline) leans on this.
 //   * avx2 kernels — ULP-bounded against scalar per step (vectorized
 //     exp approximation, FMA contraction), and batches BIT-identical to
 //     avx2 one-row steps (every output element is the same FMA chain).
@@ -16,20 +18,21 @@
 // to 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <span>
-#include <sstream>
 #include <vector>
 
+#include "nn/dense.hpp"
 #include "nn/infer/dispatch.hpp"
-#include "nn/infer/engine.hpp"
 #include "nn/lstm.hpp"
 #include "nn/next_action_model.hpp"
 #include "nn/parameter.hpp"
+#include "tensor/ops.hpp"
 #include "util/rng.hpp"
 
 namespace misuse::nn::infer {
@@ -67,6 +70,36 @@ bool bit_equal(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/// The layer-by-layer forward of one stream: the model's LSTM layer steps
+/// on the action, then its head and softmax_row. The scalar kernels must
+/// reproduce it bit for bit.
+class Reference {
+ public:
+  explicit Reference(const NextActionModel& model)
+      : model_(model), state_(1, model.config().hidden) {}
+
+  void step(int action, std::vector<float>& probs) {
+    model_.layer(0).step({action}, state_);
+    model_.head().infer(state_.h, logits_);
+    probs.resize(logits_.cols());
+    (void)softmax_row(logits_.row(0), probs);
+  }
+  void reset() { state_.reset(); }
+  const LstmState& state() const { return state_; }
+
+ private:
+  const NextActionModel& model_;
+  LstmState state_;
+  Matrix logits_;
+};
+
+std::span<const float> h_of(const ModelState& state) {
+  return state.layers.at(0).h.flat();
+}
+std::span<const float> c_of(const ModelState& state) {
+  return state.layers.at(0).c.flat();
+}
+
 // Lexicographically ordered integer image of a float: distances in this
 // space count representable values between two floats (ULPs).
 std::int64_t float_lex(float x) {
@@ -100,7 +133,7 @@ constexpr Shape kShapes[] = {
     {60, 14, 46}, {50, 96, 29}, {44, 80, 31}, {300, 256, 43},
 };
 
-// --- scalar: bit-identity with the reference forward -------------------
+// --- scalar: bit-identity with the layer-by-layer forward ------------
 
 TEST(InferScalar, BitIdenticalToReferenceAcrossShapesAndSeeds) {
   ModeGuard guard;
@@ -112,19 +145,16 @@ TEST(InferScalar, BitIdenticalToReferenceAcrossShapesAndSeeds) {
   };
   for (const auto& c : cases) {
     const NextActionModel model = make_model(c.vocab, c.hidden, c.seed);
-    const auto engine = LstmInferEngine::build(model);
-    ASSERT_NE(engine, nullptr);
     const auto actions = random_actions(120, c.vocab, c.seed * 977);
 
     set_infer_mode(InferMode::kScalar);
-    ModelState ref_state = model.make_state();
-    EngineState eng_state = engine->make_state();
-    EngineScratch scratch;
-    std::vector<float> ref_probs, eng_probs;
+    Reference ref(model);
+    ModelState state = model.make_state();
+    std::vector<float> ref_probs, probs;
     for (const int a : actions) {
-      model.step_into(ref_state, a, ref_probs);
-      engine->step(eng_state, a, eng_probs, scratch);
-      ASSERT_TRUE(bit_equal(ref_probs, eng_probs))
+      ref.step(a, ref_probs);
+      model.step_into(state, a, probs);
+      ASSERT_TRUE(bit_equal(ref_probs, probs))
           << "vocab=" << c.vocab << " hidden=" << c.hidden << " seed=" << c.seed;
     }
   }
@@ -133,19 +163,16 @@ TEST(InferScalar, BitIdenticalToReferenceAcrossShapesAndSeeds) {
 TEST(InferScalar, AutoModeResolvesToBitIdenticalKernels) {
   ModeGuard guard;
   const NextActionModel model = make_model(23, 48, 11);
-  const auto engine = LstmInferEngine::build(model);
-  ASSERT_NE(engine, nullptr);
   const auto actions = random_actions(60, 23, 123);
 
   set_infer_mode(InferMode::kAuto);
-  ModelState ref_state = model.make_state();
-  EngineState eng_state = engine->make_state();
-  EngineScratch scratch;
-  std::vector<float> ref_probs, eng_probs;
+  Reference ref(model);
+  ModelState state = model.make_state();
+  std::vector<float> ref_probs, probs;
   for (const int a : actions) {
-    model.step_into(ref_state, a, ref_probs);
-    engine->step(eng_state, a, eng_probs, scratch);
-    ASSERT_TRUE(bit_equal(ref_probs, eng_probs));
+    ref.step(a, ref_probs);
+    model.step_into(state, a, probs);
+    ASSERT_TRUE(bit_equal(ref_probs, probs));
   }
 }
 
@@ -156,19 +183,15 @@ TEST(InferScalar, BatchBitIdenticalToSequential) {
   constexpr std::size_t kSteps = 30;
   for (const Shape& shape : kShapes) {
     const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
-    const auto engine = LstmInferEngine::build(model);
-    ASSERT_NE(engine, nullptr);
     std::vector<std::vector<int>> streams;
     for (std::size_t i = 0; i < kSessions; ++i) {
       streams.push_back(random_actions(kSteps, shape.vocab, 700 + i));
     }
-    // Three trajectories per session: batched, one-row engine steps, and
-    // the reference forward.
-    std::vector<EngineState> bat(kSessions, engine->make_state());
-    std::vector<EngineState> row(kSessions, engine->make_state());
-    std::vector<ModelState> ref;
-    for (std::size_t i = 0; i < kSessions; ++i) ref.push_back(model.make_state());
-    EngineScratch scratch;
+    // Three trajectories per session: step_batch, one-row step_into, and
+    // the layer-by-layer forward.
+    std::vector<ModelState> bat(kSessions, model.make_state());
+    std::vector<ModelState> row(kSessions, model.make_state());
+    std::vector<Reference> ref(kSessions, Reference(model));
     std::vector<float> row_probs, ref_probs;
     std::vector<std::vector<float>> bat_probs(kSessions);
     for (std::size_t t = 0; t < kSteps; ++t) {
@@ -182,7 +205,7 @@ TEST(InferScalar, BatchBitIdenticalToSequential) {
         ref[i].reset();
       }
       const std::size_t n = kSessions - t % kSessions;  // 13 rows down to 1
-      std::vector<EngineState*> state_ptrs(n);
+      std::vector<ModelState*> state_ptrs(n);
       std::vector<std::vector<float>*> prob_ptrs(n);
       std::vector<int> actions(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -190,21 +213,20 @@ TEST(InferScalar, BatchBitIdenticalToSequential) {
         state_ptrs[i] = &bat[i];
         prob_ptrs[i] = &bat_probs[i];
       }
-      engine->step_batch(state_ptrs, actions, prob_ptrs, scratch);
+      model.step_batch(state_ptrs, actions, prob_ptrs);
       for (std::size_t i = 0; i < n; ++i) {
-        engine->step(row[i], actions[i], row_probs, scratch);
-        model.step_into(ref[i], actions[i], ref_probs);
-        const LstmState& ref_cell = ref[i].layers.at(0);
+        model.step_into(row[i], actions[i], row_probs);
+        ref[i].step(actions[i], ref_probs);
         ASSERT_TRUE(bit_equal(row_probs, bat_probs[i]))
             << "vocab=" << shape.vocab << " hidden=" << shape.hidden << " step " << t
             << " row " << i << " of " << n;
-        ASSERT_TRUE(bit_equal(row[i].h, bat[i].h));
-        ASSERT_TRUE(bit_equal(row[i].c, bat[i].c));
+        ASSERT_TRUE(bit_equal(h_of(row[i]), h_of(bat[i])));
+        ASSERT_TRUE(bit_equal(c_of(row[i]), c_of(bat[i])));
         ASSERT_TRUE(bit_equal(ref_probs, bat_probs[i]))
             << "vocab=" << shape.vocab << " hidden=" << shape.hidden << " step " << t
             << " row " << i << " of " << n;
-        ASSERT_TRUE(bit_equal(ref_cell.h.flat(), bat[i].h));
-        ASSERT_TRUE(bit_equal(ref_cell.c.flat(), bat[i].c));
+        ASSERT_TRUE(bit_equal(ref[i].state().h.flat(), h_of(bat[i])));
+        ASSERT_TRUE(bit_equal(ref[i].state().c.flat(), c_of(bat[i])));
       }
     }
   }
@@ -217,23 +239,20 @@ TEST(InferAvx2, OneRowStepWithinUlpOfScalar) {
   ModeGuard guard;
   for (const Shape& shape : kShapes) {
     const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
-    const auto engine = LstmInferEngine::build(model);
-    ASSERT_NE(engine, nullptr);
     const auto actions = random_actions(60, shape.vocab, shape.seed * 101);
 
     // Walk the trajectory under scalar; at each step, run one avx2 step
     // from the identical pre-step state so only per-step kernel error is
     // measured, not accumulated trajectory divergence.
-    EngineState state = engine->make_state();
-    EngineScratch scratch;
+    ModelState state = model.make_state();
     std::vector<float> scalar_probs, avx2_probs;
     std::int64_t worst = 0;
     for (const int a : actions) {
-      EngineState snapshot = state;
+      ModelState snapshot = state;
       set_infer_mode(InferMode::kScalar);
-      engine->step(state, a, scalar_probs, scratch);
+      model.step_into(state, a, scalar_probs);
       set_infer_mode(InferMode::kAvx2);
-      engine->step(snapshot, a, avx2_probs, scratch);
+      model.step_into(snapshot, a, avx2_probs);
       ASSERT_EQ(scalar_probs.size(), avx2_probs.size());
       for (std::size_t j = 0; j < scalar_probs.size(); ++j) {
         worst = std::max(worst, ulp_distance(scalar_probs[j], avx2_probs[j]));
@@ -253,24 +272,21 @@ TEST(InferAvx2, FusedBatchWithinUlpOfScalar) {
   constexpr std::size_t kSteps = 30;
   for (const Shape& shape : kShapes) {
     const NextActionModel model = make_model(shape.vocab, shape.hidden, shape.seed);
-    const auto engine = LstmInferEngine::build(model);
-    ASSERT_NE(engine, nullptr);
     std::vector<std::vector<int>> streams;
     for (std::size_t i = 0; i < kSessions; ++i) {
       streams.push_back(random_actions(kSteps, shape.vocab, 900 + i));
     }
 
-    std::vector<EngineState> scalar_states(kSessions, engine->make_state());
-    EngineScratch scratch;
+    std::vector<ModelState> scalar_states(kSessions, model.make_state());
     std::vector<float> scalar_probs, row_probs;
     std::vector<std::vector<float>> batch_probs(kSessions);
     std::int64_t worst = 0;
     for (std::size_t t = 0; t < kSteps; ++t) {
       const std::size_t n = kSessions - t % kSessions;  // 13 rows down to 1
       // Fresh copies of the scalar trajectory states for both avx2 paths.
-      std::vector<EngineState> batch_states(scalar_states.begin(), scalar_states.begin() + n);
-      std::vector<EngineState> row_states(batch_states);
-      std::vector<EngineState*> state_ptrs(n);
+      std::vector<ModelState> batch_states(scalar_states.begin(), scalar_states.begin() + n);
+      std::vector<ModelState> row_states(batch_states);
+      std::vector<ModelState*> state_ptrs(n);
       std::vector<std::vector<float>*> prob_ptrs(n);
       std::vector<int> actions(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -279,18 +295,18 @@ TEST(InferAvx2, FusedBatchWithinUlpOfScalar) {
         prob_ptrs[i] = &batch_probs[i];
       }
       set_infer_mode(InferMode::kAvx2);
-      engine->step_batch(state_ptrs, actions, prob_ptrs, scratch);
+      model.step_batch(state_ptrs, actions, prob_ptrs);
       for (std::size_t i = 0; i < n; ++i) {
-        engine->step(row_states[i], actions[i], row_probs, scratch);
+        model.step_into(row_states[i], actions[i], row_probs);
         ASSERT_TRUE(bit_equal(row_probs, batch_probs[i]))
             << "vocab=" << shape.vocab << " hidden=" << shape.hidden << " step " << t
             << " session " << i;
-        ASSERT_TRUE(bit_equal(row_states[i].h, batch_states[i].h));
-        ASSERT_TRUE(bit_equal(row_states[i].c, batch_states[i].c));
+        ASSERT_TRUE(bit_equal(h_of(row_states[i]), h_of(batch_states[i])));
+        ASSERT_TRUE(bit_equal(c_of(row_states[i]), c_of(batch_states[i])));
       }
       set_infer_mode(InferMode::kScalar);
       for (std::size_t i = 0; i < kSessions; ++i) {
-        engine->step(scalar_states[i], streams[i][t], scalar_probs, scratch);
+        model.step_into(scalar_states[i], streams[i][t], scalar_probs);
         if (i >= n) continue;
         for (std::size_t j = 0; j < scalar_probs.size(); ++j) {
           worst = std::max(worst, ulp_distance(scalar_probs[j], batch_probs[i][j]));

@@ -133,10 +133,14 @@ const SessionStore& store() {
   return s;
 }
 
+/// Cluster model architectures: the paper's, which steps through the
+/// kernel table, and three that step layer by layer.
+enum class ModelShape { kPaper, kGru, kTwoLayers, kEmbedding };
+
 /// A small detector whose vote seals after `vote_actions` steps.
-const MisuseDetector& detector(std::size_t vote_actions) {
-  static std::map<std::size_t, std::unique_ptr<MisuseDetector>> trained;
-  auto& slot = trained[vote_actions];
+const MisuseDetector& detector(std::size_t vote_actions, ModelShape shape = ModelShape::kPaper) {
+  static std::map<std::pair<std::size_t, ModelShape>, std::unique_ptr<MisuseDetector>> trained;
+  auto& slot = trained[{vote_actions, shape}];
   if (!slot) {
     DetectorConfig dc;
     dc.ensemble.topic_counts = {8, 10};
@@ -148,6 +152,9 @@ const MisuseDetector& detector(std::size_t vote_actions) {
     dc.lm.epochs = 4;
     dc.lm.learning_rate = 2e-2f;  // trained past uniform, so likelihoods can drop
     dc.lm.patience = 0;
+    if (shape == ModelShape::kGru) dc.lm.cell = nn::CellKind::kGru;
+    if (shape == ModelShape::kTwoLayers) dc.lm.layers = 2;
+    if (shape == ModelShape::kEmbedding) dc.lm.embedding_dim = 5;
     slot = std::make_unique<MisuseDetector>(MisuseDetector::train(store(), dc));
   }
   return *slot;
@@ -392,7 +399,16 @@ TEST(MonitorLanes, ObserveBatchMatchesPerMonitorObserveOnMixedClusterBatches) {
   expect_batch_matches_observe(detector(0));
   ASSERT_NE(degraded_detector(), nullptr);
   expect_batch_matches_observe(*degraded_detector());
+  expect_batch_matches_observe(detector(15, ModelShape::kGru));
+  expect_batch_matches_observe(detector(15, ModelShape::kTwoLayers));
+  expect_batch_matches_observe(detector(15, ModelShape::kEmbedding));
 }
+
+/// Restores the process-wide kernel mode a test changes.
+struct InferModeGuard {
+  nn::infer::InferMode mode = nn::infer::infer_mode();
+  ~InferModeGuard() { nn::infer::set_infer_mode(mode); }
+};
 
 TEST(MonitorLanes, ObserveBatchStaysCloseToObserveOnFusedAvx2Tiles) {
   // The scalar kernels never fuse rows, so only this mode runs the
@@ -400,13 +416,38 @@ TEST(MonitorLanes, ObserveBatchStaysCloseToObserveOnFusedAvx2Tiles) {
   // tiles give every row the one-row kernels' FMA chains, so "close" is
   // exact here too.
   if (!nn::infer::avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
-  struct ModeGuard {
-    nn::infer::InferMode mode = nn::infer::infer_mode();
-    ~ModeGuard() { nn::infer::set_infer_mode(mode); }
-  } guard;
+  InferModeGuard guard;
   nn::infer::set_infer_mode(nn::infer::InferMode::kAvx2);
   expect_batch_matches_observe(detector(15));
   expect_batch_matches_observe(detector(0));
+}
+
+TEST(MonitorLanes, OfflineScoresEqualStreamedStepsUnderAvx2) {
+  // Offline scoring steps the same streaming forward as the monitor, so
+  // it follows the kernel mode too: under avx2 a session's offline
+  // likelihoods equal the streamed ones bit for bit.
+  if (!nn::infer::avx2_supported()) GTEST_SKIP() << "avx2 kernels unavailable on this host";
+  InferModeGuard guard;
+  nn::infer::set_infer_mode(nn::infer::InferMode::kAvx2);
+  const MisuseDetector& d = detector(15);
+  std::size_t compared = 0;
+  for (const auto& session : sessions_for(d)) {
+    for (std::size_t c = 0; c < d.cluster_count(); ++c) {
+      const auto offline = d.score_with_cluster(c, session);
+      MisuseDetector::ClusterState state = d.make_cluster_state(c);
+      std::vector<float> dist;
+      for (std::size_t i = 0; i + 1 < session.size(); ++i) {
+        d.step_cluster_into(c, state, session[i], dist);
+        const double streamed =
+            std::max(static_cast<double>(dist[static_cast<std::size_t>(session[i + 1])]), 1e-12);
+        ASSERT_LT(i, offline.likelihoods.size());
+        ASSERT_EQ(offline.likelihoods[i], streamed)
+            << "cluster " << c << ", session length " << session.size() << ", step " << i;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <sstream>
 
 namespace misuse::nn {
@@ -295,6 +297,60 @@ TEST(NextActionModel, EmbeddingSaveLoadRoundTrip) {
   for (std::size_t i = 0; i < a.likelihoods.size(); ++i) {
     EXPECT_EQ(a.likelihoods[i], b.likelihoods[i]);
   }
+}
+
+bool bit_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// GRU, stacked and embedding models step layer by layer, one row at a
+// time: a batch must equal one-row steps bit for bit, in every layer's
+// state, with no multi-row kernel pass.
+TEST(NextActionModel, StepBatchEqualsStepIntoOnLayerByLayerShapes) {
+  const ModelConfig configs[] = {
+      {.vocab = 11, .hidden = 6, .cell = CellKind::kGru, .dropout = 0.0f},
+      {.vocab = 11, .hidden = 6, .layers = 2, .dropout = 0.0f},
+      {.vocab = 11, .hidden = 6, .embedding_dim = 4, .dropout = 0.0f},
+  };
+  constexpr std::size_t kSessions = 5;
+  constexpr std::size_t kSteps = 12;
+  for (const ModelConfig& config : configs) {
+    Rng rng(19);
+    const NextActionModel model(config, rng);
+    EXPECT_EQ(model.rows_per_pass(), 1u);
+    std::vector<ModelState> bat(kSessions, model.make_state());
+    std::vector<ModelState> row(kSessions, model.make_state());
+    std::vector<std::vector<float>> bat_probs(kSessions);
+    std::vector<float> row_probs;
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      const std::size_t n = kSessions - t % kSessions;  // 5 rows down to 1
+      std::vector<ModelState*> states(n);
+      std::vector<std::vector<float>*> probs(n);
+      std::vector<int> actions(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        states[i] = &bat[i];
+        probs[i] = &bat_probs[i];
+        actions[i] = static_cast<int>(rng.uniform_index(config.vocab));
+      }
+      model.step_batch(states, actions, probs);
+      for (std::size_t i = 0; i < n; ++i) {
+        model.step_into(row[i], actions[i], row_probs);
+        ASSERT_TRUE(bit_equal(row_probs, bat_probs[i]))
+            << "layers=" << config.layers << " cell=" << cell_kind_name(config.cell)
+            << " embedding=" << config.embedding_dim << " step " << t << " row " << i;
+        for (std::size_t l = 0; l < config.layers; ++l) {
+          ASSERT_TRUE(bit_equal(row[i].layers[l].h.flat(), bat[i].layers[l].h.flat()));
+          ASSERT_TRUE(bit_equal(row[i].layers[l].c.flat(), bat[i].layers[l].c.flat()));
+        }
+      }
+    }
+  }
+  // The paper shape sweeps as many rows as keep 4H gate floats a row
+  // within 32 KiB.
+  Rng rng(20);
+  EXPECT_EQ(NextActionModel({.vocab = 11, .hidden = 256}, rng).rows_per_pass(), 8u);
+  EXPECT_EQ(NextActionModel({.vocab = 11, .hidden = 16}, rng).rows_per_pass(), 128u);
 }
 
 class ModelDropoutSweep : public ::testing::TestWithParam<float> {};
