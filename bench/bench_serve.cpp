@@ -236,7 +236,7 @@ SwapBench run_swap_path(const core::MisuseDetector& v1, const core::MisuseDetect
 struct ObserveRun {
   double seconds = 0.0;
   std::size_t scrapes = 0;
-  std::vector<std::string> lines;  // scored output, merge order
+  std::vector<std::string> lines;  // scored output, in emitted order
 };
 
 /// Replay in blocks of 256 (the workload streamed `passes` times through

@@ -17,6 +17,12 @@
 # half-closes, then reads. The router must keep the half-closed client
 # until the node has answered every event.
 #
+# A third leg puts a node at --max-sessions=4 behind a router. The node's
+# capacity-eviction reports reach the router ahead of the evicted
+# sessions' pipelined events, and the client (which writes the whole
+# trace, half-closes, then reads) must still get one step record per
+# event.
+#
 # usage: scripts/cluster_smoke.sh [BUILD_DIR]
 set -euo pipefail
 
@@ -167,5 +173,40 @@ fi
 kill "$step3_router" "$step3_node"
 wait "$step3_router" "$step3_node" 2>/dev/null || true
 
+echo "== capacity evictions through a router: a node at --max-sessions=4"
+"$serve" --model="$work/detector.bin" --listen=0 --max-sessions=4 \
+  >"$work/evict_node.out" 2>"$work/evict_node.err" &
+evict_node=$!
+pids+=($evict_node)
+evict_node_port=$(scrape_port "$work/evict_node.err")
+"$router" --nodes="127.0.0.1:$evict_node_port" --listen=0 --host=127.0.0.1 \
+  >"$work/evict_router.out" 2>"$work/evict_router.err" &
+evict_router=$!
+pids+=($evict_router)
+evict_port=$(scrape_port "$work/evict_router.err")
+python3 - "$evict_port" "$work/trace.ndjson" >"$work/evict.out" <<'PY'
+import socket, sys
+client = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+with open(sys.argv[2], "rb") as trace:
+    client.sendall(trace.read())
+client.shutdown(socket.SHUT_WR)
+while True:
+    chunk = client.recv(65536)
+    if not chunk:
+        break
+    sys.stdout.buffer.write(chunk)
+PY
+steps=$(grep -c '"type":"step"' "$work/evict.out" || true)
+evictions=$(grep -c '"reason":"capacity_eviction"' "$work/evict.out" || true)
+if [ "$steps" != "$total" ]; then
+  echo "through a router to a --max-sessions=4 node: $steps step records for $total events" \
+    "($evictions eviction reports)" >&2
+  tail -3 "$work/evict_router.err" >&2
+  exit 1
+fi
+kill "$evict_router" "$evict_node"
+wait "$evict_router" "$evict_node" 2>/dev/null || true
+
 echo "cluster smoke: OK ($sessions sessions byte-identical across a node kill;" \
-  "$verdicts of $total verdicts to a half-closed client)"
+  "$verdicts of $total verdicts to a half-closed client;" \
+  "$steps of $total step records past $evictions capacity evictions)"

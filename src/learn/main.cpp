@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <unistd.h>
@@ -60,11 +61,33 @@ void usage(const char* program) {
                program);
 }
 
+/// Every flag main reads. CliArgs folds "--no-X" into key "X", so negated
+/// flags are listed under their positive name.
+constexpr std::string_view kKnownFlags[] = {
+    // Usage, registry and input.
+    "help", "registry", "wal-dir",
+    // Loop.
+    "min-train-windows", "max-cycles", "once", "poll-ms", "idle-exit-ms", "serve-pid",
+    // Trainer.
+    "epochs", "learning-rate", "min-cluster-sessions", "seed",
+    // Collector.
+    "gap-seconds", "buffer-windows", "eval-every", "max-alarm-steps",
+    // Policy.
+    "eval-budget", "max-flip-rate", "max-loss-delta", "drift-margin", "rollback-drift-margin",
+    "watch-min-windows",
+    // Output.
+    "audit", "status", "note", "metrics-out",
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace misuse;
   CliArgs args(argc, argv);
+  if (const auto unknown = args.unknown_flag(kKnownFlags)) {
+    std::fprintf(stderr, "misusedet_learnd: unknown flag --%s (see --help)\n", unknown->c_str());
+    return 2;
+  }
   const std::string registry_root = args.str("registry");
   if (registry_root.empty() || args.flag("help")) {
     usage(args.program().c_str());

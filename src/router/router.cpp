@@ -1,5 +1,6 @@
 #include "router/router.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -205,6 +206,7 @@ void Router::on_client_line(std::uint64_t conn, std::string_view line, std::stri
   // fails before it answers, handoff replays it to the new owner, whose
   // reply reaches the client (it is unconfirmed).
   session.journal.emplace_back(line);
+  ++session.unanswered;
   forward(*session.owner, Inflight{std::move(key), conn, false}, line);
   rm.events.inc();
 }
@@ -213,9 +215,9 @@ void Router::on_node_lines(Upstream& node, std::span<const std::string_view> lin
   RouterMetrics& rm = router_metrics();
   for (const std::string_view line : lines) {
     if (serve::is_report_record(line)) {
-      // Reports self-identify (capacity/swap evictions ride the upstream
-      // connection out of order with step replies) — route by content,
-      // never the FIFO.
+      // Reports self-identify (a node's eviction reports share the
+      // connection with step replies but answer no forwarded event) —
+      // route by content, never the FIFO.
       std::vector<JsonField> fields;
       std::string parse_error;
       if (parse_flat_json(line, fields, parse_error)) {
@@ -223,8 +225,20 @@ void Router::on_node_lines(Upstream& node, std::span<const std::string_view> lin
             serve::session_key(get_string(fields, "user_id").value_or(""),
                                get_string(fields, "session_id").value_or("")));
         if (it != sessions_.end()) {
-          if (loop_->send(it->second.client, line)) rm.replies.inc();
-          sessions_.erase(it);
+          SessionState& session = it->second;
+          if (loop_->send(session.client, line)) rm.replies.inc();
+          // The node answers a session's events in order: the answered
+          // ones belong to the session this report finished, and the
+          // unanswered ones opened its next one, so only they stay
+          // journaled (and their verdicts still reach the client).
+          if (session.unanswered == 0) {
+            sessions_.erase(it);
+          } else {
+            const std::size_t answered = session.journal.size() - session.unanswered;
+            session.journal.erase(session.journal.begin(),
+                                  session.journal.begin() + static_cast<std::ptrdiff_t>(answered));
+            session.confirmed -= std::min(session.confirmed, answered);
+          }
         }
       }
       rm.sessions_finished.inc();
@@ -237,11 +251,12 @@ void Router::on_node_lines(Upstream& node, std::span<const std::string_view> lin
     // step / error verdicts answer forwarded events in FIFO order.
     const Inflight entry = std::move(node.inflight.front());
     node.inflight.pop_front();
+    const auto it = sessions_.find(entry.session_key);
+    if (it != sessions_.end() && it->second.unanswered > 0) it->second.unanswered -= 1;
     if (entry.replayed) {
       rm.replay_suppressed.inc();
       continue;
     }
-    const auto it = sessions_.find(entry.session_key);
     if (it != sessions_.end()) {
       // `confirmed` is the client-visible verdict prefix. A replayed
       // (suppressed) reply answers a verdict already inside that prefix —
@@ -345,6 +360,7 @@ void Router::node_down(Upstream& dead, std::string_view why) {
     }
     Upstream& successor = *upstreams_.at(*new_owner);
     session.owner = &successor;
+    session.unanswered = session.journal.size();
     rm.sessions_migrated.inc();
     for (std::size_t i = 0; i < session.journal.size(); ++i) {
       forward(successor, Inflight{it->first, session.client, i < session.confirmed},

@@ -11,7 +11,9 @@
 //     deployment;
 //   * in-order replies — one upstream connection per node, verdicts
 //     return in submission order, attributed to sessions via an
-//     in-flight FIFO (session reports self-identify and pass through);
+//     in-flight FIFO (session reports self-identify and pass through; a
+//     report ends the journal at the events the node has answered, so
+//     verdicts still in flight for the session's next one are kept);
 //   * failure handoff — a node that dies (its connection closes or
 //     breaks, it stops draining past the loop's backlog cap, or /healthz
 //     fails `health_failures_down` consecutive probes) is removed from
@@ -153,6 +155,7 @@ class Router {
     std::uint64_t client = 0;  // connection of the session's last event (may be gone)
     std::vector<std::string> journal;  // every forwarded event line, in order
     std::size_t confirmed = 0;  // verdicts already delivered to the client
+    std::size_t unanswered = 0;  // journaled events the owner has not answered
     double last_active_seconds = 0.0;  // wall clock; journal TTL pruning
   };
 

@@ -190,9 +190,6 @@ std::string AdminServer::render_healthz(int* http_status) const {
 }
 
 std::string AdminServer::render_statusz() const {
-  const std::uint64_t watermark = server_.last_applied_seq();
-  const std::uint64_t next_seq = server_.next_seq();
-  const std::uint64_t assigned = next_seq > 0 ? next_seq - 1 : 0;
   const ServeConfig& cfg = server_.config();
 
   // One *flat* single-line JSON object: misusedet_top (and any script)
@@ -210,14 +207,11 @@ std::string AdminServer::render_statusz() const {
     json.member("sessions_active", server_.active_sessions());
     json.member("sessions_limit", cfg.max_sessions);
     json.member("event_clock", server_.event_clock());
-    json.member("next_seq", next_seq);
+    json.member("next_seq", server_.next_seq());
     json.member("wal_enabled", server_.wal_enabled());
     json.member("wal_ok", server_.wal_ok());
     json.member("events_since_checkpoint", server_.events_since_checkpoint());
     json.member("snapshot_every", cfg.snapshot_every);
-    // How far the durable watermark trails the stream head: an upper
-    // bound on the replay a crash right now would need.
-    json.member("wal_watermark_lag", assigned > watermark ? assigned - watermark : 0);
     json.member("trace_enabled", trace_events().enabled());
     json.member("trace_events_dropped", trace_events().dropped());
     // Shadow scorer evidence (serve/shadow.cpp) — what the learn loop's

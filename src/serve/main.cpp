@@ -474,7 +474,7 @@ int serve_main(int argc, char** argv) {
   ScoringServer server(model, config);
   if (server.wal_enabled()) {
     // Surface what a crashed predecessor left behind before serving new
-    // traffic; replayed records carry their original sequence numbers.
+    // traffic, in the order it printed it.
     std::vector<OutputRecord> recovered;
     server.recover(recovered);
     flush_records(recovered, std::cout);

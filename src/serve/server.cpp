@@ -26,16 +26,6 @@ std::int64_t numeric_version(const std::string& version) {
   return any ? value : 0;
 }
 
-/// Restores arrival order over out[base, end): records sort by input
-/// sequence number. The merge is stable because seqs are not unique: a
-/// capacity-eviction report carries the seq of the event whose session
-/// open evicted it, and the table emits it before that event's step. An
-/// unstable sort would order the pair by batch size.
-void merge_by_seq(std::vector<OutputRecord>& out, std::size_t base) {
-  std::stable_sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-                   [](const OutputRecord& a, const OutputRecord& b) { return a.seq < b.seq; });
-}
-
 ShardConfig table_config(const ServeConfig& config) {
   ShardConfig table;
   table.monitor = config.monitor;
@@ -116,47 +106,25 @@ void ScoringServer::pump(std::vector<OutputRecord>& out) {
   staged_.clear();
 }
 
-void ScoringServer::append_reports(std::vector<OutputRecord>&& reports,
-                                   std::vector<OutputRecord>& out) {
-  // One sweep's or drain's reports leave in rendered-line order (the
-  // order earlier output pinned, not the table's key order), each
-  // re-tagged with an emission-order seq.
-  std::sort(reports.begin(), reports.end(),
-            [](const OutputRecord& a, const OutputRecord& b) { return a.line < b.line; });
-  out.reserve(out.size() + reports.size());
-  for (auto& r : reports) {
-    r.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    out.push_back(std::move(r));
-  }
-}
-
 void ScoringServer::sweep_at(double now, std::vector<OutputRecord>& out) {
-  std::vector<OutputRecord> reports;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    // Sweeps mutate durable state (evictions), so they are WAL records
-    // too: replay re-runs them at the same seq position.
-    if (wal_ != nullptr) {
-      wal_->append(encode_sweep_record(now, seq));
-      wal_->flush();
-    }
-    table_.sweep(now, seq, reports);
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  // Sweeps mutate durable state (evictions), so they are WAL records
+  // too: replay re-runs them at the same seq position.
+  if (wal_ != nullptr) {
+    wal_->append(encode_sweep_record(now, seq));
+    wal_->flush();
   }
-  append_reports(std::move(reports), out);
+  table_.sweep(now, seq, out);
 }
 
 void ScoringServer::shutdown(std::vector<OutputRecord>& out) {
   pump(out);
-  std::vector<OutputRecord> reports;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    table_.finish_all(seq_.fetch_add(1, std::memory_order_relaxed), reports);
-    // Every session just reported: persist the (empty) table so a restart
-    // after a *graceful* exit recovers nothing.
-    if (wal_enabled()) write_checkpoint();
-  }
-  append_reports(std::move(reports), out);
+  std::lock_guard<std::mutex> lock(mutex_);
+  table_.finish_all(out);
+  // Every session just reported: persist the (empty) table so a restart
+  // after a *graceful* exit recovers nothing.
+  if (wal_enabled()) write_checkpoint();
 }
 
 std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
@@ -196,28 +164,21 @@ std::size_t ScoringServer::recover(std::vector<OutputRecord>& out) {
   std::uint64_t max_seq = 0;
   for (const auto& w : watermarks) max_seq = std::max(max_seq, w);
   std::size_t replayed = 0;
-  std::vector<OutputRecord> replayed_out;
   const core::MisuseDetector* detector = table_.model().detector.get();
   for (const WalRecord& record : records) {
     max_seq = std::max(max_seq, record.seq);
     if (record.type == WalRecord::kEvent) {
       const int action = resolve_action_id(detector->vocab(), record.event.action);
       if (action < 0) continue;  // vocabulary changed under the WAL
-      table_.process(record.event, action, detector, record.seq, replayed_out);
+      table_.process(record.event, action, detector, record.seq, out);
       ++replayed;
       serve_metrics().recovered_events.inc();
     } else if (record.type == WalRecord::kSweep) {
       // A sharded layout logged one sweep per shard; re-running each over
       // the whole table is idempotent (later passes find nothing expired).
-      table_.sweep(record.sweep_now, record.seq, replayed_out);
+      table_.sweep(record.sweep_now, record.seq, out);
     }
   }
-  // Replayed records keep their original seqs: a consumer that saw the
-  // pre-crash stream dedups on seq and the tail continues seamlessly.
-  const std::size_t base = out.size();
-  out.reserve(base + replayed_out.size());
-  for (auto& r : replayed_out) out.push_back(std::move(r));
-  merge_by_seq(out, base);
 
   std::uint64_t seq = seq_.load(std::memory_order_relaxed);
   while (seq < max_seq + 1 &&
@@ -271,27 +232,21 @@ std::size_t ScoringServer::submit_batch(std::span<const Event> events,
   if (events.empty()) return 0;
   std::lock_guard<std::mutex> lock(mutex_);
   const core::MisuseDetector* detector = table_.model().detector.get();
-  const std::size_t base = out.size();
   // One seq per event in arrival order, rejected ones included.
   const std::uint64_t first = seq_.fetch_add(events.size(), std::memory_order_relaxed);
   std::vector<SessionShard::BatchEvent> batch;
   batch.reserve(events.size());
+  std::size_t accepted = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& event = events[i];
-    const int action = resolve_action_id(detector->vocab(), event.action);
-    if (action < 0) {
-      serve_metrics().parse_errors.inc();
-      out.push_back({first + i, render_error_record("unknown action", event.action)});
-      continue;
-    }
-    batch.push_back({&event, action, detector, first + i});
+    const int action = resolve_action_id(detector->vocab(), events[i].action);
+    if (action >= 0) ++accepted;
+    batch.push_back({&events[i], action, detector, first + i});
   }
   table_.process_batch(batch, out);
   // Group commit before any of these verdicts leaves the process.
   if (wal_ != nullptr) wal_->flush();
-  events_since_checkpoint_.fetch_add(batch.size(), std::memory_order_relaxed);
-  merge_by_seq(out, base);
-  return batch.size();
+  events_since_checkpoint_.fetch_add(accepted, std::memory_order_relaxed);
+  return accepted;
 }
 
 std::size_t ScoringServer::active_sessions() const {
@@ -302,11 +257,6 @@ std::size_t ScoringServer::active_sessions() const {
 double ScoringServer::event_clock() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return table_.clock();
-}
-
-std::uint64_t ScoringServer::last_applied_seq() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return table_.last_applied_seq();
 }
 
 bool ScoringServer::wal_ok() const { return wal_ == nullptr || wal_->ok(); }
@@ -337,7 +287,6 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
   stats.drain_seconds = drain_timer.seconds();
 
   bool compatible = false;
-  std::vector<OutputRecord> reports;
   Timer pause_timer;
   {
     // The barrier: no event is scored while the model pointer moves. An
@@ -351,14 +300,13 @@ ScoringServer::SwapStats ScoringServer::swap_model(ModelHandle next,
       // The vocabularies differ: open sessions cannot migrate to a model
       // that interprets action ids differently, so each one reports at
       // the barrier (emitted, never dropped) and traffic reopens fresh.
-      table_.finish_all(seq_.fetch_add(1, std::memory_order_relaxed), reports,
-                        ReportReason::kModelSwap);
-      stats.rolled_sessions = reports.size();
+      const std::size_t before = out.size();
+      table_.finish_all(out, ReportReason::kModelSwap);
+      stats.rolled_sessions = out.size() - before;
     }
     table_.set_model(next);
   }
   stats.pause_seconds = pause_timer.seconds();
-  append_reports(std::move(reports), out);
 
   ServeMetrics& sm = serve_metrics();
   sm.swaps.inc();

@@ -5,16 +5,16 @@
 //
 // Architecture (see DESIGN.md "Serving"):
 //   * submit_batch(): the one scoring path. Resolves each event's action,
-//     numbers the events in arrival order, and scores the batch with one
-//     process_batch and one WAL flush. --threads lanes fan out inside the
-//     batch (OnlineMonitor::observe_batch and the record rendering), never
-//     across sessions' order: a session's events keep their order and
-//     OnlineMonitor is deterministic, so every per-session score stream is
-//     bit-identical to the offline monitor at any thread count. Records
-//     are merged back by sequence number (a stable merge: an eviction
-//     report shares its seq with the step that caused it and keeps its
-//     place before it), so the emitted NDJSON order equals arrival order at
-//     any batch size. submit_sync() is its one-event case.
+//     numbers the events in arrival order for the WAL, and scores the
+//     batch with one process_batch and one WAL flush. --threads lanes fan
+//     out inside the batch (OnlineMonitor::observe_batch and the record
+//     rendering), never across sessions' order: a session's events keep
+//     their order and OnlineMonitor is deterministic, so every per-session
+//     score stream is bit-identical to the offline monitor at any thread
+//     count. The session table appends every record in its final place
+//     (see serve/session_table.hpp), so the emitted NDJSON order is
+//     arrival order at any batch size. submit_sync() is its one-event
+//     case.
 //   * enqueue()/pump(): stage events in one server-owned vector and hand
 //     them to submit_batch.
 //   * sweep(): retires idle sessions by *event time* TTL.
@@ -105,10 +105,11 @@ class ScoringServer {
   /// Rebuilds state left by a crashed predecessor: loads every snapshot
   /// the directory's MANIFEST names (older nodes wrote one per shard),
   /// replays WAL records past each snapshot's watermark globally by
-  /// sequence number (re-emitting their records with the *original* seqs,
-  /// so downstream consumers dedup by seq), and checkpoints the recovered
-  /// state as one shard-0 log and snapshot. Returns the number of WAL
-  /// events replayed. No-op without a WAL dir.
+  /// sequence number through the live scoring path, re-emitting their
+  /// records in the order the crashed node printed them (sweep reports
+  /// included), and checkpoints the recovered state as one shard-0 log and
+  /// snapshot. Returns the number of WAL events replayed. No-op without a
+  /// WAL dir.
   std::size_t recover(std::vector<OutputRecord>& out);
 
   /// Pumps, snapshots the session table, and truncates the WAL the
@@ -127,9 +128,8 @@ class ScoringServer {
   /// current model, sequence numbers follow arrival order, and one
   /// process_batch and one WAL flush score the batch, so sessions of one
   /// cluster share one batched model step.
-  /// The records are appended to `out` merged by sequence number — each
-  /// event's record(s) in arrival order. An unknown action gets an error
-  /// record under its own sequence number. Returns the events accepted.
+  /// The records are appended to `out` in arrival order; an unknown action
+  /// gets an error record in its place. Returns the events accepted.
   std::size_t submit_batch(std::span<const Event> events, std::vector<OutputRecord>& out);
 
   /// submit_batch() of one event: false (with an error record) when the
@@ -144,9 +144,6 @@ class ScoringServer {
 
   // -- Runtime introspection (serve/admin.hpp; DESIGN.md "Operations plane")
 
-  /// Largest sequence number the session table has applied (the
-  /// watermark a checkpoint taken now would cover).
-  std::uint64_t last_applied_seq() const;
   /// Next sequence number to be assigned (1 when nothing was admitted).
   std::uint64_t next_seq() const { return seq_.load(std::memory_order_relaxed); }
   /// Events applied since the last checkpoint (WAL replay lag bound).
@@ -197,9 +194,6 @@ class ScoringServer {
   void clear_shadow();
 
  private:
-  /// Emits collected eviction/shutdown reports sorted by rendered line,
-  /// re-tagged with emission-order seqs.
-  void append_reports(std::vector<OutputRecord>&& reports, std::vector<OutputRecord>& out);
   void init_drift();
   void observe_drift(const std::vector<int>& actions);
 
@@ -217,7 +211,8 @@ class ScoringServer {
   /// enqueue()'s events, scored by the next pump().
   std::vector<Event> staged_;
   std::unique_ptr<WalWriter> wal_;
-  /// Sequence numbers start at 1: snapshot watermarks mean "replay
+  /// Input events and sweeps take sequence numbers, the order of their
+  /// WAL records. They start at 1: snapshot watermarks mean "replay
   /// strictly after", so 0 must stay the "nothing applied" sentinel.
   std::atomic<std::uint64_t> seq_{1};
   std::atomic<std::uint64_t> events_since_checkpoint_{0};

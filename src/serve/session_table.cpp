@@ -61,12 +61,11 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
   // applied in arrival order; the monitor advance is deferred so distinct
   // sessions' forwards fuse into one batched step per pinned detector.
   // Entry pointers are stable (node-based map) and no staged entry is
-  // ever evicted (flush runs before evict_lru).
+  // ever finished (every record that is not a step flushes first).
   struct Staged {
     const Event* event;
     Entry* entry;
     int action;
-    std::uint64_t seq;
   };
   std::vector<Staged> staged;
   staged.reserve(events.size());
@@ -135,7 +134,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
       }
       if (config_.track_history) entry.actions.push_back(staged[i].action);
       entry.acc.add(step);
-      if (config_.emit_steps) out.push_back({staged[i].seq, std::move(rendered[i])});
+      if (config_.emit_steps) out.push_back({std::move(rendered[i])});
       if (step_observer_) step_observer_(event, step);
       if (shadow_) shadow_->observe(event, step);
       entry.staged = false;
@@ -150,11 +149,34 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
     staged.clear();
   };
 
+  // A rejected event leaves the table untouched; its error record follows
+  // the steps staged before it.
+  const auto reject = [&](const Event& event) {
+    flush();
+    serve_metrics().parse_errors.inc();
+    out.push_back({render_error_record("unknown action", event.action)});
+  };
+
   for (const BatchEvent& pending : events) {
     const Event& event = *pending.event;
     int action = pending.action;
+    if (action < 0) {
+      reject(event);
+      continue;
+    }
     const std::string key = session_key(event);
     auto it = sessions_.find(key);
+    // now - last_seen over the TTL: the session idled out before this
+    // event, which opens a new one. `now` is stamped as last_seen is, so
+    // the decision follows the session's own events, not where a batch
+    // boundary or a sweep fell.
+    const double now = event.has_timestamp ? event.timestamp : clock_;
+    if (it != sessions_.end() && now - it->second.last_seen > config_.idle_ttl_seconds) {
+      flush();
+      finish_entry(it->second, ReportReason::kIdleEviction, out);
+      sessions_.erase(it);
+      it = sessions_.end();
+    }
     // A session's actions are always interpreted under the model it
     // pinned at open. When the id was resolved under a different model
     // (the event raced a hot-swap), re-resolve the raw action string —
@@ -166,8 +188,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
     if (pinned != pending.resolved_under) {
       action = resolve_action_id(pinned->vocab(), event.action);
       if (action < 0) {
-        serve_metrics().parse_errors.inc();
-        out.push_back({pending.seq, render_error_record("unknown action", event.action)});
+        reject(event);
         continue;
       }
     }
@@ -182,7 +203,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
       if (action == entry.replay_skip[entry.replay_pos]) {
         ++entry.replay_pos;
         if (event.has_timestamp) clock_ = std::max(clock_, event.timestamp);
-        entry.last_seen = event.has_timestamp ? event.timestamp : clock_;
+        entry.last_seen = now;
         serve_metrics().replay_skipped.inc();
         continue;
       }
@@ -195,7 +216,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
         // The LRU victim may have a staged step — settle it before the
         // eviction report, exactly as the one-by-one path would.
         flush();
-        evict_lru(pending.seq, out);
+        evict_lru(out);
       }
       Entry entry;
       entry.user_id = event.user_id;
@@ -214,7 +235,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
     }
     Entry& entry = it->second;
     if (event.has_timestamp) clock_ = std::max(clock_, event.timestamp);
-    entry.last_seen = event.has_timestamp ? event.timestamp : clock_;
+    entry.last_seen = now;
 
     // Log before apply (group commit: append() buffers the record; the
     // server flushes the batch to the OS before any of its verdicts
@@ -224,7 +245,7 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
     last_applied_seq_ = std::max(last_applied_seq_, pending.seq);
 
     entry.staged = true;
-    staged.push_back({&event, &entry, action, pending.seq});
+    staged.push_back({&event, &entry, action});
   }
   flush();
 
@@ -237,11 +258,11 @@ void SessionShard::process_batch(std::span<const BatchEvent> events,
   }
 }
 
-void SessionShard::finish_entry(const Entry& entry, ReportReason reason, std::uint64_t seq,
+void SessionShard::finish_entry(const Entry& entry, ReportReason reason,
                                 std::vector<OutputRecord>& out) {
   const core::SessionMonitorReport report = entry.acc.report();
-  out.push_back({seq, render_report_record(entry.user_id, entry.session_id, reason, report,
-                                           entry.model.version)});
+  out.push_back({render_report_record(entry.user_id, entry.session_id, reason, report,
+                                      entry.model.version)});
   if (report_observer_) report_observer_(entry.user_id, entry.session_id, reason, report);
   if (tracer_ != nullptr && trace_events().enabled()) {
     const std::string key = session_key(entry.user_id, entry.session_id);
@@ -260,7 +281,7 @@ void SessionShard::finish_entry(const Entry& entry, ReportReason reason, std::ui
   }
 }
 
-void SessionShard::evict_lru(std::uint64_t seq, std::vector<OutputRecord>& out) {
+void SessionShard::evict_lru(std::vector<OutputRecord>& out) {
   if (sessions_.empty()) return;
   // Oldest last_seen wins; ties break on the smaller key so the choice
   // does not depend on hash-map iteration order.
@@ -271,8 +292,21 @@ void SessionShard::evict_lru(std::uint64_t seq, std::vector<OutputRecord>& out) 
       victim = it;
     }
   }
-  finish_entry(victim->second, ReportReason::kCapacityEviction, seq, out);
+  finish_entry(victim->second, ReportReason::kCapacityEviction, out);
   sessions_.erase(victim);
+}
+
+void SessionShard::finish_sessions(std::vector<std::string> keys, ReportReason reason,
+                                   std::vector<OutputRecord>& out) {
+  std::sort(keys.begin(), keys.end());
+  const auto base = static_cast<std::ptrdiff_t>(out.size());
+  for (const std::string& key : keys) {
+    const auto it = sessions_.find(key);
+    finish_entry(it->second, reason, out);
+    sessions_.erase(it);
+  }
+  std::sort(out.begin() + base, out.end(),
+            [](const OutputRecord& a, const OutputRecord& b) { return a.line < b.line; });
 }
 
 void SessionShard::sweep(double now, std::uint64_t seq, std::vector<OutputRecord>& out) {
@@ -281,25 +315,14 @@ void SessionShard::sweep(double now, std::uint64_t seq, std::vector<OutputRecord
   for (const auto& [key, entry] : sessions_) {
     if (now - entry.last_seen > config_.idle_ttl_seconds) expired.push_back(key);
   }
-  std::sort(expired.begin(), expired.end());
-  for (const auto& key : expired) {
-    const auto it = sessions_.find(key);
-    finish_entry(it->second, ReportReason::kIdleEviction, seq, out);
-    sessions_.erase(it);
-  }
+  finish_sessions(std::move(expired), ReportReason::kIdleEviction, out);
 }
 
-void SessionShard::finish_all(std::uint64_t seq, std::vector<OutputRecord>& out,
-                              ReportReason reason) {
-  std::vector<const std::string*> keys;
+void SessionShard::finish_all(std::vector<OutputRecord>& out, ReportReason reason) {
+  std::vector<std::string> keys;
   keys.reserve(sessions_.size());
-  for (const auto& [key, entry] : sessions_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  for (const std::string* key : keys) {
-    finish_entry(sessions_.at(*key), reason, seq, out);
-  }
-  sessions_.clear();
+  for (const auto& [key, entry] : sessions_) keys.push_back(key);
+  finish_sessions(std::move(keys), reason, out);
 }
 
 std::vector<SessionSnapshot> SessionShard::snapshot_sessions() const {

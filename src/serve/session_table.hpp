@@ -8,11 +8,18 @@
 // over the global pool's lanes inside process_batch; the class keeps its
 // SessionShard name from the sharded layout it replaced.
 //
+// Record order: the table appends every record to `out` in its final
+// place. Steps leave in arrival order; a record that is not a step (an
+// error, an eviction report) first settles the staged steps, then follows
+// them. Callers emit the records as they come.
+//
 // Bounds: `max_sessions` caps the map — opening a session beyond the cap
-// evicts the least-recently-seen entry first (emitting its report), and
-// the TTL sweep retires sessions idle longer than `idle_ttl_seconds` of
-// *event time* (the timestamps in the stream), so replays evict exactly
-// like live traffic.
+// evicts the least-recently-seen entry first (emitting its report). A
+// session whose next event comes more than `idle_ttl_seconds` of *event
+// time* (the timestamps in the stream) after its last one ends before
+// that event, which opens a new one; the TTL sweep retires sessions that
+// never return. Both follow event time, so replays evict exactly like
+// live traffic.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +38,8 @@
 
 namespace misuse::serve {
 
-/// One rendered NDJSON output line tagged with the global input sequence
-/// number of the event that produced it; the server merges a batch's
-/// records by `seq`, which restores the input order deterministically.
+/// One rendered NDJSON output line, appended in its final place.
 struct OutputRecord {
-  std::uint64_t seq = 0;
   std::string line;
 };
 
@@ -85,16 +89,19 @@ class SessionShard {
 
   /// Scores one event and appends the step record. Opens the session on
   /// first sight (pinning the table's current model into it), evicting
-  /// the least-recently-seen session first when the table is full.
-  /// `action` was resolved under `resolved_under`'s vocabulary; when the
-  /// session is pinned to a *different* model (an event raced a
-  /// hot-swap), the raw action string is re-resolved under the session's
-  /// own vocabulary, so a stale id is never fed to the wrong model.
+  /// the least-recently-seen session first when the table is full, and
+  /// reopens one that idled past the TTL. `action` was resolved under
+  /// `resolved_under`'s vocabulary (-1: unknown there, which appends an
+  /// error record); when the session is pinned to a *different* model
+  /// (an event raced a hot-swap), the raw action string is re-resolved
+  /// under the session's own vocabulary, so a stale id is never fed to
+  /// the wrong model. `seq` numbers the event's WAL record.
   void process(const Event& event, int action, const core::MisuseDetector* resolved_under,
                std::uint64_t seq, std::vector<OutputRecord>& out);
 
-  /// One event of a batch, its action resolved by the server. The
-  /// pointed-to Event must stay alive for the process_batch call.
+  /// One event of a batch, its action resolved by the server (-1 when
+  /// unknown). The pointed-to Event must stay alive for the process_batch
+  /// call.
   struct BatchEvent {
     const Event* event = nullptr;
     int action = -1;
@@ -110,15 +117,16 @@ class SessionShard {
   /// sequence: a session hit flushes the pending batch first.
   void process_batch(std::span<const BatchEvent> events, std::vector<OutputRecord>& out);
 
-  /// Retires sessions idle past the TTL at event time `now`; reports are
-  /// emitted in key order (deterministic across runs and platforms).
+  /// Retires sessions idle past the TTL at event time `now` (the sweep's
+  /// WAL record is `seq`). Sessions finish in key order, so observers see
+  /// an order that does not depend on the hash map; their reports are
+  /// appended in rendered-line order.
   void sweep(double now, std::uint64_t seq, std::vector<OutputRecord>& out);
 
-  /// Drain: emits a report for every open session (in key order) and
-  /// empties the table. Graceful shutdown by default; a vocab-changing
-  /// hot-swap drains with ReportReason::kModelSwap.
-  void finish_all(std::uint64_t seq, std::vector<OutputRecord>& out,
-                  ReportReason reason = ReportReason::kShutdown);
+  /// Drain: finishes every open session as sweep() does and empties the
+  /// table. Graceful shutdown by default; a vocab-changing hot-swap
+  /// drains with ReportReason::kModelSwap.
+  void finish_all(std::vector<OutputRecord>& out, ReportReason reason = ReportReason::kShutdown);
 
   std::size_t active_sessions() const { return sessions_.size(); }
 
@@ -198,9 +206,12 @@ class SessionShard {
     bool staged = false;
   };
 
-  void finish_entry(const Entry& entry, ReportReason reason, std::uint64_t seq,
-                    std::vector<OutputRecord>& out);
-  void evict_lru(std::uint64_t seq, std::vector<OutputRecord>& out);
+  void finish_entry(const Entry& entry, ReportReason reason, std::vector<OutputRecord>& out);
+  void evict_lru(std::vector<OutputRecord>& out);
+  /// Finishes and erases the sessions of `keys` in key order, then puts
+  /// their reports in rendered-line order.
+  void finish_sessions(std::vector<std::string> keys, ReportReason reason,
+                       std::vector<OutputRecord>& out);
 
   /// Current model for *new* sessions (open ones keep their pin).
   ModelHandle model_;

@@ -28,6 +28,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -217,7 +218,7 @@ void render(const std::string& host, std::uint16_t port, const std::vector<JsonF
 
   const double sessions = field_number(statusz, "sessions_active").value_or(0);
   const double limit = field_number(statusz, "sessions_limit").value_or(0);
-  const double wal_lag = field_number(statusz, "wal_watermark_lag").value_or(0);
+  const double wal_lag = field_number(statusz, "events_since_checkpoint").value_or(0);
   out << "health " << health << "   sessions " << fmt(sessions, 0) << "/" << fmt(limit, 0)
       << "   wal lag " << fmt(wal_lag, 0) << " events\n";
 
@@ -428,8 +429,17 @@ int cluster_main(const CliArgs& args) {
   return 0;
 }
 
+/// Every flag top_main and cluster_main read.
+constexpr std::string_view kKnownFlags[] = {
+    "help", "port", "host", "interval", "iterations", "plain", "dump", "ports",
+};
+
 int top_main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  if (const auto unknown = args.unknown_flag(kKnownFlags)) {
+    std::cerr << "misusedet_top: unknown flag --" << *unknown << " (see --help)\n";
+    return 2;
+  }
   if (args.has("ports")) return cluster_main(args);
   if (args.flag("help") || !args.has("port")) {
     std::cout << "usage: " << args.program() << " --port=PORT [options]\n"

@@ -1,12 +1,17 @@
 // Operations plane (serve/admin.hpp): endpoint rendering over real HTTP,
 // /statusz flat-JSON introspection, /healthz state transitions,
-// scrape/no-scrape byte-identity of scored output, and head sampling
-// into /tracez.
+// scrape/no-scrape byte-identity of scored output, head sampling into
+// /tracez, and misusedet_top's refusal of flags it does not read.
 #include "serve/admin.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -208,11 +213,14 @@ TEST_F(AdminFixture, StatuszIsOneFlatJsonLine) {
   EXPECT_EQ(get_string(fields, "infer_kernel"), "scalar");
   EXPECT_EQ(get_string(fields, "wal_enabled"), "false");
   EXPECT_EQ(get_number(fields, "next_seq"), static_cast<double>(events.size() + 1));
-  EXPECT_EQ(get_number(fields, "wal_watermark_lag"), 0.0);
-  // One session table: no shard count and no per-shard fields.
+  // The replay a crash would need: every event since the last checkpoint.
+  EXPECT_EQ(get_number(fields, "events_since_checkpoint"), static_cast<double>(events.size()));
+  // One session table: no shard count and no per-shard fields. Nor any
+  // watermark field: the lag a crash would replay is the line above.
   for (const JsonField& field : fields) {
     EXPECT_NE(field.key, "shards");
     EXPECT_NE(field.key.rfind("shard.", 0), 0u) << field.key;
+    EXPECT_EQ(field.key.find("watermark"), std::string::npos) << field.key;
   }
 }
 
@@ -258,6 +266,42 @@ TEST_F(AdminFixture, UnknownPathAndMethodAreRejected) {
   AdminServer admin(server, AdminConfig{});
   EXPECT_EQ(http_get(admin.port(), "/nope").status, 404);
   EXPECT_EQ(http_request(admin.port(), "POST /metrics HTTP/1.0").status, 405);
+}
+
+// misusedet_top refuses a flag it does not read before it polls anything:
+// exit 2, naming the flag (--no-X counts as X), and nothing on stdout. A
+// mistyped --intreval would otherwise poll at the default interval.
+TEST_F(AdminFixture, TopRejectsUnknownFlags) {
+  ServeConfig config;
+  ScoringServer server(*detector_, config);
+  AdminServer admin(server, AdminConfig{});
+  const std::string dir = ::testing::TempDir() + "misusedet_top_" + std::to_string(::getpid());
+  const std::string out = dir + ".out";
+  const std::string err = dir + ".err";
+  const auto run = [&](const std::string& args) {
+    const std::string command = std::string(MISUSEDET_TOP_BIN) + " --port=" +
+                                std::to_string(admin.port()) + " " + args + " > " + out +
+                                " 2> " + err;
+    const int rc = std::system(command.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  const auto text = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream body;
+    body << in.rdbuf();
+    return body.str();
+  };
+  EXPECT_EQ(run("--intreval=5 --iterations=1 --plain"), 2);
+  EXPECT_NE(text(err).find("unknown flag --intreval"), std::string::npos) << text(err);
+  EXPECT_TRUE(text(out).empty()) << text(out);
+  EXPECT_EQ(run("--no-color --dump=healthz"), 2);
+  EXPECT_NE(text(err).find("unknown flag --color"), std::string::npos) << text(err);
+  EXPECT_TRUE(text(out).empty()) << text(out);
+
+  EXPECT_EQ(run("--dump=healthz --no-plain"), 0) << text(err);
+  EXPECT_NE(text(out).find("\"status\":\"ok\""), std::string::npos) << text(out);
+  std::remove(out.c_str());
+  std::remove(err.c_str());
 }
 
 TEST_F(AdminFixture, StopIsIdempotentAndPortIsEphemeral) {

@@ -7,8 +7,10 @@
 #include "learn/loop.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -429,6 +431,38 @@ TEST_F(LearnFixture, LoopRejectsWhenFlipGuardTrips) {
   // The audit trail records the rejection.
   const std::string audit = read_file(root + "/learn_audit.ndjson").value_or("");
   EXPECT_NE(audit.find("\"reason\":\"verdict_flip_rate\""), std::string::npos) << audit;
+}
+
+// misusedet_learnd refuses a flag it does not read before it opens the
+// registry: exit 2, naming the flag (--no-X counts as X), and no audit or
+// status file. A mistyped --max-cycle would otherwise run unlimited
+// cycles.
+TEST_F(LearnFixture, CliRejectsUnknownFlagsAndWritesNothing) {
+  const std::string root = seeded_registry("cli");
+  const std::string err = scratch() + "cli.err";
+  const std::string audit = scratch() + "cli_audit.ndjson";
+  const std::string status = scratch() + "cli_status";
+  const auto run = [&](const std::string& args) {
+    const std::string command = std::string(MISUSEDET_LEARND_BIN) + " --registry=" + root +
+                                " --audit=" + audit + " --status=" + status + " " + args +
+                                " > /dev/null 2> " + err;
+    const int rc = std::system(command.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  const auto stderr_text = [&] { return read_file(err).value_or(""); };
+  EXPECT_EQ(run("--max-cycle=1 /dev/null"), 2);
+  EXPECT_NE(stderr_text().find("unknown flag --max-cycle"), std::string::npos) << stderr_text();
+  EXPECT_EQ(run("--no-dry-run /dev/null"), 2);
+  EXPECT_NE(stderr_text().find("unknown flag --dry-run"), std::string::npos) << stderr_text();
+  EXPECT_FALSE(fs::exists(audit));
+  EXPECT_FALSE(fs::exists(status));
+
+  EXPECT_EQ(run("--help"), 0) << stderr_text();
+  // The flags it reads, negated ones included, still run a cycle.
+  EXPECT_EQ(run("--max-cycles=1 --no-once /dev/null"), 0) << stderr_text();
+  EXPECT_NE(read_file(audit).value_or("").find("\"reason\":\"insufficient_windows\""),
+            std::string::npos);
+  EXPECT_EQ(registry::ModelRegistry(root).list().size(), 1u);
 }
 
 TEST_F(LearnFixture, LoopSkipsWithoutEnoughWindows) {

@@ -2,10 +2,12 @@
 // as MISUSEDET_SERVE_BIN): SIGTERM graceful drain with live TCP
 // connections mid-session, the TCP front end's verdicts against pipe
 // mode's (lockstep and batched reads, error records included), output
-// order independent of --batch, kill -9 crash recovery via --wal-dir — the recovered run's
-// session reports must match an uninterrupted run's — and, for
-// misusedet_router (MISUSEDET_ROUTER_BIN), every verdict to a client that
-// half-closed, refusal of unknown flags and a prompt exit on SIGTERM.
+// order and idle-return verdicts independent of --batch, kill -9 crash
+// recovery via --wal-dir — the recovered run's session reports must match
+// an uninterrupted run's — and, for misusedet_router
+// (MISUSEDET_ROUTER_BIN), every verdict to a client that half-closed or
+// whose session a node evicted mid-flight, refusal of unknown flags and a
+// prompt exit on SIGTERM.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -557,10 +559,9 @@ TEST_F(ServeProcessFixture, PipeModeRepliesInLineOrder) {
   EXPECT_EQ(burst_replies(port, lines), replies);
 }
 
-// A capacity-eviction report shares its sequence number with the step of
-// the event whose session open evicted it; the merge by sequence number
-// must keep the shard's order (report first) however the stream is cut
-// into batches. 300 round-robin sessions through an 8-session table
+// The session table appends a capacity-eviction report just before the
+// step of the event whose session open evicted it, however the stream is
+// cut into batches. 300 round-robin sessions through an 8-session table
 // evict on almost every event.
 TEST_F(ServeProcessFixture, EvictionOrderDoesNotDependOnBatchSize) {
   constexpr int kSessions = 300;
@@ -597,6 +598,59 @@ TEST_F(ServeProcessFixture, EvictionOrderDoesNotDependOnBatchSize) {
                           }),
             100);
   EXPECT_TRUE(one == many) << "output order depends on --batch";
+}
+
+// A session whose next event comes after --idle-ttl ends before that
+// event at any batch size: at --batch=1 the sweep after the previous
+// block ends it, at --batch=256 the table does when the event arrives.
+// Either way the returning event opens a new session, so the step
+// records are the same.
+TEST_F(ServeProcessFixture, IdleReturnVerdictsDoNotDependOnBatchSize) {
+  const std::vector<std::string> trace = {
+      event_line("ua", "s1", "3", 0.0),    event_line("ua", "s1", "5", 1.0),
+      event_line("ua", "s1", "7", 2.0),    event_line("ub", "s2", "3", 1000.0),
+      event_line("ua", "s1", "9", 1001.0),
+  };
+  const auto run = [&trace](const std::string& batch) {
+    ServeProcess proc({std::string("--model=") + MISUSEDET_GOLDEN_DIR + "/detector.bin",
+                       "--batch=" + batch});
+    int status = 0;
+    const auto lines = feed_and_drain(proc, trace, status);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "--batch=" << batch;
+    return step_lines(lines);
+  };
+  const auto one = run("1");
+  ASSERT_EQ(one.size(), trace.size());
+  EXPECT_NE(one.back().find("\"step\":1,"), std::string::npos) << one.back();
+  EXPECT_EQ(run("256"), one);
+}
+
+// A node's capacity-eviction report reaches the router on the upstream
+// connection while the evicted session's next events are still in
+// flight. Their verdicts must still reach the client: s1, s2, s1 in one
+// burst to a one-session node get the same five replies (three steps,
+// two eviction reports) through a router as straight from a node.
+TEST_F(ServeProcessFixture, RouterDeliversVerdictsInFlightPastASessionReport) {
+  const std::vector<std::string> lines = {
+      event_line("r", "s1", (*actions_)[0], 1.0),
+      event_line("r", "s2", (*actions_)[1], 2.0),
+      event_line("r", "s1", (*actions_)[2], 3.0),
+  };
+  ServeProcess direct_node({"--model=" + *model_path_, "--listen=0", "--max-sessions=1"});
+  const std::uint16_t direct_port = direct_node.wait_for_port();
+  ASSERT_GT(direct_port, 0);
+  const auto direct = burst_replies(direct_port, lines);
+  ASSERT_EQ(direct.size(), 5u);
+  ASSERT_EQ(step_lines(direct).size(), 3u);
+
+  ServeProcess node({"--model=" + *model_path_, "--listen=0", "--max-sessions=1"});
+  const std::uint16_t node_port = node.wait_for_port();
+  ASSERT_GT(node_port, 0);
+  ServeProcess router({"--nodes=127.0.0.1:" + std::to_string(node_port), "--listen=0"},
+                      MISUSEDET_ROUTER_BIN);
+  const std::uint16_t port = router.wait_for_port();
+  ASSERT_GT(port, 0);
+  EXPECT_EQ(burst_replies(port, lines), direct);
 }
 
 // kill -9 mid-replay, restart on the same --wal-dir with --resume-replay,

@@ -462,6 +462,43 @@ TEST_F(WalRecoveryFixture, SweepRecordsReplayEvictions) {
   EXPECT_EQ(restarted.active_sessions(), 1u) << "the evicted session must not resurrect";
 }
 
+// A recovered node re-emits a replayed sweep's reports in the order the
+// live node printed them: rendered-line order, which puts user "u!"
+// before "u" (their session keys sort the other way).
+TEST_F(WalRecoveryFixture, RecoveredSweepReportsKeepTheLiveOrder) {
+  const std::string dir = scratch_dir("sweep_order");
+  const std::string action = detector_->vocab().name(0);
+  ServeConfig config;
+  config.idle_ttl_seconds = 10.0;
+  config.wal_dir = dir;
+  config.wal_sync_every = 1;
+  const auto reports = [](const std::vector<OutputRecord>& out) {
+    std::vector<std::string> lines;
+    for (const auto& r : out) {
+      if (r.line.find("\"type\":\"session_report\"") != std::string::npos) {
+        lines.push_back(r.line);
+      }
+    }
+    return lines;
+  };
+  std::vector<std::string> live;
+  {
+    ScoringServer crashed(*detector_, config);
+    std::vector<OutputRecord> out;
+    feed(crashed, {make_event("u", "s", action, 0.0), make_event("u!", "s", action, 1.0),
+                   make_event("fresh", "s", action, 100.0)},
+         out);
+    crashed.sweep(out);  // evicts "u" and "u!" (idle > 10s TTL at t = 100), logs kSweep
+    live = reports(out);
+  }
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_NE(live[0].find(R"("user_id":"u!")"), std::string::npos) << live[0];
+  ScoringServer restarted(*detector_, config);
+  std::vector<OutputRecord> out;
+  EXPECT_EQ(restarted.recover(out), 3u);
+  EXPECT_EQ(reports(out), live);
+}
+
 // Injected WAL failures degrade durability, never availability: scoring
 // continues when appends or fsyncs fail.
 TEST_F(WalRecoveryFixture, InjectedWalFailuresDoNotStopScoring) {
